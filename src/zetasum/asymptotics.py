@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .config import ETA_DIST_EPS
-from .kernel import log_gamma_complex
+from .kernel import _log_sin_safe, log_gamma_complex
 from .phases import nsum_power
 
 _LN_2PI = math.log(2.0 * math.pi)
@@ -59,19 +59,9 @@ def chi_exact(s: complex) -> complex:
     if abs(s.imag) > 1e7:
         raise ValueError("log-gamma window exceeded")
     total = s * _LN_2PI - math.log(math.pi)
-    total += _log_sin_half(s)
+    total += _log_sin_safe(0.5 * math.pi * s)
     total += log_gamma_complex(one_minus_s)
     return cmath.exp(total)
-
-
-def _log_sin_half(s: complex) -> complex:
-    """log sin(pi s / 2) without overflow for large |Im s|."""
-    z = 0.5 * math.pi * s
-    if abs(z.imag) <= 20.0:
-        return cmath.log(cmath.sin(z))
-    if z.imag > 0:
-        return cmath.log(0.5j) - 1j * z + cmath.log(1.0 - cmath.exp(2j * z))
-    return cmath.log(-0.5j) + 1j * z + cmath.log(1.0 - cmath.exp(-2j * z))
 
 
 def chi_asymptotic(s: complex) -> complex:

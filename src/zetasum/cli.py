@@ -105,12 +105,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
+    if args.precision == "extended":
+        print("error: suites run in standard precision only; certify a single "
+              "sum in extended precision with `zetasum oracle --spec ...`",
+              file=sys.stderr)
+        return 2
     config = ExperimentConfig(
         suite=args.suite, sigma_list=args.sigma, t_min=args.t_min,
         t_max=args.t_max, points=args.points, delta=args.delta,
         delta2=args.delta2, delta3=args.delta3, threads=args.threads,
-        precision=args.precision, seed=args.seed, out_format=args.format,
-        out_path=args.out)
+        seed=args.seed)
     try:
         records = run_suite(config)
     except UnknownSuiteError as exc:

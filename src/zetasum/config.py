@@ -5,6 +5,11 @@
 # negligible next to the compensated cross-chunk accumulation.
 CHUNK_SIZE = 4096
 
+# Width of the m-chunks and n-blocks the coupled double sums stream through:
+# wide enough that per-block interpreter work stays small next to the term
+# evaluations, small enough that a sum's working set is a few MB at any t.
+STREAM_CHUNK = 16384
+
 # Significant decimal digits carried by extended-precision (oracle) values.
 EXTENDED_DPS = 36
 

@@ -1,24 +1,22 @@
 """Double exponential sums: full grids, coupled-index sums, and exact splits.
 
-Two evaluation strategies exist for most sums.  BruteForce enumerates every
-index pair (budget-capped); the fast route rewrites the inner sum as a prefix
-difference (or, where a third factor couples the indices, as an FFT
-convolution).  Both must agree; the tests enforce it.
+BruteForce enumerates every index pair (budget-capped).  The fast route
+streams the inner sums as prefix windows through _window_sum, or convolves by
+FFT where a third factor couples the indices.  Both must agree; tests enforce it.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .config import BRUTE_FORCE_BUDGET
-from .kernel import sum_array_deterministic
-from .phases import nsum_power, power_prefix
+from .config import BRUTE_FORCE_BUDGET, STREAM_CHUNK
+from .kernel import reduce_deterministic, sum_array_deterministic
+from .phases import PrefixCursor, check_prefix_budget, nsum_power
 
 
 class Strategy(enum.Enum):
@@ -44,8 +42,6 @@ class SplitSumResult:
 
 def _powers(exponent: complex, lo: int, hi: int) -> np.ndarray:
     """n**(-exponent) for n in [lo, hi] (empty for hi < lo)."""
-    if hi < lo:
-        return np.zeros(0, dtype=np.complex128)
     n = np.arange(lo, hi + 1, dtype=np.float64)
     return np.exp(-exponent * np.log(n))
 
@@ -53,6 +49,41 @@ def _powers(exponent: complex, lo: int, hi: int) -> np.ndarray:
 def _check_brute_budget(t: float) -> None:
     if t > BRUTE_FORCE_BUDGET:
         raise ValueError(f"brute-force budget exceeded at t={t}")
+
+
+def _window_sum(exponent: complex, m_lo: int, m_hi: int, bounds: Callable,
+                outer: Optional[complex] = None) -> complex:
+    """sum_{m=m_lo}^{m_hi} w(m) [P(hi(m)) - P(lo(m))], P(k) = sum_{n<=k} n**(-exponent).
+
+    bounds(m) gives the ends (lo, hi), int64 arrays or constants nondecreasing
+    in m; a window with hi <= lo adds exactly 0.  w(m) = m**(-outer), or for
+    outer=None the conjugate of the inner term at n = lo(m) = m.  Each inner
+    term is generated once, over the n-range the windows touch, with prefixes
+    from its start.  If every lo-end precedes every hi-end each end reads its
+    own cursor and the stretch between enters as one carry times sum w;
+    otherwise one cursor serves both, keeping the blocks between them.
+    """
+    ends = np.array([m_lo, m_hi], dtype=np.int64)
+    (lo_first, lo_last), (hi_first, hi_last) = np.broadcast_arrays(*bounds(ends), ends)[:2]
+    start = lo_first if outer is None else lo_first + 1
+    split = lo_last <= hi_first
+    lo_cur = PrefixCursor(exponent, start, lo_last if split else hi_last, STREAM_CHUNK)
+    hi_cur = PrefixCursor(exponent, lo_last + 1, hi_last, STREAM_CHUNK) if split else lo_cur
+    partials, weights = [], []
+    for a in range(m_lo, m_hi + 1, STREAM_CHUNK):
+        m = np.arange(a, min(a + STREAM_CHUNK - 1, m_hi) + 1, dtype=np.int64)
+        lo, hi = np.broadcast_arrays(*bounds(m), m)[:2]
+        keep = hi > lo
+        if keep.any():
+            p_lo, x_lo = lo_cur.read(lo[keep], min(lo[-1], hi[keep][0]))
+            p_hi, _ = hi_cur.read(hi[keep], hi[-1] if split else lo[-1])
+            w = np.conj(x_lo) if outer is None else np.exp(-outer * np.log(m[keep].astype(np.float64)))
+            partials.append(complex(np.sum(w * (p_hi - p_lo))))
+            weights.append(complex(w.sum()))
+    if split and weights:
+        gap = lo_cur.read(np.array([lo_last]), lo_last)[0][0]
+        partials.append(gap * reduce_deterministic(weights))
+    return reduce_deterministic(partials)
 
 
 def grid_double_sum(sigma: float, t: float, strategy: Strategy = Strategy.PREFIX_FACTORIZED) -> DoubleSumResult:
@@ -86,11 +117,8 @@ def f_sum(u: complex, v: complex, n_max: int, strategy: Strategy = Strategy.PREF
             inner = _powers(v, m1 + 1, m1 + n_max).sum()
             rows.append(complex(m1 ** (-u) * inner))
         return sum_array_deterministic(np.array(rows))
-    cum_v = power_prefix(v, 2 * n_max)
-    m = np.arange(1, n_max + 1, dtype=np.int64)
-    inner = cum_v[m + n_max] - cum_v[m]
-    outer = _powers(u, 1, n_max)
-    return sum_array_deterministic(outer * inner)
+    check_prefix_budget(2 * n_max)
+    return _window_sum(v, 1, n_max, lambda m: (m, m + n_max), u)
 
 
 def g_sum(u: complex, v: complex, n_max: int, strategy: Strategy = Strategy.PREFIX_FACTORIZED) -> complex:
@@ -104,11 +132,8 @@ def g_sum(u: complex, v: complex, n_max: int, strategy: Strategy = Strategy.PREF
             inner = _powers(v, n_max + 1, n_max + m).sum()
             rows.append(complex(m ** (-u) * inner))
         return sum_array_deterministic(np.array(rows))
-    cum_v = power_prefix(v, 2 * n_max)
-    m = np.arange(1, n_max + 1, dtype=np.int64)
-    inner = cum_v[n_max + m] - cum_v[n_max]
-    outer = _powers(u, 1, n_max)
-    return sum_array_deterministic(outer * inner)
+    check_prefix_budget(2 * n_max)
+    return _window_sum(v, 1, n_max, lambda m: (n_max, n_max + m), u)
 
 
 def lemma32_identity_residual(u: complex, v: complex, n_max: int) -> complex:
@@ -139,11 +164,7 @@ def tail_double_sum(sigma: float, t: float, strategy: Strategy = Strategy.PREFIX
             inner = _powers(complex(sigma, t), big_t + 1, big_t + m).sum()
             rows.append(complex(m ** complex(-sigma, t) * inner))
         return sum_array_deterministic(np.array(rows))
-    cum_s = power_prefix(complex(sigma, t), 2 * big_t)
-    m = np.arange(1, big_t + 1, dtype=np.int64)
-    inner = cum_s[big_t + m] - cum_s[big_t]
-    outer = _powers(complex(sigma, -t), 1, big_t)
-    return sum_array_deterministic(outer * inner)
+    return g_sum(complex(sigma, -t), complex(sigma, t), big_t)
 
 
 @dataclass(frozen=True)
@@ -163,17 +184,12 @@ def relation_36_check(sigma: float, t: float) -> RelationCheck:
     big_t = int(t)
     if big_t < 1 or big_t > 10**5:
         raise ValueError("budget: need 1 <= [t] <= 1e5")
-    s = complex(sigma, t)
-    cum_s = power_prefix(s, 2 * big_t)
-    m = np.arange(1, big_t + 1, dtype=np.int64)
-    shifted = sum_array_deterministic(
-        _powers(complex(sigma, -t), 1, big_t) * (cum_s[m + big_t] - cum_s[m])
-    )
+    # m2**(-sbar) is the conjugate of the inner term at n = m2
+    shifted = _window_sum(complex(sigma, t), 1, big_t, lambda m: (m, m + big_t))
     zsum = nsum_power(sigma, t, 1, big_t, minus_it=True)
     lhs = 2.0 * shifted.real - (zsum * zsum.conjugate()).real
     diag = float(np.sum(np.arange(1, big_t + 1, dtype=np.float64) ** (-2.0 * sigma)))
-    tail = tail_double_sum(sigma, t)
-    rhs = -diag + 2.0 * tail.real
+    rhs = -diag + 2.0 * tail_double_sum(sigma, t).real
     resid = lhs - rhs
     scale = max(abs(lhs), abs(rhs), 1.0)
     return RelationCheck(lhs=lhs, rhs=rhs, residual=resid, relative_residual=abs(resid) / scale)
@@ -199,9 +215,7 @@ def s4_a_sum(sigma1: float, sigma2: float, t: float,
     else:
         if big_t > 10**7:
             raise ValueError("budget exceeded")
-        cum = power_prefix(e_inner, 2 * big_t)
-        m = np.arange(1, big_t + 1, dtype=np.int64)
-        value = sum_array_deterministic(_powers(e_outer, 1, big_t) * (cum[m + big_t] - cum[m]))
+        value = _window_sum(e_inner, 1, big_t, lambda m: (m, m + big_t), e_outer)
     return DoubleSumResult(value=value, term_count=big_t * big_t, strategy=strategy)
 
 
@@ -339,14 +353,8 @@ def s5_decomposition_residual(sigma: float, t: float, delta2: float, delta3: flo
     if big_t < 1 or big_t > BRUTE_FORCE_BUDGET:
         raise ValueError("budget: need 1 <= [t] <= 3e4")
     ratio2, ratio3 = _ratio_thresholds(t, delta2, delta3)
-    s = complex(sigma, t)
-    cum_bar = power_prefix(complex(sigma, -t), 2 * big_t)
-    outer = _powers(s, 1, big_t)
-
-    full_rows = []
-    m_rows = []
-    s1_rows = []
-    s2_rows = []
+    # m2 cuts of row m1: S2 = (0, k2], M = (k2, k1c - 1], S1 = (k1c - 1, [t]]
+    cuts = np.zeros((4, big_t + 1), dtype=np.int64)
     m_count = s1_count = s2_count = 0
     partition_exact = True
     lit_s1 = lit_s2 = simp_s1 = simp_s2 = 0
@@ -365,12 +373,7 @@ def s5_decomposition_residual(sigma: float, t: float, delta2: float, delta3: flo
         m_count += max(0, k1c - 1 - k2)
         s2_count += k2
         s1_count += big_t - k1c + 1
-        w = outer[m1 - 1]
-        # inner sums over n = m1 + m2
-        full_rows.append(w * complex(cum_bar[m1 + big_t] - cum_bar[m1]))
-        s2_rows.append(w * complex(cum_bar[m1 + k2] - cum_bar[m1]))
-        m_rows.append(w * complex(cum_bar[m1 + k1c - 1] - cum_bar[m1 + k2]))
-        s1_rows.append(w * complex(cum_bar[m1 + big_t] - cum_bar[m1 + k1c - 1]))
+        cuts[1:, m1] = k2, k1c - 1, big_t
 
         # audit of the published ranges against the exact sets
         lit_k1 = int(ratio3 * m1) + 1 if m1 <= lit_s1_outer else big_t + 1
@@ -385,11 +388,11 @@ def s5_decomposition_residual(sigma: float, t: float, delta2: float, delta3: flo
     if m_count + s1_count + s2_count != big_t * big_t:
         partition_exact = False
 
-    lhs = sum_array_deterministic(np.array(full_rows))
-    m_sum = sum_array_deterministic(np.array(m_rows))
-    s1 = sum_array_deterministic(np.array(s1_rows))
-    s2 = sum_array_deterministic(np.array(s2_rows))
-    rhs = m_sum + s1 + s2
+    def part(i, j):  # m2 in (cuts[i, m1], cuts[j, m1]], inner index n = m1 + m2
+        return _window_sum(complex(sigma, -t), 1, big_t,
+                           lambda m: (m + cuts[i, m], m + cuts[j, m]), complex(sigma, t))
+
+    lhs, rhs = part(0, 3), part(1, 2) + part(2, 3) + part(0, 1)
     resid = lhs - rhs
     scale = max(abs(lhs), abs(rhs), 1.0)
     return DecompositionReport(
@@ -435,13 +438,9 @@ def s5_1_sum(sigma: float, t: float, delta: float,
         return SmallSetSum(total=sa + sb, sa=sa, sb=sb)
     if big_t + m_max > 10**7 + 4096:
         raise ValueError("budget exceeded")
-    cum = power_prefix(complex(sigma, -t), big_t + m_max)
-    m = np.arange(1, m_max + 1, dtype=np.int64)
-    lo = (t ** (1.0 - delta) * m.astype(np.float64)).astype(np.int64)
-    lo = np.minimum(lo, big_t)  # floor rounding can land just past [t]: empty range
-    w = _powers(s, 1, m_max)
-    sa = sum_array_deterministic(w * (cum[big_t] - cum[lo]))
-    sb = sum_array_deterministic(w * (cum[big_t + m] - cum[big_t]))
+    sa = _window_sum(complex(sigma, -t), 1, m_max,
+                     lambda m: ((t ** (1.0 - delta) * m.astype(np.float64)).astype(np.int64), big_t), s)
+    sb = _window_sum(complex(sigma, -t), 1, m_max, lambda m: (big_t, big_t + m), s)
     return SmallSetSum(total=sa + sb, sa=sa, sb=sb)
 
 
@@ -473,14 +472,14 @@ def s5_2_sum(sigma: float, t: float, delta: float,
         sa = sum_array_deterministic(np.array(sa_rows))
         sb = sum_array_deterministic(np.array(sb_rows))
         return SmallSetSum(total=sa + sb, sa=sa, sb=sb, l_of_t=l_of_t)
-    upper = int(big_t * (1.0 + tau)) + 1
-    if upper > 10**7 + 4096:
+    if int(big_t * (1.0 + tau)) + 1 > 10**7 + 4096:
         raise ValueError("budget exceeded")
-    cum = power_prefix(complex(sigma, -t), upper)
-    m = np.arange(m_lo, big_t + 1, dtype=np.int64)
-    hi = (m.astype(np.float64) * (1.0 + tau)).astype(np.int64)
-    p_t = np.minimum(hi, big_t)
-    w = _powers(s, m_lo, big_t)
-    sa = sum_array_deterministic(w * np.where(p_t > m, cum[p_t] - cum[m], 0j))
-    sb = sum_array_deterministic(w * np.where(hi > big_t, cum[np.maximum(hi, big_t)] - cum[big_t], 0j))
+
+    def hi_of(m):
+        return (m.astype(np.float64) * (1.0 + tau)).astype(np.int64)
+    # m**(-s) is the conjugate of the inner term at n = m
+    sa = _window_sum(complex(sigma, -t), m_lo, big_t, lambda m: (m, np.minimum(hi_of(m), big_t)))
+    # overhang windows are empty below m = ([t] + 1) / (1 + tau)
+    sb = _window_sum(complex(sigma, -t), max(m_lo, int((big_t + 1) / (1.0 + tau)) - 1), big_t,
+                     lambda m: (big_t, np.maximum(hi_of(m), big_t)), s)
     return SmallSetSum(total=sa + sb, sa=sa, sb=sb, l_of_t=l_of_t)

@@ -69,14 +69,13 @@ def sum_compensated(terms: Iterable) -> complex:
     return acc.value
 
 
-def reduce_deterministic(chunks: Sequence, chunk_size: int = CHUNK_SIZE) -> complex:
+def reduce_deterministic(chunks: Sequence) -> complex:
     """Combine ordered chunk partial sums by a fixed binary-tree reduction.
 
     Adjacent pairs are combined level by level with compensated addition
     (odd leftovers promoted unchanged), so the result is a pure function of
     the chunk list: bit-identical however many workers produced the chunks.
     """
-    del chunk_size  # association order is fixed by the tree, not the width
     nodes = []
     for z in chunks:
         z = _as_complex(z)
@@ -100,7 +99,7 @@ def reduce_deterministic(chunks: Sequence, chunk_size: int = CHUNK_SIZE) -> comp
     return complex(s_re + e_re, s_im + e_im)
 
 
-def sum_array_deterministic(values: np.ndarray, chunk_size: int = CHUNK_SIZE) -> complex:
+def sum_array_deterministic(values: np.ndarray) -> complex:
     """Deterministic compensated sum of a 1-D array of complex terms.
 
     Within a chunk numpy's pairwise summation keeps the error at
@@ -112,8 +111,8 @@ def sum_array_deterministic(values: np.ndarray, chunk_size: int = CHUNK_SIZE) ->
     if not np.isfinite(values).all():
         raise ValueError("non-finite input")
     partials = [
-        complex(values[i : i + chunk_size].sum())
-        for i in range(0, values.size, chunk_size)
+        complex(values[i : i + CHUNK_SIZE].sum())
+        for i in range(0, values.size, CHUNK_SIZE)
     ]
     return reduce_deterministic(partials)
 

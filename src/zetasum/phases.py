@@ -8,6 +8,7 @@ sum description always yields bit-identical output.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,31 +87,76 @@ def d_delta_sum(sigma: float, t: float, delta: float) -> complex:
     return single_sum(SumSpec(PhaseKind.F1, sigma, t, 1, upper))
 
 
-def power_prefix(exponent: complex, upper: int, chunk_size: int = CHUNK_SIZE) -> np.ndarray:
-    """cumulative[k] = sum_{n=1}^{k} n**(-exponent), compensated in index order.
-
-    A running two_sum-carried total keeps the absolute error of any entry
-    within a few ulp of the true partial sum even at upper ~ 1e7.
-    """
+def check_prefix_budget(upper: int) -> None:
     if upper > PREFIX_BUDGET:
         raise ValueError(
             f"prefix budget exceeded: need {upper} entries, cap {PREFIX_BUDGET}"
         )
-    cum = np.zeros(upper + 1, dtype=np.complex128)
+
+
+def prefix_blocks(exponent: complex, start: int, stop: int, width: int):
+    """Yield (a, terms, cum) for consecutive blocks a..b of [start, stop].
+
+    terms[i] = (a+i)**(-exponent) and cum[i] = sum_{n=start}^{a+i} n**(-exponent).
+    A running two_sum-carried total keeps the absolute error of any cum entry
+    within a few ulp of the true partial sum even ~1e7 terms past start.
+    """
     hi_re = lo_re = hi_im = lo_im = 0.0
-    for a in range(1, upper + 1, chunk_size):
-        b = min(a + chunk_size - 1, upper)
-        n = np.arange(a, b + 1, dtype=np.float64)
+    for a in range(start, stop + 1, width):
+        n = np.arange(a, min(a + width - 1, stop) + 1, dtype=np.float64)
         terms = np.exp(-exponent * np.log(n))
         if not np.isfinite(terms).all():
             raise ValueError("non-finite input")
         carry = complex(hi_re + lo_re, hi_im + lo_im)
-        cum[a : b + 1] = carry + np.cumsum(terms)
+        yield a, terms, carry + np.cumsum(terms)
         chunk_total = complex(terms.sum())
         hi_re, e = _two_sum(hi_re, chunk_total.real)
         lo_re += e
         hi_im, e = _two_sum(hi_im, chunk_total.imag)
         lo_im += e
+
+
+class PrefixCursor:
+    """Forward-only reader of R(k) = sum_{n=start}^{k} n**(-exponent), k <= stop.
+
+    Blocks of prefix_blocks are generated once, in order; a read keeps only
+    those reaching keep_from, the least position the caller reads next.
+    """
+
+    def __init__(self, exponent: complex, start: int, stop: int, width: int):
+        self._blocks = prefix_blocks(exponent, start, stop, width)
+        self._kept: deque = deque()
+        self._end = start - 1
+
+    def read(self, q: np.ndarray, keep_from: int):
+        """(R(q), terms at q) for sorted q >= start - 1, where R(start - 1) = 0."""
+        cum = np.zeros(q.size, dtype=np.complex128)
+        terms = np.zeros(q.size, dtype=np.complex128)
+        kept = self._kept
+
+        def fill(a, x, c):
+            i, j = np.searchsorted(q, (a, a + x.size))
+            cum[i:j] = c[q[i:j] - a]
+            terms[i:j] = x[q[i:j] - a]
+
+        for block in kept:
+            fill(*block)
+        while True:
+            while kept and kept[0][0] + kept[0][1].size <= keep_from:
+                kept.popleft()
+            if self._end >= q[-1]:
+                return cum, terms
+            kept.append(next(self._blocks))
+            fill(*kept[-1])
+            self._end = kept[-1][0] + kept[-1][1].size - 1
+
+
+def power_prefix(exponent: complex, upper: int) -> np.ndarray:
+    """cumulative[k] = sum_{n=1}^{k} n**(-exponent), compensated in index order."""
+    check_prefix_budget(upper)
+    cum = np.zeros(upper + 1, dtype=np.complex128)
+    for a, _, block in prefix_blocks(exponent, 1, upper, CHUNK_SIZE):
+        cum[a : a + block.size] = block
     return cum
 
 

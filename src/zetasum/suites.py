@@ -48,10 +48,7 @@ class ExperimentConfig:
     delta2: Optional[float] = None
     delta3: Optional[float] = None
     threads: int = 1
-    precision: str = "standard"
     seed: Optional[int] = None
-    out_format: str = "csv"
-    out_path: Optional[str] = None
 
 
 @dataclass(frozen=True)

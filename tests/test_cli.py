@@ -2,11 +2,14 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import zetasum
 from zetasum.cli import (CSV_COLUMNS, emit, main, records_from_json,
                          records_to_csv, records_to_json)
 from zetasum.suites import (ClaimRecord, ExperimentConfig, registered_suites,
@@ -91,13 +94,29 @@ class TestDispatch:
         assert main(["oracle", "--spec", "{broken"]) == 2
         capsys.readouterr()
 
+    def test_extended_precision_run_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        code = main(["run", "--suite", "relation-3.4", "--precision", "extended",
+                     "--out", str(out)])
+        assert code == 2
+        assert "zetasum oracle" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_standard_precision_run_accepted(self, capsys):
+        assert main(["run", "--suite", "relation-3.4", "--precision", "standard"]) == 0
+        capsys.readouterr()
+
     def test_missing_subcommand_exit_2(self):
         assert main([]) == 2
 
     def test_console_script_installed(self):
-        # the installed entry point, end to end through a real process
+        # the entry point, end to end through a real process that imports the
+        # same zetasum package as these tests (installed or from src/)
+        src = str(Path(zetasum.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         out = subprocess.run([sys.executable, "-m", "zetasum.cli",
-                              "list-suites"], capture_output=True, text=True)
+                              "list-suites"], capture_output=True, text=True, env=env)
         assert out.returncode == 0 and "identity-3.12" in out.stdout
 
 

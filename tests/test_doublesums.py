@@ -2,15 +2,20 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from zetasum.doublesums import (Strategy, f_sum, g_sum, grid_double_sum,
+from zetasum import doublesums
+from zetasum.config import STREAM_CHUNK
+from zetasum.doublesums import (Strategy, _window_sum, f_sum, g_sum, grid_double_sum,
                                 lemma32_identity_residual, m_set_contains,
                                 relation_36_check, s4_a_sum, s4_b_sum,
                                 s4_b_part1_exchanged, s5_1_sum, s5_2_sum,
                                 s5_decomposition_residual, tail_double_sum)
+from zetasum.kernel import sum_array_deterministic
+from zetasum.phases import power_prefix
 
 
 class TestFG:
@@ -200,3 +205,163 @@ class TestS5Sums:
             fast = s5_1_sum(sg, t, delta)
             slow = s5_1_sum(sg, t, delta, Strategy.BRUTE_FORCE)
             assert abs(fast.total - slow.total) <= 1e-9 * max(abs(slow.total), 1.0)
+
+
+# --- streamed fast paths across chunk seams ----------------------------------
+
+def _prefix_reference(exponent, m, lo, hi, w):
+    """sum_m w(m) [P(hi) - P(lo)] from one materialised power_prefix table."""
+    cum = power_prefix(exponent, int(max(hi.max(), lo.max(), 1)))
+    inner = np.where(hi > lo, cum[np.maximum(hi, lo)] - cum[lo], 0j)
+    return sum_array_deterministic(w * inner)
+
+
+def _pw(exponent, m):
+    return np.exp(-exponent * np.log(m.astype(np.float64)))
+
+
+def _ar(a, b):
+    return np.arange(a, b + 1, dtype=np.int64)
+
+
+U, V = 0.5 + 3j, 1.2 - 3j
+
+
+def _fast_and_reference(name, t, sigma=0.5, delta=0.3):
+    """(fast value, power_prefix reference) of one migrated fast path."""
+    big_t = int(t)
+    s, sbar = complex(sigma, t), complex(sigma, -t)
+    if name == "f_sum":
+        m = _ar(1, big_t)
+        return f_sum(U, V, big_t), _prefix_reference(V, m, m, m + big_t, _pw(U, m))
+    if name == "g_sum":
+        m = _ar(1, big_t)
+        return g_sum(U, V, big_t), _prefix_reference(V, m, 0 * m + big_t, m + big_t, _pw(U, m))
+    if name == "tail":
+        m = _ar(1, big_t)
+        ref = _prefix_reference(s, m, 0 * m + big_t, m + big_t, _pw(sbar, m))
+        return tail_double_sum(sigma, t), ref
+    if name == "relation_36":
+        # lhs carries 2 Re of the shifted sum m2**(-sbar) (m1+m2)**(-s)
+        m = _ar(1, big_t)
+        shifted = _prefix_reference(s, m, m, m + big_t, _pw(sbar, m))
+        z = np.exp(-s * np.log(m.astype(np.float64))).sum()
+        ref = 2.0 * shifted.real - (z * z.conjugate()).real
+        return complex(relation_36_check(sigma, t).lhs), complex(ref)
+    if name == "s4_a":
+        m = _ar(1, big_t)
+        ref = _prefix_reference(complex(-0.5, t), m, m, m + big_t, _pw(complex(1.5, -t), m))
+        return s4_a_sum(-0.5, 1.5, t).value, ref
+    if name == "s5_1":
+        m = _ar(1, int(t**delta))
+        lo = np.minimum((t ** (1.0 - delta) * m.astype(np.float64)).astype(np.int64), big_t)
+        w = _pw(s, m)
+        ref = (_prefix_reference(sbar, m, lo, 0 * m + big_t, w)
+               + _prefix_reference(sbar, m, 0 * m + big_t, m + big_t, w))
+        return s5_1_sum(sigma, t, delta).total, ref
+    assert name == "s5_2"
+    m = _ar(int(t ** (1.0 - delta)), big_t)
+    hi = (m.astype(np.float64) * (1.0 + t ** (delta - 1.0))).astype(np.int64)
+    w = _pw(s, m)
+    ref = (_prefix_reference(sbar, m, m, np.minimum(hi, big_t), w)
+           + _prefix_reference(sbar, m, 0 * m + big_t, np.maximum(hi, big_t), w))
+    return s5_2_sum(sigma, t, delta).total, ref
+
+
+MIGRATED = ["f_sum", "g_sum", "tail", "relation_36", "s4_a", "s5_1", "s5_2"]
+
+
+class TestStreamSeams:
+    @pytest.mark.parametrize("name", MIGRATED)
+    @pytest.mark.parametrize("chunk", [7, 64])
+    def test_small_chunks_match_prefix_reference(self, monkeypatch, name, chunk):
+        # t = 700 spans ~100 chunks of 7 and ~20 of 64 in both m and n
+        monkeypatch.setattr(doublesums, "STREAM_CHUNK", chunk)
+        fast, ref = _fast_and_reference(name, 700.0)
+        assert abs(fast - ref) <= 1e-11 * max(abs(ref), 1.0)
+
+    @pytest.mark.parametrize("name", MIGRATED)
+    def test_default_chunk_several_seams(self, name):
+        # t = 1e5: m and n ranges cross several stream chunks
+        assert 1e5 > 6 * STREAM_CHUNK
+        fast, ref = _fast_and_reference(name, 1.0e5)
+        assert abs(fast - ref) <= 1e-11 * max(abs(ref), 1.0)
+
+    def test_small_chunks_match_brute_force(self, monkeypatch):
+        monkeypatch.setattr(doublesums, "STREAM_CHUNK", 13)
+        cases = [
+            (lambda st: f_sum(U, V, 300, st), None),
+            (lambda st: g_sum(U, V, 700, st), None),
+            (lambda st: tail_double_sum(0.5, 1500.0, st), None),
+            (lambda st: s4_a_sum(-0.5, 1.5, 700.0, st), "value"),
+            (lambda st: s5_1_sum(0.4, 2000.0, 0.35, st), "total"),
+            (lambda st: s5_2_sum(0.5, 2000.0, 0.4, st), "total"),
+        ]
+        for fn, field in cases:
+            fast, slow = fn(Strategy.PREFIX_FACTORIZED), fn(Strategy.BRUTE_FORCE)
+            if field:
+                fast, slow = getattr(fast, field), getattr(slow, field)
+            assert abs(fast - slow) <= 1e-9 * max(abs(slow), 1.0)
+
+    def test_s5_parts_across_seams(self, monkeypatch):
+        monkeypatch.setattr(doublesums, "STREAM_CHUNK", 5)
+        for fn, args in ((s5_1_sum, (0.5, 1500.0, 0.4)), (s5_2_sum, (0.5, 1500.0, 0.45))):
+            fast, slow = fn(*args), fn(*args, Strategy.BRUTE_FORCE)
+            assert abs(fast.sa - slow.sa) <= 1e-9 * max(abs(slow.sa), 1.0)
+            assert abs(fast.sb - slow.sb) <= 1e-9 * max(abs(slow.sb), 1.0)
+
+    def test_decomposition_across_seams(self, monkeypatch):
+        monkeypatch.setattr(doublesums, "STREAM_CHUNK", 11)
+        rep = s5_decomposition_residual(0.5, 1000.0, 0.4, 0.25)
+        assert rep.partition_exact and rep.relative_residual <= 1e-10
+
+    @pytest.mark.parametrize("bounds,outer", [
+        (lambda m: (0, m), 0.3 - 2j),            # every hi lands on each block end once
+        (lambda m: (m, m + 8), 0.3 - 2j),        # width one chunk: lo and hi share seams
+        (lambda m: (m, m + 8), None),            # conjugate weights read at n = m
+        (lambda m: (m, 3 * m), None),
+        (lambda m: (m - 1, 3 * m), 0.3 - 2j),    # one cursor kept over many blocks
+        (lambda m: (2 * m, np.minimum(3 * m, 96)), 0.3 - 2j),  # empty past m = 48
+    ])
+    def test_windows_on_seams(self, monkeypatch, bounds, outer):
+        monkeypatch.setattr(doublesums, "STREAM_CHUNK", 8)
+        e = complex(0.5, 40.0)
+        m = _ar(1, 64)
+        lo, hi = (np.broadcast_to(x, m.shape).astype(np.int64) for x in bounds(m))
+        w = np.conj(_pw(e, m)) if outer is None else _pw(outer, m)
+        ref = _prefix_reference(e, m, lo, hi, w)
+        got = _window_sum(e, 1, 64, bounds, outer)
+        assert abs(got - ref) <= 1e-13 * max(abs(ref), 1.0)
+
+    def test_empty_windows_give_exact_zero(self):
+        e = complex(0.5, 40.0)
+        assert _window_sum(e, 1, 10_000, lambda m: (m, m)) == 0j
+        assert _window_sum(e, 1, 10_000, lambda m: (m + 5, m), 0.2 + 1j) == 0j
+        assert _window_sum(e, 3, 2, lambda m: (m, m + 9), 0.2 + 1j) == 0j
+
+    def test_budget_errors_unchanged(self):
+        for fn, args in ((f_sum, (U, V, 10**7 + 33)), (g_sum, (U, V, 10**7 + 33)),
+                         (tail_double_sum, (0.5, 1e7 + 33)),
+                         (s4_a_sum, (-0.5, 1.5, 1e7 + 1)),
+                         (s5_1_sum, (0.5, 1e7 + 4000, 0.5)),
+                         (s5_2_sum, (0.5, 1e7, 0.6))):
+            with pytest.raises(ValueError, match="budget exceeded"):
+                fn(*args)
+
+
+class TestStreamMemory:
+    @pytest.mark.parametrize("call", [
+        lambda: s5_2_sum(0.5, 2e6, 0.3),
+        lambda: s5_1_sum(0.5, 2e6, 0.2),
+        lambda: s4_a_sum(-0.5, 1.5, 1e6),
+        lambda: tail_double_sum(0.5, 1e6),
+    ], ids=["s5_2", "s5_1", "s4_a", "tail"])
+    def test_peak_allocation_does_not_grow_with_t(self, call):
+        # an O(t) prefix table alone would take 16-32 MB at these t
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * 2**20, f"peak {peak / 2**20:.1f} MB"
