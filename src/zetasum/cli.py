@@ -11,7 +11,11 @@ import sys
 from dataclasses import asdict
 from typing import List, Optional, Sequence
 
+import mpmath as mp
+
+from .config import EXTENDED_DPS
 from .kernel import oracle_recompute
+from .phases import single_sum
 from .specs import PhaseKind, SumSpec
 from .suites import (ClaimRecord, ExperimentConfig, UnknownSuiteError,
                      load_manifest, registered_suites, run_suite)
@@ -97,7 +101,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list-suites", help="list registered suites")
 
     oracle = sub.add_parser("oracle",
-                            help="recompute one sum in extended precision")
+                            help="recompute one sum in extended precision and "
+                                 "report the fast path's error against it")
     oracle.add_argument("--spec", required=True,
                         help='JSON, e.g. {"phase":"F3","sigma":0.5,"t":100,'
                              '"lo":1,"hi":100,"conjugate":true}')
@@ -147,10 +152,18 @@ def _cmd_oracle(args) -> int:
     except (json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: bad --spec: {exc}", file=sys.stderr)
         return 2
-    result = oracle_recompute(spec)
+    try:
+        result = oracle_recompute(spec)
+        fast = single_sum(spec)
+    except ValueError as exc:  # budget exceeded or non-finite input
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    with mp.workdps(EXTENDED_DPS):
+        abs_err = abs(mp.mpc(fast) - mp.mpc(result.re, result.im))
     print(json.dumps({"re": float(result.re), "im": float(result.im),
                       "precision_mode": result.precision_mode.value,
-                      "flag": result.flag}))
+                      "flag": result.flag, "fast_re": fast.real,
+                      "fast_im": fast.imag, "abs_err": float(abs_err)}))
     return 0
 
 

@@ -8,12 +8,15 @@ sum description always yields bit-identical output.
 from __future__ import annotations
 
 import math
+import threading
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+from mpmath import libmp
 
-from .config import CHUNK_SIZE, PREFIX_BUDGET, SINGLE_SUM_BUDGET
+from .config import (ANCHOR_BLOCK_RATIO, ANCHOR_THRESHOLD, CHUNK_SIZE,
+                     PREFIX_BUDGET, SINGLE_SUM_BUDGET, STREAM_CHUNK)
 from .kernel import _two_sum, reduce_deterministic
 from .specs import PhaseKind, SumSpec
 
@@ -35,38 +38,127 @@ def phase_eval(kind: PhaseKind, t: float, m: int) -> float:
     return t * math.log1p(m / t)
 
 
-def _phase_chunk(kind: PhaseKind, t: float, m: np.ndarray) -> np.ndarray:
+def _panels(spec: SumSpec):
+    """Yield (a, [(m0, width), ...]): one vectorized pass over the anchor blocks
+    that tile [a, a + sum of widths), in order over [lo, hi].
+
+    A block [m0, m0 + width) is at most m0 / ANCHOR_BLOCK_RATIO wide (one term
+    at least) and at most STREAM_CHUNK.  Blocks never straddle the CHUNK_SIZE
+    chunks counted from lo: a block of a chunk or more is a pass of its own
+    made of whole chunks; smaller ones share the pass of their chunk.  A chunk
+    whose |f| stays within ANCHOR_THRESHOLD is one block anchored at its
+    start: its raw phases already lose little to rounding.
+    """
+    a, hi = spec.lo, spec.hi
+    while a <= hi:
+        width = min(a // ANCHOR_BLOCK_RATIO, STREAM_CHUNK)
+        end = min(a + max(width - width % CHUNK_SIZE, CHUNK_SIZE), hi + 1)
+        blocks = [(a, end - a)]
+        if width < CHUNK_SIZE and max(abs(phase_eval(spec.phase, spec.t, m))
+                                      for m in (a, end - 1)) > ANCHOR_THRESHOLD:
+            blocks, m0 = [], a
+            while m0 < end:
+                blocks.append((m0, min(max(m0 // ANCHOR_BLOCK_RATIO, 1), end - m0)))
+                m0 += blocks[-1][1]
+        yield a, blocks
+        a = end
+
+
+_LIBMP_LOCK = threading.Lock()
+
+
+def _anchor(kind: PhaseKind, t: float, m0: int, m1: int) -> float:
+    """f(m0), reduced mod 2*pi in extended precision unless |f(m0)| <= pi.
+
+    A rounded anchor would shift every phase of its block by the same error,
+    so the anchor is reduced even where a single phase would lose little.
+    |f| is monotone in m, so f(m0) and f(m1) bound it on [m0, m1]; if either
+    overflows, the phases there are not representable.  mpmath grows its
+    cached constants (pi, ln 2) without a lock, so anchors take one.
+    """
+    f = phase_eval(kind, t, m0)
+    if not (math.isfinite(f) and math.isfinite(phase_eval(kind, t, m1))):
+        raise ValueError("non-finite input")
+    if abs(f) <= math.pi:
+        return f
+    # every rounding below stays under 2**-64 times max(|f|, |t|) in absolute terms
+    prec = max(math.frexp(f)[1], math.frexp(t)[1]) + 64
+    tt, m = libmp.from_float(t), libmp.from_int(m0)
+    with _LIBMP_LOCK:
+        if kind is PhaseKind.F3:
+            ratio = m                                                      # m0
+        else:
+            den = m if kind is PhaseKind.F1 else tt
+            ratio = libmp.mpf_div(libmp.mpf_add(m, tt, prec), den, prec)  # 1 + t/m0, 1 + m0/t
+        x = libmp.mpf_mul(tt, libmp.mpf_log(ratio, prec), prec)
+        two_pi = libmp.mpf_shift(libmp.mpf_pi(prec), 1)
+        turns = libmp.mpf_nint(libmp.mpf_div(x, two_pi, prec))
+        return libmp.to_float(libmp.mpf_sub(x, libmp.mpf_mul(two_pi, turns, prec), prec))
+
+
+_OFFSETS = np.arange(STREAM_CHUNK, dtype=np.float64)
+
+
+def _panel_partials(spec: SumSpec, a: int, blocks) -> np.ndarray:
+    """Chunk partial sums of m**(-sigma) e^{±i f(m)} over one pass of _panels.
+
+    With m = m0 + k in the block anchored at m0, the phase is the anchor plus
+    an offset built from log1p, so no rounded phase is ever as large as f:
+      F3: f(m) = f(m0) + t log1p(k/m0)
+      F2: f(m) = f(m0) + t log1p(k/(t+m0))
+      F1: f(m) = f(m0) + t [log1p(k/(t+m0)) - log1p(k/m0)]
+    and m**(-sigma) = m0**(-sigma) exp(-sigma log1p(k/m0)).  The terms come
+    from u = tan(f/2), which numpy vectorizes (unlike cos and sin):
+    e^{if} = (1 - u**2 + 2iu) / (1 + u**2).
+    """
+    t, sigma, kind = spec.t, spec.sigma, spec.phase
+    anchors = [_anchor(kind, t, m0, m0 + w - 1) for m0, w in blocks]
+    n = sum(w for _, w in blocks)
+    if len(blocks) == 1:
+        m0, anchor, k = a, anchors[0], _OFFSETS[:n]
+    else:  # per-term anchors for the small blocks of one chunk
+        widths = [w for _, w in blocks]
+        m0 = np.repeat(np.array([b for b, _ in blocks], dtype=np.float64), widths)
+        anchor = np.repeat(anchors, widths)
+        k = np.arange(a, a + n, dtype=np.float64) - m0
+    log_ratio = np.log1p(k / m0) if kind is not PhaseKind.F2 or sigma else None
     if kind is PhaseKind.F3:
-        return t * np.log(m)
-    if kind is PhaseKind.F1:
-        return t * np.log1p(t / m)
-    return t * np.log1p(m / t)
-
-
-def _term_chunk(spec: SumSpec, lo: int, hi: int) -> np.ndarray:
-    m = np.arange(lo, hi + 1, dtype=np.float64)
-    phase = _phase_chunk(spec.phase, spec.t, m)
-    if spec.conjugate:
-        phase = -phase
-    terms = np.exp(1j * phase)
-    if spec.sigma != 0.0:
-        terms *= m ** (-spec.sigma)
-    return terms
+        half = log_ratio * (0.5 * t)
+    else:
+        half = np.log1p(k / (t + m0))
+        if kind is PhaseKind.F1:
+            half -= log_ratio
+        half *= 0.5 * t
+    half += 0.5 * anchor
+    u = np.tan(half)
+    u2 = u * u
+    scale = 1.0 + u2
+    if sigma:
+        np.divide(np.exp(-sigma * log_ratio), scale, out=scale)
+        scale *= m0 ** (-sigma)
+    else:
+        np.reciprocal(scale, out=scale)
+    np.subtract(1.0, u2, out=u2)
+    u2 *= scale
+    u *= scale
+    starts = np.arange(0, n, CHUNK_SIZE)
+    re = np.add.reduceat(u2, starts)
+    im = np.add.reduceat(u, starts)
+    im *= -2.0 if spec.conjugate else 2.0
+    return re + 1j * im
 
 
 def single_sum(spec: SumSpec) -> complex:
-    """sum_{m=lo}^{hi} m**(-sigma) e^{±i f(m)}, chunked and compensated."""
+    """sum_{m=lo}^{hi} m**(-sigma) e^{±i f(m)}, block-anchored and compensated.
+
+    Chunk partials are combined by reduce_deterministic, which also rejects
+    non-finite ones: a NaN or inf term always makes its partial non-finite.
+    """
     if spec.term_count > SINGLE_SUM_BUDGET:
         raise ValueError(f"budget exceeded: {spec.term_count} terms")
-    if spec.term_count == 0:
-        return 0j
     partials = []
-    for a in range(spec.lo, spec.hi + 1, CHUNK_SIZE):
-        b = min(a + CHUNK_SIZE - 1, spec.hi)
-        chunk = _term_chunk(spec, a, b)
-        if not np.isfinite(chunk).all():
-            raise ValueError("non-finite input")
-        partials.append(complex(chunk.sum()))
+    for a, blocks in _panels(spec):
+        partials.extend(_panel_partials(spec, a, blocks).tolist())
     return reduce_deterministic(partials)
 
 

@@ -89,10 +89,22 @@ class TestDispatch:
         out = json.loads(capsys.readouterr().out)
         assert out["re"] == pytest.approx(2.7670987105620792, rel=1e-12)
         assert out["precision_mode"] == "extended"
+        # the fast path audited against the oracle
+        fast = complex(out["fast_re"], out["fast_im"])
+        assert fast == pytest.approx(complex(out["re"], out["im"]), rel=1e-12)
+        assert 0.0 <= out["abs_err"] <= 1e-12
+        assert out["abs_err"] == pytest.approx(
+            abs(fast - complex(out["re"], out["im"])), abs=1e-15)
 
     def test_oracle_bad_spec_exit_2(self, capsys):
         assert main(["oracle", "--spec", "{broken"]) == 2
         capsys.readouterr()
+
+    def test_oracle_over_budget_exit_2(self, capsys):
+        spec = json.dumps({"phase": "F3", "sigma": 0.0, "t": 1.0,
+                           "lo": 1, "hi": 2 * 10**7})
+        assert main(["oracle", "--spec", spec]) == 2
+        assert "oracle budget exceeded" in capsys.readouterr().err
 
     def test_extended_precision_run_exit_2(self, tmp_path, capsys):
         out = tmp_path / "never.csv"

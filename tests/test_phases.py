@@ -1,15 +1,18 @@
 """Phase evaluation, weighted single sums, prefix tables, and C(x,t;k)."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zetasum.config import SINGLE_SUM_BUDGET
 from zetasum.kernel import oracle_recompute
-from zetasum.phases import (build_prefix, c_ratio, d_delta_sum, nsum_power,
-                            phase_eval, power_prefix, single_sum)
+from zetasum.phases import (_panels, build_prefix, c_ratio, d_delta_sum,
+                            nsum_power, phase_eval, power_prefix, single_sum)
 from zetasum.specs import PhaseKind, SumSpec
 
 
@@ -59,6 +62,99 @@ class TestSingleSum:
         s = complex(0.5, 300.0)
         direct = sum(np.exp(-s * math.log(n)) for n in range(1, 201))
         assert nsum_power(0.5, 300.0, 1, 200, minus_it=True) == pytest.approx(direct, abs=1e-11)
+
+
+class TestAnchoredAccuracy:
+    """Errors the phase-anchored kernel must stay under; the bounds sit well
+    below the errors of rounding each full phase t*ln(m) to a double."""
+
+    def test_f3_zeta_window(self):
+        # identity-2.6's sum at sigma = 1/4: m**(-s) over [t+1, 4.5t], s = 1/4 + it.
+        # Reference: mpmath zeta(s, lo) - zeta(s, hi + 1) at 40 digits.
+        t = 464158.8833612772
+        spec = SumSpec(PhaseKind.F3, 0.25, t, 464159, 2088714, conjugate=True)
+        ref = complex(-0.036868824022486306992, 0.070349151120651683882)
+        # full phases rounded to doubles: 1.4e-8; anchored: 1.6e-11
+        assert abs(single_sum(spec) - ref) <= 1e-10
+
+    @pytest.mark.parametrize("kind", [PhaseKind.F1, PhaseKind.F2])
+    def test_window_deep_inside(self, kind):
+        spec = SumSpec(kind, 0.5, 1e7, 5_000_001, 5_002_000)
+        # full phases: 1.4e-11 (F1), 4.5e-12 (F2); anchored: <= 1.1e-15
+        assert abs(single_sum(spec) - oracle_recompute(spec).as_complex()) <= 1e-13
+
+
+class TestAnchoredEdges:
+    @pytest.mark.parametrize("kind,t", [(PhaseKind.F3, 1e6), (PhaseKind.F1, 1e7),
+                                        (PhaseKind.F2, 1e6)])
+    def test_split_on_and_off_a_block_seam(self, kind, t):
+        whole_spec = SumSpec(kind, 0.5, t, 1, 300_000)
+        whole = single_sum(whole_spec)
+        seams = [a for a, _ in _panels(whole_spec)]
+        assert 131073 in seams and 2000 not in seams
+
+        def split(s):
+            return (single_sum(SumSpec(kind, 0.5, t, 1, s - 1))
+                    + single_sum(SumSpec(kind, 0.5, t, s, 300_000)))
+
+        # on a seam both halves evaluate the same blocks: only the reduction
+        # order differs; off a seam the blocks differ, within the kernel error
+        assert abs(split(131073) - whole) <= 1e-14
+        assert abs(split(131073 + 1000) - whole) <= 1e-9
+        assert abs(split(2000) - whole) <= 1e-9
+
+    @pytest.mark.parametrize("kind", list(PhaseKind))
+    def test_conjugate_is_exact(self, kind):
+        spec = SumSpec(kind, 0.5, 1e6, 1, 70_000)
+        flipped = SumSpec(kind, 0.5, 1e6, 1, 70_000, conjugate=True)
+        assert single_sum(flipped) == single_sum(spec).conjugate()
+
+    def test_f3_negative_t(self):
+        # t -> -t flips every phase: the anchors and blocks follow |f|
+        for t in (-300.0, -2e6):
+            spec = SumSpec(PhaseKind.F3, 0.5, t, 1, 3000)
+            assert abs(single_sum(spec) - oracle_recompute(spec).as_complex()) <= 1e-10
+        mirrored = SumSpec(PhaseKind.F3, 0.5, 2e6, 1, 70_000, conjugate=True)
+        assert single_sum(SumSpec(PhaseKind.F3, 0.5, -2e6, 1, 70_000)) == \
+            pytest.approx(single_sum(mirrored), abs=1e-13)
+
+    @pytest.mark.parametrize("t", [1e-308, -1e-308])
+    def test_f3_tiny_t(self, t):
+        # every phase is below 1e-304: the terms are the real weights m**(-1/2)
+        got = single_sum(SumSpec(PhaseKind.F3, 0.5, t, 1, 5000))
+        direct = math.fsum(m ** -0.5 for m in range(1, 5001))
+        assert got.real == pytest.approx(direct, rel=1e-14)
+        assert abs(got.imag) <= 1e-300
+
+    @pytest.mark.parametrize("kind", list(PhaseKind))
+    @pytest.mark.parametrize("conjugate", [False, True])
+    def test_empty_is_exact_zero(self, kind, conjugate):
+        got = single_sum(SumSpec(kind, 0.5, 1e6, 70_001, 70_000, conjugate=conjugate))
+        assert got == 0j and type(got) is complex
+
+    def test_budget_exceeded(self):
+        spec = SumSpec(PhaseKind.F3, 0.0, 1.0, 1, SINGLE_SUM_BUDGET + 1)
+        with pytest.raises(ValueError, match="budget exceeded"):
+            single_sum(spec)
+
+    def test_threads_agree_bit_for_bit(self):
+        # anchors at working precisions from ~80 to ~1060 bits, so mpmath's
+        # cached constants grow while other threads read them
+        specs = [SumSpec(PhaseKind.F3, 0.5, 10.0 ** k, 1, 2000) for k in range(2, 300, 50)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                parallel = list(pool.map(single_sum, specs * 4))
+        finally:
+            sys.setswitchinterval(interval)
+        assert parallel == [single_sum(s) for s in specs] * 4
+
+    @pytest.mark.parametrize("kind", [PhaseKind.F3, PhaseKind.F1])
+    def test_overflowing_phase(self, kind):
+        # t*ln(m) passes the largest double from m = 7 on; F1 at once
+        with pytest.raises(ValueError, match="non-finite input"):
+            single_sum(SumSpec(kind, 0.0, 1e308, 1, 10))
 
 
 class TestDDeltaSum:
