@@ -16,7 +16,7 @@ from scipy.signal import fftconvolve
 
 from .config import BRUTE_FORCE_BUDGET, STREAM_CHUNK
 from .kernel import reduce_deterministic, sum_array_deterministic
-from .phases import PrefixCursor, check_prefix_budget, nsum_power
+from .phases import PrefixCursor, _power_terms, check_prefix_budget, nsum_power
 
 
 class Strategy(enum.Enum):
@@ -41,7 +41,11 @@ class SplitSumResult:
 
 
 def _powers(exponent: complex, lo: int, hi: int) -> np.ndarray:
-    """n**(-exponent) for n in [lo, hi] (empty for hi < lo)."""
+    """n**(-exponent) for n in [lo, hi] (empty for hi < lo), by a plain complex exp.
+
+    Only the brute-force references use it, so they stay independent of the
+    anchored kernel (phases._power_terms) that the fast paths use.
+    """
     n = np.arange(lo, hi + 1, dtype=np.float64)
     return np.exp(-exponent * np.log(n))
 
@@ -71,13 +75,14 @@ def _window_sum(exponent: complex, m_lo: int, m_hi: int, bounds: Callable,
     hi_cur = PrefixCursor(exponent, lo_last + 1, hi_last, STREAM_CHUNK) if split else lo_cur
     partials, weights = [], []
     for a in range(m_lo, m_hi + 1, STREAM_CHUNK):
-        m = np.arange(a, min(a + STREAM_CHUNK - 1, m_hi) + 1, dtype=np.int64)
+        b = min(a + STREAM_CHUNK - 1, m_hi)
+        m = np.arange(a, b + 1, dtype=np.int64)
         lo, hi = np.broadcast_arrays(*bounds(m), m)[:2]
         keep = hi > lo
         if keep.any():
             p_lo, x_lo = lo_cur.read(lo[keep], min(lo[-1], hi[keep][0]))
             p_hi, _ = hi_cur.read(hi[keep], hi[-1] if split else lo[-1])
-            w = np.conj(x_lo) if outer is None else np.exp(-outer * np.log(m[keep].astype(np.float64)))
+            w = np.conj(x_lo) if outer is None else _power_terms(outer, a, b)[keep]
             partials.append(complex(np.sum(w * (p_hi - p_lo))))
             weights.append(complex(w.sum()))
     if split and weights:
@@ -253,9 +258,9 @@ def s4_b_sum(sigma1: float, sigma2: float, sigma3: float, t: float,
                               term_count=big_t * big_t, strategy=strategy)
     if big_t > 10**7:
         raise ValueError("budget exceeded")
-    a3 = _powers(complex(sigma3, 0.0), 1, big_t)
-    b2 = _powers(complex(sigma2, -t), 1, big_t)
-    c1 = _powers(complex(sigma1, t), 1, 2 * big_t)
+    a3 = _power_terms(complex(sigma3, 0.0), 1, big_t)
+    b2 = _power_terms(complex(sigma2, -t), 1, big_t)
+    c1 = _power_terms(complex(sigma1, t), 1, 2 * big_t)
     conv = fftconvolve(a3, b2)  # conv[k] = sum_{m1+m2 = k+2} a3[m1] b2[m2]
     total = sum_array_deterministic(c1[1:] * conv)
     return SplitSumResult(total=total, part1=None, part2=None,

@@ -99,9 +99,12 @@ def _anchor(kind: PhaseKind, t: float, m0: int, m1: int) -> float:
 _OFFSETS = np.arange(STREAM_CHUNK, dtype=np.float64)
 
 
-def _panel_partials(spec: SumSpec, a: int, blocks) -> np.ndarray:
-    """Chunk partial sums of m**(-sigma) e^{±i f(m)} over one pass of _panels.
+def _panel_terms(kind: PhaseKind, sigma: float, t: float, a: int, blocks):
+    """Real parts and halved imaginary parts of m**(-sigma) e^{i f(m)} for
+    m = a, a + 1, ...: one pass of _panels or of _grid_passes.
 
+    blocks [(m0, w), ...] cut the pass, in order, into runs of w terms; a run
+    is anchored at m0, its first index or (on a grid) the start of its block.
     With m = m0 + k in the block anchored at m0, the phase is the anchor plus
     an offset built from log1p, so no rounded phase is ever as large as f:
       F3: f(m) = f(m0) + t log1p(k/m0)
@@ -109,13 +112,16 @@ def _panel_partials(spec: SumSpec, a: int, blocks) -> np.ndarray:
       F1: f(m) = f(m0) + t [log1p(k/(t+m0)) - log1p(k/m0)]
     and m**(-sigma) = m0**(-sigma) exp(-sigma log1p(k/m0)).  The terms come
     from u = tan(f/2), which numpy vectorizes (unlike cos and sin):
-    e^{if} = (1 - u**2 + 2iu) / (1 + u**2).
+    e^{if} = (1 - u**2 + 2iu) / (1 + u**2).  Any real sigma and t are taken.
     """
-    t, sigma, kind = spec.t, spec.sigma, spec.phase
-    anchors = [_anchor(kind, t, m0, m0 + w - 1) for m0, w in blocks]
-    n = sum(w for _, w in blocks)
+    anchors, end = [], a
+    for m0, w in blocks:
+        end += w
+        anchors.append(_anchor(kind, t, m0, end - 1))
+    n = end - a
     if len(blocks) == 1:
-        m0, anchor, k = a, anchors[0], _OFFSETS[:n]
+        m0 = blocks[0][0]
+        anchor, k = anchors[0], _OFFSETS[a - m0 : a - m0 + n]
     else:  # per-term anchors for the small blocks of one chunk
         widths = [w for _, w in blocks]
         m0 = np.repeat(np.array([b for b, _ in blocks], dtype=np.float64), widths)
@@ -141,11 +147,7 @@ def _panel_partials(spec: SumSpec, a: int, blocks) -> np.ndarray:
     np.subtract(1.0, u2, out=u2)
     u2 *= scale
     u *= scale
-    starts = np.arange(0, n, CHUNK_SIZE)
-    re = np.add.reduceat(u2, starts)
-    im = np.add.reduceat(u, starts)
-    im *= -2.0 if spec.conjugate else 2.0
-    return re + 1j * im
+    return u2, u
 
 
 def single_sum(spec: SumSpec) -> complex:
@@ -158,8 +160,62 @@ def single_sum(spec: SumSpec) -> complex:
         raise ValueError(f"budget exceeded: {spec.term_count} terms")
     partials = []
     for a, blocks in _panels(spec):
-        partials.extend(_panel_partials(spec, a, blocks).tolist())
+        re, im = _panel_terms(spec.phase, spec.sigma, spec.t, a, blocks)
+        starts = np.arange(0, re.size, CHUNK_SIZE)
+        im = np.add.reduceat(im, starts)
+        im *= -2.0 if spec.conjugate else 2.0
+        partials.extend((np.add.reduceat(re, starts) + 1j * im).tolist())
     return reduce_deterministic(partials)
+
+
+_NARROW = ANCHOR_BLOCK_RATIO * CHUNK_SIZE  # grid chunks below it may be cut
+_WIDE = ANCHOR_BLOCK_RATIO * STREAM_CHUNK   # grid blocks above it are STREAM_CHUNK wide
+
+
+def _grid_passes(t: float, lo: int, hi: int):
+    """Passes (a, blocks) of F3 terms over [lo, hi] on a grid fixed by t alone,
+    so the term of n is the same whatever range asks for it.
+
+    The grid is the CHUNK_SIZE chunks counted from 1 up to _WIDE and the
+    STREAM_CHUNK blocks after it, so past _NARROW no block is wider than
+    m0 / ANCHOR_BLOCK_RATIO.  A chunk below _NARROW whose |t ln m| passes
+    ANCHOR_THRESHOLD is cut as _panels cuts it.  A run is anchored at the
+    start of its block, which may precede lo.
+    """
+    a = lo
+    while a <= hi:
+        width = STREAM_CHUNK if a > _WIDE else CHUNK_SIZE
+        c = a - (a - 1) % width
+        end = min(c + width, hi + 1)
+        blocks = [(c, end - a)]
+        if c < _NARROW and abs(phase_eval(PhaseKind.F3, t, c + width - 1)) > ANCHOR_THRESHOLD:
+            blocks, m0 = [], c
+            while m0 < end:
+                w = min(max(m0 // ANCHOR_BLOCK_RATIO, 1), c + width - m0)
+                if m0 + w > a:
+                    blocks.append((m0, min(m0 + w, end) - max(m0, a)))
+                m0 += w
+        yield a, blocks
+        a = end
+
+
+def _power_terms(exponent: complex, lo: int, hi: int) -> np.ndarray:
+    """n**(-exponent) for n in [lo, hi] (empty for hi < lo), from the anchored kernel.
+
+    These are the F3 terms with t = Im(exponent), conjugated, weighted by
+    n**(-Re(exponent)) for any real part, on the passes of _grid_passes,
+    written into one array.  A range within one grid chunk whose |t ln n|
+    stays within ANCHOR_THRESHOLD is one pass with one anchor.
+    """
+    sigma, t = float(exponent.real), float(exponent.imag)
+    lo, hi = int(lo), int(hi)  # numpy integers make the scalar work of each pass slower
+    out = np.empty(max(hi - lo + 1, 0), dtype=np.complex128)
+    for a, blocks in _grid_passes(t, lo, hi):
+        re, im = _panel_terms(PhaseKind.F3, sigma, t, a, blocks)
+        part = out[a - lo : a - lo + re.size]
+        part.real = re
+        np.multiply(im, -2.0, out=part.imag)
+    return out
 
 
 def nsum_power(sigma: float, t: float, lo: int, hi: int, minus_it: bool) -> complex:
@@ -190,13 +246,18 @@ def prefix_blocks(exponent: complex, start: int, stop: int, width: int):
     """Yield (a, terms, cum) for consecutive blocks a..b of [start, stop].
 
     terms[i] = (a+i)**(-exponent) and cum[i] = sum_{n=start}^{a+i} n**(-exponent).
-    A running two_sum-carried total keeps the absolute error of any cum entry
-    within a few ulp of the true partial sum even ~1e7 terms past start.
+    The blocks are the parts of [start, stop] in the width-wide blocks counted
+    from 1, which the grid of _power_terms divides.  Block totals are carried
+    by two_sum.  Against mpmath's Hurwitz zeta, the last entry of
+    power_prefix(1/2 + it, [t]) is 1.6e-13, 3.3e-12 and 2.0e-11 off at
+    t = 1e5, 1e6 and 1e7 (8.0e-11, 3.3e-10 and 8.8e-9 with every phase
+    t ln n rounded to a double).
     """
     hi_re = lo_re = hi_im = lo_im = 0.0
-    for a in range(start, stop + 1, width):
-        n = np.arange(a, min(a + width - 1, stop) + 1, dtype=np.float64)
-        terms = np.exp(-exponent * np.log(n))
+    a = start
+    while a <= stop:
+        b = min(a - (a - 1) % width + width - 1, stop)
+        terms = _power_terms(exponent, a, b)
         if not np.isfinite(terms).all():
             raise ValueError("non-finite input")
         carry = complex(hi_re + lo_re, hi_im + lo_im)
@@ -206,6 +267,7 @@ def prefix_blocks(exponent: complex, start: int, stop: int, width: int):
         lo_re += e
         hi_im, e = _two_sum(hi_im, chunk_total.imag)
         lo_im += e
+        a = b + 1
 
 
 class PrefixCursor:

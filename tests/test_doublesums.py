@@ -369,3 +369,22 @@ class TestStreamMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 24 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+class TestKernelSplit:
+    def test_fast_paths_take_no_raw_powers(self, monkeypatch):
+        # _powers is the brute-force references' own exp; every power a fast
+        # path uses comes from the anchored kernel, so the two stay independent
+        def raw_exp(*args):
+            raise AssertionError("raw exp on a fast path")
+
+        monkeypatch.setattr(doublesums, "_powers", raw_exp)
+        f_sum(U, V, 300)
+        g_sum(U, V, 300)
+        tail_double_sum(0.5, 300.0)
+        relation_36_check(0.5, 300.0)
+        s4_a_sum(-0.5, 1.5, 300.0)
+        s4_b_sum(-0.7, 0.3, 1.0, 300.0)
+        s5_1_sum(0.5, 300.0, 0.3)
+        s5_2_sum(0.5, 300.0, 0.3)
+        s5_decomposition_residual(0.5, 300.0, 0.4, 0.25)

@@ -4,6 +4,7 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 
 from zetasum.config import SINGLE_SUM_BUDGET
 from zetasum.kernel import oracle_recompute
-from zetasum.phases import (_panels, build_prefix, c_ratio, d_delta_sum,
+from zetasum import phases
+from zetasum.phases import (_panels, _power_terms, build_prefix, c_ratio, d_delta_sum,
                             nsum_power, phase_eval, power_prefix, single_sum)
 from zetasum.specs import PhaseKind, SumSpec
 
@@ -157,6 +159,103 @@ class TestAnchoredEdges:
             single_sum(SumSpec(kind, 0.0, 1e308, 1, 10))
 
 
+# single_sum values of the kernel as first written, bit for bit: the
+# term builder it shares with _power_terms must leave them untouched.
+# The F3 range [3, 5000] at t = 1e7 and the F1 range [1, 100] at t = 1e4 are
+# cut into blocks narrower than a chunk.
+PINNED = [
+    (SumSpec(PhaseKind.F1, 0.5, 1000000.0, 1, 70000),
+     '-0x1.a6e4a13de24e9p+0', '-0x1.5b9a511dc6ed0p+1'),
+    (SumSpec(PhaseKind.F1, 0.0, 10000000.0, 5000001, 5002000, conjugate=True),
+     '-0x1.4eaf61c159670p+0', '0x1.c759f51f32980p-5'),
+    (SumSpec(PhaseKind.F2, 0.5, 1000000.0, 1, 300000),
+     '-0x1.912f7179e1d41p-3', '0x1.0baf032886375p+0'),
+    (SumSpec(PhaseKind.F2, 0.0, 100000.0, 17, 9000, conjugate=True),
+     '-0x1.962df38959778p-4', '-0x1.4c762ebb80486p-6'),
+    (SumSpec(PhaseKind.F3, 0.5, 100000.0, 1, 100000, conjugate=True),
+     '0x1.129630f8f6564p+0', '0x1.722f001a0a4dfp+2'),
+    (SumSpec(PhaseKind.F3, 0.0, 10000000.0, 3, 5000),
+     '0x1.534ff03f2e1c2p+7', '0x1.a384b8214d33bp+6'),
+    (SumSpec(PhaseKind.F3, 0.5, 464158.8833612772, 464159, 600000),
+     '0x1.858a34604acf2p-10', '0x1.6dfb18acd433ep-9'),
+    (SumSpec(PhaseKind.F1, 0.5, 10000.0, 1, 100, conjugate=True),
+     '0x1.ee3072ab234afp+0', '0x1.bf201a647a410p+0'),
+]
+
+
+class TestSingleSumBits:
+    @pytest.mark.parametrize("spec,re,im", PINNED)
+    def test_pinned(self, spec, re, im):
+        got = single_sum(spec)
+        assert (got.real.hex(), got.imag.hex()) == (re, im)
+
+
+class TestPowerTerms:
+    """_power_terms against mpmath, term by term, for any real part and t."""
+
+    # a grid block starts at 20_004_865 = 1221 * STREAM_CHUNK + 1
+    NEAR = [19_990_000, 19_990_001, 19_995_000, 19_999_999, 20_000_000, 20_004_864,
+            20_004_865, 20_004_866, 20_008_000, 20_009_998, 20_009_999, 20_010_000]
+    RANGES = [(1, 1, [1]), (1, 40, list(range(1, 41, 4)) + [40]),
+              (19_990_000, 20_010_000, NEAR)]
+
+    # measured: 8.2e-15 (t = 0, -50; one pass, raw phases below ANCHOR_THRESHOLD)
+    # and 3.5e-11 (t = 1e7, offsets t log1p(1/16) at m0 = 16..40; 1.3e-12 near
+    # 2e7).  A plain exp(-s log n) is 2.9e-8 off near 2e7 at t = 1e7 and 1.1e-13
+    # at t = -50.
+    @pytest.mark.parametrize("t,bound", [(0.0, 2e-14), (-50.0, 2e-14), (1e7, 1e-10)])
+    def test_matches_mpmath(self, t, bound):
+        worst = 0.0
+        with mpmath.workdps(30):
+            for sigma in (-4.0, 0.0, 3.5):
+                for lo, hi, sample in self.RANGES:
+                    got = _power_terms(complex(sigma, t), lo, hi)
+                    assert got.shape == (hi - lo + 1,) and got.dtype == np.complex128
+                    for n in sample:
+                        ref = mpmath.power(n, -mpmath.mpc(sigma, t))
+                        worst = max(worst, float(abs(mpmath.mpc(got[n - lo]) - ref) / abs(ref)))
+        assert worst <= bound
+
+    @pytest.mark.parametrize("t", [50.0, -1e6])
+    def test_term_does_not_depend_on_range(self, t):
+        # the anchor grid is fixed by t, so every range gives n the same bits
+        e = complex(0.5, t)
+        whole = _power_terms(e, 1, 300_000)
+        for lo, hi in [(1, 1), (2, 2), (4_000, 4_200), (12_345, 70_000),
+                       (262_140, 262_150), (299_999, 300_000)]:
+            assert np.array_equal(_power_terms(e, lo, hi), whole[lo - 1 : hi])
+
+    def test_real_exponent_is_real(self):
+        got = _power_terms(complex(0.5, 0.0), 1, 5000)
+        assert not got.imag.any()
+        assert got[3] == 0.5
+
+    def test_empty_range(self):
+        got = _power_terms(complex(0.5, 3.0), 70_001, 70_000)
+        assert got.shape == (0,) and got.dtype == np.complex128
+
+    def test_overflowing_phase(self):
+        with pytest.raises(ValueError, match="non-finite input"):
+            _power_terms(complex(0.0, 1e308), 1, 10)
+
+    def test_short_low_phase_range_is_one_pass_one_anchor(self, monkeypatch):
+        calls = {"anchor": 0, "pass": 0}
+        anchor, terms = phases._anchor, phases._panel_terms
+
+        def counted_anchor(*args):
+            calls["anchor"] += 1
+            return anchor(*args)
+
+        def counted_terms(*args):
+            calls["pass"] += 1
+            return terms(*args)
+
+        monkeypatch.setattr(phases, "_anchor", counted_anchor)
+        monkeypatch.setattr(phases, "_panel_terms", counted_terms)
+        _power_terms(complex(0.3, 40.0), 11, 110)  # |f| <= 40 ln 110 < 200
+        assert calls == {"anchor": 1, "pass": 1}
+
+
 class TestDDeltaSum:
     def test_matches_oracle(self):
         got = d_delta_sum(0.0, 16.0, 0.5)
@@ -186,6 +285,14 @@ class TestPrefix:
         for lo, hi in [(1, 5000), (17, 17), (100, 4999), (6, 5)]:
             direct = nsum_power(0.5, 777.0, lo, hi, minus_it=True)
             assert abs(table.range_sum(lo, hi) - direct) <= 1e-10
+
+    def test_prefix_end_matches_hurwitz_zeta(self):
+        # sum_{n <= 1e5} n**-(1/2 + 1e5 i); full phases t ln n rounded to
+        # doubles leave 8.0e-11 here, the anchored kernel 1.6e-13
+        s = complex(0.5, 1e5)
+        with mpmath.workdps(30):
+            ref = complex(mpmath.zeta(s, 1) - mpmath.zeta(s, 10**5 + 1))
+        assert abs(power_prefix(s, 10**5)[-1] - ref) <= 1e-12
 
     def test_conjugate_table(self):
         table = build_prefix(0.3, 55.0, conjugate=True, upper=100)
