@@ -6,6 +6,7 @@ Exit codes: 0 all verdicts pass, 1 at least one claim failed, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 from dataclasses import asdict
@@ -167,7 +168,34 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+# mallopt parameters of glibc's <malloc.h>
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_memory() -> None:
+    """Fix glibc's thresholds so freed blocks of up to 32 MiB stay in the heap.
+
+    The streamed sums allocate and free arrays of 0.1-2 MiB for every block.
+    glibc maps afresh each array above its mmap threshold and hands back a
+    heap top above its trim threshold; both start at 128 KiB and grow only
+    when a larger mapped block happens to be freed.  So how often each
+    block's pages fault in again depends on what ran or was imported before:
+    thm-5.1 took 0.8 s in a fresh process, 0.5 s once a larger block had
+    been freed.  Elsewhere than glibc this does nothing.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    _keep_freed_memory()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

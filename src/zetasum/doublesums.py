@@ -1,8 +1,9 @@
 """Double exponential sums: full grids, coupled-index sums, and exact splits.
 
 BruteForce enumerates every index pair (budget-capped).  The fast route
-streams the inner sums as prefix windows through _window_sum, or convolves by
-FFT where a third factor couples the indices.  Both must agree; tests enforce it.
+streams the inner sums as prefix windows through _window_sum, or, where a
+third factor couples the indices (s4_b_sum), convolves blockwise by FFT with
+spectra of 64 bytes per unit of t.  Both must agree; tests enforce it.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.signal import fftconvolve
+import scipy.fft
 
 from .config import BRUTE_FORCE_BUDGET, STREAM_CHUNK
 from .kernel import reduce_deterministic, sum_array_deterministic
@@ -80,7 +81,7 @@ def _window_sum(exponent: complex, m_lo: int, m_hi: int, bounds: Callable,
         lo, hi = np.broadcast_arrays(*bounds(m), m)[:2]
         keep = hi > lo
         if keep.any():
-            p_lo, x_lo = lo_cur.read(lo[keep], min(lo[-1], hi[keep][0]))
+            p_lo, x_lo = lo_cur.read(lo[keep], min(lo[-1], hi[keep][0]), outer is None)
             p_hi, _ = hi_cur.read(hi[keep], hi[-1] if split else lo[-1])
             w = np.conj(x_lo) if outer is None else _power_terms(outer, a, b)[keep]
             partials.append(complex(np.sum(w * (p_hi - p_lo))))
@@ -232,8 +233,14 @@ def s4_b_sum(sigma1: float, sigma2: float, sigma3: float, t: float,
 
     BruteForce returns both split parts (part1: m2 <= m1, evaluated in both
     enumeration orders; part2: m2 > m1).  The fast route computes only the
-    total, as sum_n (m1+m2=n weight) via FFT convolution of the two index
-    factors, since the third factor prevents prefix factorization.
+    total, as sum_n n**(-sigma1-it) (sum_{m1+m2=n} m1**(-sigma3) m2**(-sigma2+it)),
+    since the third factor prevents prefix factorization.  m1 and m2 are cut
+    into at most 16 blocks of W = max(4 STREAM_CHUNK, ceil([t]/16)) indices,
+    each factor's blocks into 2W-point spectra by one batched FFT.  Output
+    block k (m1 + m2 in [kW + 2, (k+2)W + 1]) is one inverse FFT of
+    sum_{i+j=k} A_i B_j, dotted with the two W-long blocks of the n-factor it
+    overlaps, made one block ahead.  Memory: the spectra, 64 bytes per unit
+    of t, plus O(W).
     """
     if not (sigma1 < 0.0 and 0.0 < sigma2 < 1.0 and sigma3 >= 1.0):
         raise ValueError("requires sigma1 < 0, sigma2 in (0,1), sigma3 >= 1")
@@ -258,13 +265,36 @@ def s4_b_sum(sigma1: float, sigma2: float, sigma3: float, t: float,
                               term_count=big_t * big_t, strategy=strategy)
     if big_t > 10**7:
         raise ValueError("budget exceeded")
-    a3 = _power_terms(complex(sigma3, 0.0), 1, big_t)
-    b2 = _power_terms(complex(sigma2, -t), 1, big_t)
-    c1 = _power_terms(complex(sigma1, t), 1, 2 * big_t)
-    conv = fftconvolve(a3, b2)  # conv[k] = sum_{m1+m2 = k+2} a3[m1] b2[m2]
-    total = sum_array_deterministic(c1[1:] * conv)
-    return SplitSumResult(total=total, part1=None, part2=None,
+    width = max(4 * STREAM_CHUNK, -(-big_t // 16))
+    count = -(-big_t // width)
+    a3_hat = _block_spectra(complex(sigma3, 0.0), big_t, width, count)  # m1**(-sigma3)
+    b2_hat = _block_spectra(complex(sigma2, -t), big_t, width, count)   # m2**(-sigma2+it)
+
+    def c1(j):  # n**(-sigma1-it) for n in [j*W + 2, (j+1)*W + 1], n <= 2[t]
+        return _power_terms(complex(sigma1, t), j * width + 2, min((j + 1) * width + 1, 2 * big_t))
+
+    spec = np.empty(2 * width, dtype=np.complex128)
+    partials, c_next = [], c1(0)
+    for k in range(2 * count - 1):
+        c_cur, c_next = c_next, c1(k + 1)
+        first, last = max(0, k - count + 1), min(k, count - 1)
+        np.einsum("if,if->f", a3_hat[first : last + 1], b2_hat[k - last : k - first + 1][::-1],
+                  out=spec)
+        conv = scipy.fft.ifft(spec, overwrite_x=True)
+        partials.append(complex(np.sum(conv[:c_cur.size] * c_cur)))
+        partials.append(complex(np.sum(conv[width : width + c_next.size] * c_next)))
+    return SplitSumResult(total=reduce_deterministic(partials), part1=None, part2=None,
                           term_count=big_t * big_t, strategy=Strategy.PREFIX_FACTORIZED)
+
+
+def _block_spectra(exponent: complex, big_t: int, width: int, count: int) -> np.ndarray:
+    """Row i: the 2*width-point spectrum of n**(-exponent) over the n in
+    [i*width + 1, (i+1)*width] with n <= [t], zero-padded; computed in place."""
+    rows = np.zeros((count, 2 * width), dtype=np.complex128)
+    for i in range(count):
+        terms = _power_terms(exponent, i * width + 1, min((i + 1) * width, big_t))
+        rows[i, :terms.size] = terms
+    return scipy.fft.fft(rows, axis=1, overwrite_x=True)
 
 
 def s4_b_part1_exchanged(sigma1: float, sigma2: float, sigma3: float, t: float) -> complex:

@@ -282,16 +282,21 @@ class PrefixCursor:
         self._kept: deque = deque()
         self._end = start - 1
 
-    def read(self, q: np.ndarray, keep_from: int):
-        """(R(q), terms at q) for sorted q >= start - 1, where R(start - 1) = 0."""
+    def read(self, q: np.ndarray, keep_from: int, with_terms: bool = False):
+        """(R(q), terms at q or None) for sorted q >= start - 1, where R(start - 1) = 0.
+
+        The terms are gathered only with_terms.
+        """
         cum = np.zeros(q.size, dtype=np.complex128)
-        terms = np.zeros(q.size, dtype=np.complex128)
+        terms = np.zeros(q.size, dtype=np.complex128) if with_terms else None
         kept = self._kept
 
         def fill(a, x, c):
             i, j = np.searchsorted(q, (a, a + x.size))
-            cum[i:j] = c[q[i:j] - a]
-            terms[i:j] = x[q[i:j] - a]
+            at = q[i:j] - a
+            cum[i:j] = c[at]
+            if with_terms:
+                terms[i:j] = x[at]
 
         for block in kept:
             fill(*block)

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -50,6 +51,13 @@ class TestEmit:
     def test_io_error_names_path(self):
         with pytest.raises(OSError, match="/no/such/dir"):
             emit([], "csv", "/no/such/dir/out.csv")
+
+
+def _package_env():
+    """The environment with the zetasum these tests import first on PYTHONPATH."""
+    src = str(Path(zetasum.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
 class TestDispatch:
@@ -124,12 +132,36 @@ class TestDispatch:
     def test_console_script_installed(self):
         # the entry point, end to end through a real process that imports the
         # same zetasum package as these tests (installed or from src/)
-        src = str(Path(zetasum.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        out = subprocess.run([sys.executable, "-m", "zetasum.cli",
-                              "list-suites"], capture_output=True, text=True, env=env)
+        out = subprocess.run([sys.executable, "-m", "zetasum.cli", "list-suites"],
+                             capture_output=True, text=True, env=_package_env())
         assert out.returncode == 0 and "identity-3.12" in out.stdout
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mallopt")
+    def test_freed_blocks_stay_in_the_heap(self):
+        # three 2 MiB arrays freed together leave a heap top past glibc's
+        # default trim threshold; once main() has run they are reused, not
+        # handed back and faulted in again
+        code = (
+            "import contextlib, io, resource, numpy as np, zetasum.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    zetasum.cli.main(['list-suites'])\n"
+            "def churn():\n"
+            "    for _ in range(20):\n"
+            "        blocks = [np.ones(2**18) for _ in range(3)]\n"
+            "churn()\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "churn()\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env=_package_env())
+        assert out.returncode == 0 and int(out.stdout) < 100, out.stdout
+
+    def test_import_leaves_scipy_signal_out(self):
+        # scipy.signal would add about 0.6 s to `import zetasum.cli` (1.6 s with it)
+        code = "import sys, zetasum.cli; print('scipy.signal' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env=_package_env())
+        assert out.returncode == 0 and out.stdout.strip() == "False"
 
 
 class TestConfigPlumbing:

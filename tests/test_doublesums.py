@@ -7,6 +7,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+import scipy.fft
 
 from zetasum import doublesums
 from zetasum.config import STREAM_CHUNK
@@ -353,6 +354,62 @@ class TestStreamSeams:
                 fn(*args)
 
 
+def _s4_b_convolve(sigma1, sigma2, sigma3, t):
+    """S_B from one np.convolve of plain-exp powers over the whole range."""
+    big_t = int(t)
+    m = _ar(1, big_t)
+    conv = np.convolve(_pw(complex(sigma3, 0.0), m), _pw(complex(sigma2, -t), m))
+    # conv[k] gathers the pairs with m1 + m2 = k + 2
+    return sum_array_deterministic(_pw(complex(sigma1, t), _ar(2, 2 * big_t)) * conv)
+
+
+class TestBlockedConvolution:
+    @pytest.mark.parametrize("chunk", [3, 7, 64])
+    @pytest.mark.parametrize("case", ["many_blocks", "one_block", "single_index"])
+    def test_matches_brute_force_and_direct_convolution(self, monkeypatch, chunk, case):
+        # blocks are max(4 * chunk, ceil([t]/16)) wide: t = 700 is 16 blocks of
+        # 44 at chunks 3 and 7 and 3 blocks of 256 at chunk 64, the last one short
+        t = {"many_blocks": 700.0, "one_block": 4 * chunk - 0.5, "single_index": 1.9}[case]
+        monkeypatch.setattr(doublesums, "STREAM_CHUNK", chunk)
+        fast = s4_b_sum(-0.7, 0.3, 1.0, t).total
+        slow = s4_b_sum(-0.7, 0.3, 1.0, t, Strategy.BRUTE_FORCE).total
+        assert abs(fast - slow) <= 1e-9 * abs(slow)
+        direct = _s4_b_convolve(-0.7, 0.3, 1.0, t)
+        assert abs(fast - direct) <= 1e-12 * abs(direct)
+
+    def test_block_cap(self, monkeypatch):
+        # chunk 4 would give 125 blocks of 16 at t = 2000; the cap makes 16 of 125
+        monkeypatch.setattr(doublesums, "STREAM_CHUNK", 4)
+        shapes = []
+        fft = scipy.fft.fft
+
+        def spy(x, *args, **kwargs):
+            shapes.append(x.shape)
+            return fft(x, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, "fft", spy)
+        fast = s4_b_sum(-0.7, 0.3, 1.0, 2000.0).total
+        assert shapes == [(16, 250), (16, 250)]
+        slow = s4_b_sum(-0.7, 0.3, 1.0, 2000.0, Strategy.BRUTE_FORCE).total
+        assert abs(fast - slow) <= 1e-9 * abs(slow)
+        direct = _s4_b_convolve(-0.7, 0.3, 1.0, 2000.0)
+        assert abs(fast - direct) <= 1e-12 * abs(direct)
+
+    def test_non_finite_term_raises(self):
+        # (m1 + m2)**400 overflows a double from m1 + m2 = 6 on
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
+            s4_b_sum(-400.0, 0.3, 1.0, 100.0)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestStreamMemory:
     @pytest.mark.parametrize("call", [
         lambda: s5_2_sum(0.5, 2e6, 0.3),
@@ -362,13 +419,14 @@ class TestStreamMemory:
     ], ids=["s5_2", "s5_1", "s4_a", "tail"])
     def test_peak_allocation_does_not_grow_with_t(self, call):
         # an O(t) prefix table alone would take 16-32 MB at these t
-        tracemalloc.start()
-        try:
-            call()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = _traced_peak(call)
         assert peak <= 24 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+    def test_blocked_convolution_peak(self):
+        # the two factors' spectra take 64 MiB at t = 1e6 (64 B per unit of t);
+        # the rest is a few blocks of 2 * 65536 points
+        peak = _traced_peak(lambda: s4_b_sum(-0.7, 0.3, 1.0, 1e6))
+        assert peak <= 96 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 class TestKernelSplit:

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from zetasum.config import SINGLE_SUM_BUDGET
 from zetasum.kernel import oracle_recompute
 from zetasum import phases
-from zetasum.phases import (_panels, _power_terms, build_prefix, c_ratio, d_delta_sum,
-                            nsum_power, phase_eval, power_prefix, single_sum)
+from zetasum.phases import (PrefixCursor, _panels, _power_terms, build_prefix, c_ratio,
+                            d_delta_sum, nsum_power, phase_eval, power_prefix, single_sum)
 from zetasum.specs import PhaseKind, SumSpec
 
 
@@ -298,6 +298,18 @@ class TestPrefix:
         table = build_prefix(0.3, 55.0, conjugate=True, upper=100)
         direct = nsum_power(0.3, 55.0, 2, 90, minus_it=False)
         assert abs(table.range_sum(2, 90) - direct) <= 1e-12
+
+    def test_cursor_gathers_terms_only_when_asked(self):
+        # reads with and without the terms give the same cumulative bits
+        e = complex(0.5, 40.0)
+        cum = power_prefix(e, 200)
+        plain, gathering = PrefixCursor(e, 1, 200, 16), PrefixCursor(e, 1, 200, 16)
+        for q in (np.array([0, 5, 16, 17]), np.array([17, 40, 41, 120]), np.array([150, 200])):
+            p, none = plain.read(q, q[0])
+            p_x, x = gathering.read(q, q[0], with_terms=True)
+            assert none is None and p.tobytes() == p_x.tobytes()
+            assert np.allclose(p, cum[q], rtol=0, atol=1e-13)
+            assert np.array_equal(x[q > 0], _power_terms(e, 1, 200)[q[q > 0] - 1])
 
 
 class TestCRatio:
