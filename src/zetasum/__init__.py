@@ -16,9 +16,9 @@ from .estlab import (FitReport, SampleSeries, Verdict, bound_envelope,
                      box_sum_check, fit_growth_exponent, gh_bound_check,
                      j2_integral, j_integral, j_integral_bound, log_grid)
 from .kernel import (log_gamma_complex, oracle_recompute, reduce_deterministic,
-                     sum_array_deterministic, sum_compensated)
-from .phases import (build_prefix, c_ratio, d_delta_sum, nsum_power,
-                     phase_eval, power_prefix, single_sum)
+                     sum_array_deterministic)
+from .phases import (c_ratio, d_delta_sum, nsum_power, phase_eval, power_prefix,
+                     single_sum)
 from .specs import ComplexScalar, PhaseKind, PrecisionMode, SumSpec
 from .suites import (ClaimRecord, ExperimentConfig, UnknownSuiteError,
                      registered_suites, run_suite)

@@ -35,6 +35,5 @@ ORACLE_BUDGET = 10**7
 PREFIX_BUDGET = 2 * 10**7 + 64
 BRUTE_FORCE_BUDGET = 3 * 10**4
 
-# Default slope tolerances for growth-exponent verdicts.
+# Default slope tolerance for growth-exponent verdicts.
 SLOPE_TOL_CLEAN = 0.10
-SLOPE_TOL_NOISY = 0.15

@@ -1,6 +1,8 @@
 """Double exponential sums: full grids, coupled-index sums, and exact splits.
 
-BruteForce enumerates every index pair (budget-capped).  The fast route
+BruteForce enumerates every index pair through one budget-capped enumerator,
+_pair_sum, in 2-D blocks of plain-exp powers; each reference states its
+index set in the inclusive form its docstring writes.  The fast route
 streams the inner sums as prefix windows through _window_sum, or, where a
 third factor couples the indices (s4_b_sum), convolves blockwise by FFT with
 spectra of 64 bytes per unit of t.  Both must agree; tests enforce it.
@@ -13,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.fft
 
 from .config import BRUTE_FORCE_BUDGET, STREAM_CHUNK
 from .kernel import reduce_deterministic, sum_array_deterministic
@@ -41,19 +42,60 @@ class SplitSumResult:
     strategy: Strategy
 
 
-def _powers(exponent: complex, lo: int, hi: int) -> np.ndarray:
-    """n**(-exponent) for n in [lo, hi] (empty for hi < lo), by a plain complex exp.
+def _powers(exponent: complex, n) -> np.ndarray:
+    """n**(-exponent) for an array of positive indices n, by a plain complex exp.
 
     Only the brute-force references use it, so they stay independent of the
     anchored kernel (phases._power_terms) that the fast paths use.
     """
-    n = np.arange(lo, hi + 1, dtype=np.float64)
     return np.exp(-exponent * np.log(n))
 
 
-def _check_brute_budget(t: float) -> None:
+def _ar(lo: int, hi: int) -> np.ndarray:
+    return np.arange(lo, hi + 1, dtype=np.int64)
+
+
+# pairs per block of the brute-force enumerator
+_PAIR_BLOCK = 2**20
+
+
+def _pair_sum(t: float, m_lo: int, m_hi: int, first: Callable, last: Callable,
+              term: Callable) -> complex:
+    """sum_{m=m_lo}^{m_hi} sum_{n=first(m)}^{last(m)} term(m, n), pair by pair.
+
+    The one enumerator behind every brute-force reference.  first and last
+    map an int64 array of m to the inclusive ends of each row (a row with
+    last < first is empty).  Consecutive rows form 2-D blocks of about
+    _PAIR_BLOCK pairs over the n the block's rows span; term(m column, n row)
+    returns a new array of their summands, pairs outside a row's range are
+    set to 0 in it, and the row sums are reduced by sum_array_deterministic.
+    """
+    if int(t) < 1:
+        raise ValueError("need t >= 1")
     if t > BRUTE_FORCE_BUDGET:
         raise ValueError(f"brute-force budget exceeded at t={t}")
+    m = _ar(m_lo, m_hi)
+    lo, hi = (np.broadcast_to(end(m), m.shape) for end in (first, last))
+    rows, i = [], 0
+    while i < m.size:
+        # block cost (rows x n-span) grows with its last row; stop before _PAIR_BLOCK
+        span = np.maximum.accumulate(hi[i:]) - np.minimum.accumulate(lo[i:]) + 1
+        cost = np.arange(1, span.size + 1) * np.maximum(span, 1)
+        j = i + max(1, int(np.searchsorted(cost, _PAIR_BLOCK, side="right")))
+        m_col, lo_col, hi_col = m[i:j, None], lo[i:j, None], hi[i:j, None]
+        lo_min, hi_max = lo_col.min(), hi_col.max()
+        n = _ar(lo_min, hi_max)[None, :]
+        block = term(m_col, n)
+        if (lo_col > lo_min).any() or (hi_col < hi_max).any():  # some row is shorter
+            np.copyto(block, 0, where=(n < lo_col) | (n > hi_col))
+        rows.append(block.sum(axis=1))
+        i = j
+    return sum_array_deterministic(np.concatenate(rows))
+
+
+def _separable(outer: complex, inner: complex) -> Callable:
+    """The summand m**(-outer) n**(-inner)."""
+    return lambda m, n: _powers(outer, m) * _powers(inner, n)
 
 
 def _window_sum(exponent: complex, m_lo: int, m_hi: int, bounds: Callable,
@@ -77,7 +119,7 @@ def _window_sum(exponent: complex, m_lo: int, m_hi: int, bounds: Callable,
     partials, weights = [], []
     for a in range(m_lo, m_hi + 1, STREAM_CHUNK):
         b = min(a + STREAM_CHUNK - 1, m_hi)
-        m = np.arange(a, b + 1, dtype=np.int64)
+        m = _ar(a, b)
         lo, hi = np.broadcast_arrays(*bounds(m), m)[:2]
         keep = hi > lo
         if keep.any():
@@ -104,11 +146,8 @@ def grid_double_sum(sigma: float, t: float, strategy: Strategy = Strategy.PREFIX
         q = nsum_power(sigma, t, 1, big_t, minus_it=False)
         value = p * q
     else:
-        _check_brute_budget(t)
-        a = _powers(complex(sigma, t), 1, big_t)   # m**(-s)
-        b = _powers(complex(sigma, -t), 1, big_t)  # n**(-sbar)
-        rows = [complex((a[i] * b).sum()) for i in range(big_t)]
-        value = sum_array_deterministic(np.array(rows))
+        value = _pair_sum(t, 1, big_t, lambda m: 1, lambda m: big_t,
+                          _separable(complex(sigma, t), complex(sigma, -t)))
     return DoubleSumResult(value=value, term_count=big_t * big_t, strategy=strategy)
 
 
@@ -116,13 +155,8 @@ def f_sum(u: complex, v: complex, n_max: int, strategy: Strategy = Strategy.PREF
     """f(u, v) = sum_{m1<=N} sum_{m2<=N} m1**(-u) (m1+m2)**(-v)."""
     if n_max < 1:
         raise ValueError("N must be >= 1")
-    if strategy is Strategy.BRUTE_FORCE:
-        _check_brute_budget(n_max)
-        rows = []
-        for m1 in range(1, n_max + 1):
-            inner = _powers(v, m1 + 1, m1 + n_max).sum()
-            rows.append(complex(m1 ** (-u) * inner))
-        return sum_array_deterministic(np.array(rows))
+    if strategy is Strategy.BRUTE_FORCE:  # n = m1 + m2 in [m1 + 1, m1 + N]
+        return _pair_sum(n_max, 1, n_max, lambda m: m + 1, lambda m: m + n_max, _separable(u, v))
     check_prefix_budget(2 * n_max)
     return _window_sum(v, 1, n_max, lambda m: (m, m + n_max), u)
 
@@ -132,12 +166,8 @@ def g_sum(u: complex, v: complex, n_max: int, strategy: Strategy = Strategy.PREF
     if n_max < 1:
         raise ValueError("N must be >= 1")
     if strategy is Strategy.BRUTE_FORCE:
-        _check_brute_budget(n_max)
-        rows = []
-        for m in range(1, n_max + 1):
-            inner = _powers(v, n_max + 1, n_max + m).sum()
-            rows.append(complex(m ** (-u) * inner))
-        return sum_array_deterministic(np.array(rows))
+        return _pair_sum(n_max, 1, n_max, lambda m: n_max + 1, lambda m: n_max + m,
+                         _separable(u, v))
     check_prefix_budget(2 * n_max)
     return _window_sum(v, 1, n_max, lambda m: (n_max, n_max + m), u)
 
@@ -149,8 +179,9 @@ def lemma32_identity_residual(u: complex, v: complex, n_max: int) -> complex:
       = (sum m**-u)(sum n**-v) + g(u,v) + g(v,u)
     """
     lhs = f_sum(u, v, n_max) + f_sum(v, u, n_max)
-    lhs += complex(_powers(u + v, 1, n_max).sum())
-    rhs = complex(_powers(u, 1, n_max).sum()) * complex(_powers(v, 1, n_max).sum())
+    m = _ar(1, n_max)
+    lhs += complex(_powers(u + v, m).sum())
+    rhs = complex(_powers(u, m).sum()) * complex(_powers(v, m).sum())
     rhs += g_sum(u, v, n_max) + g_sum(v, u, n_max)
     return lhs - rhs
 
@@ -164,12 +195,8 @@ def tail_double_sum(sigma: float, t: float, strategy: Strategy = Strategy.PREFIX
     if big_t < 1:
         raise ValueError("need t >= 1")
     if strategy is Strategy.BRUTE_FORCE:
-        _check_brute_budget(t)
-        rows = []
-        for m in range(1, big_t + 1):
-            inner = _powers(complex(sigma, t), big_t + 1, big_t + m).sum()
-            rows.append(complex(m ** complex(-sigma, t) * inner))
-        return sum_array_deterministic(np.array(rows))
+        return _pair_sum(t, 1, big_t, lambda m: big_t + 1, lambda m: big_t + m,
+                         _separable(complex(sigma, -t), complex(sigma, t)))
     return g_sum(complex(sigma, -t), complex(sigma, t), big_t)
 
 
@@ -211,13 +238,9 @@ def s4_a_sum(sigma1: float, sigma2: float, t: float,
         raise ValueError("need t >= 1")
     e_outer = complex(sigma2, -t)  # m**(-sigma2 + it)
     e_inner = complex(sigma1, t)   # n**(-sigma1 - it)
-    if strategy is Strategy.BRUTE_FORCE:
-        _check_brute_budget(t)
-        rows = []
-        for m in range(1, big_t + 1):
-            inner = _powers(e_inner, m + 1, m + big_t).sum()
-            rows.append(complex(m ** (-e_outer) * inner))
-        value = sum_array_deterministic(np.array(rows))
+    if strategy is Strategy.BRUTE_FORCE:  # n = m + m2 in [m + 1, m + [t]]
+        value = _pair_sum(t, 1, big_t, lambda m: m + 1, lambda m: m + big_t,
+                          _separable(e_outer, e_inner))
     else:
         if big_t > 10**7:
             raise ValueError("budget exceeded")
@@ -231,9 +254,9 @@ def s4_b_sum(sigma1: float, sigma2: float, sigma3: float, t: float,
 
     total = sum_{m1,m2<=[t]} (m1+m2)**(-sigma1-it) m2**(-sigma2+it) m1**(-sigma3)
 
-    BruteForce returns both split parts (part1: m2 <= m1, evaluated in both
-    enumeration orders; part2: m2 > m1).  The fast route computes only the
-    total, as sum_n n**(-sigma1-it) (sum_{m1+m2=n} m1**(-sigma3) m2**(-sigma2+it)),
+    BruteForce returns both split parts (part1: m2 <= m1, which
+    s4_b_part1_exchanged enumerates in the other order; part2: m2 > m1).
+    The fast route computes only the total, as sum_n n**(-sigma1-it) (sum_{m1+m2=n} m1**(-sigma3) m2**(-sigma2+it)),
     since the third factor prevents prefix factorization.  m1 and m2 are cut
     into at most 16 blocks of W = max(4 STREAM_CHUNK, ceil([t]/16)) indices,
     each factor's blocks into 2W-point spectra by one batched FFT.  Output
@@ -247,20 +270,10 @@ def s4_b_sum(sigma1: float, sigma2: float, sigma3: float, t: float,
     big_t = int(t)
     if big_t < 1:
         raise ValueError("need t >= 1")
-    if strategy is Strategy.BRUTE_FORCE:
-        _check_brute_budget(t)
-        a3 = _powers(complex(sigma3, 0.0), 1, big_t)       # m1**(-sigma3)
-        b2 = _powers(complex(sigma2, -t), 1, big_t)        # m2**(-sigma2+it)
-        c1 = _powers(complex(sigma1, t), 1, 2 * big_t)     # n**(-sigma1-it)
-        part1_rows = []
-        part2_rows = []
-        for m1 in range(1, big_t + 1):
-            coupled = c1[m1 : m1 + big_t]  # (m1+m2)-factor for m2 = 1..[t]
-            row = a3[m1 - 1] * b2 * coupled
-            part1_rows.append(complex(row[:m1].sum()))
-            part2_rows.append(complex(row[m1:].sum()))
-        part1 = sum_array_deterministic(np.array(part1_rows))
-        part2 = sum_array_deterministic(np.array(part2_rows))
+    if strategy is Strategy.BRUTE_FORCE:  # rows m1, columns m2
+        term = _s4_b_term(sigma1, sigma2, sigma3, t)
+        part1 = _pair_sum(t, 1, big_t, lambda m: 1, lambda m: m, term)
+        part2 = _pair_sum(t, 1, big_t, lambda m: m + 1, lambda m: big_t, term)
         return SplitSumResult(total=part1 + part2, part1=part1, part2=part2,
                               term_count=big_t * big_t, strategy=strategy)
     if big_t > 10**7:
@@ -280,7 +293,7 @@ def s4_b_sum(sigma1: float, sigma2: float, sigma3: float, t: float,
         first, last = max(0, k - count + 1), min(k, count - 1)
         np.einsum("if,if->f", a3_hat[first : last + 1], b2_hat[k - last : k - first + 1][::-1],
                   out=spec)
-        conv = scipy.fft.ifft(spec, overwrite_x=True)
+        conv = np.fft.ifft(spec, out=spec)
         partials.append(complex(np.sum(conv[:c_cur.size] * c_cur)))
         partials.append(complex(np.sum(conv[width : width + c_next.size] * c_next)))
     return SplitSumResult(total=reduce_deterministic(partials), part1=None, part2=None,
@@ -294,24 +307,22 @@ def _block_spectra(exponent: complex, big_t: int, width: int, count: int) -> np.
     for i in range(count):
         terms = _power_terms(exponent, i * width + 1, min((i + 1) * width, big_t))
         rows[i, :terms.size] = terms
-    return scipy.fft.fft(rows, axis=1, overwrite_x=True)
+    return np.fft.fft(rows, axis=1, out=rows)
+
+
+def _s4_b_term(sigma1: float, sigma2: float, sigma3: float, t: float) -> Callable:
+    """The summand m1**(-sigma3) m2**(-sigma2+it) (m1+m2)**(-sigma1-it)."""
+    return lambda m1, m2: (_powers(complex(sigma3, 0.0), m1) * _powers(complex(sigma2, -t), m2)
+                           * _powers(complex(sigma1, t), m1 + m2))
 
 
 def s4_b_part1_exchanged(sigma1: float, sigma2: float, sigma3: float, t: float) -> complex:
-    """The m2 <= m1 part enumerated in the exchanged (m2-outer) order."""
+    """The m2 <= m1 part enumerated in the exchanged (m2-outer) order:
+    sum_{m2<=[t]} sum_{m1=m2}^{[t]}."""
     if not (sigma1 < 0.0 and 0.0 < sigma2 < 1.0 and sigma3 >= 1.0):
         raise ValueError("requires sigma1 < 0, sigma2 in (0,1), sigma3 >= 1")
-    big_t = int(t)
-    _check_brute_budget(t)
-    a3 = _powers(complex(sigma3, 0.0), 1, big_t)
-    b2 = _powers(complex(sigma2, -t), 1, big_t)
-    c1 = _powers(complex(sigma1, t), 1, 2 * big_t)
-    rows = []
-    for m2 in range(1, big_t + 1):
-        m1 = np.arange(m2, big_t + 1)
-        row = a3[m1 - 1] * b2[m2 - 1] * c1[m1 + m2 - 1]
-        rows.append(complex(row.sum()))
-    return sum_array_deterministic(np.array(rows))
+    term = _s4_b_term(sigma1, sigma2, sigma3, t)
+    return _pair_sum(t, 1, int(t), lambda m2: m2, lambda m2: int(t), lambda m2, m1: term(m1, m2))
 
 
 # --- restricted-set decomposition ------------------------------------------
@@ -461,15 +472,10 @@ def s5_1_sum(sigma: float, t: float, delta: float,
         raise ValueError("empty outer range")
     s = complex(sigma, t)
     if strategy is Strategy.BRUTE_FORCE:
-        _check_brute_budget(t)
-        sa_rows, sb_rows = [], []
-        for m in range(1, m_max + 1):
-            lo = int(t ** (1.0 - delta) * m) + 1
-            w = m ** (-s)
-            sa_rows.append(complex(w * _powers(complex(sigma, -t), lo, big_t).sum()))
-            sb_rows.append(complex(w * _powers(complex(sigma, -t), big_t + 1, big_t + m).sum()))
-        sa = sum_array_deterministic(np.array(sa_rows))
-        sb = sum_array_deterministic(np.array(sb_rows))
+        term = _separable(s, complex(sigma, -t))
+        sa = _pair_sum(t, 1, m_max, lambda m: (t ** (1.0 - delta) * m).astype(np.int64) + 1,
+                       lambda m: big_t, term)
+        sb = _pair_sum(t, 1, m_max, lambda m: big_t + 1, lambda m: big_t + m, term)
         return SmallSetSum(total=sa + sb, sa=sa, sb=sb)
     if big_t + m_max > 10**7 + 4096:
         raise ValueError("budget exceeded")
@@ -496,16 +502,12 @@ def s5_2_sum(sigma: float, t: float, delta: float,
     tau = t ** (delta - 1.0)
     s = complex(sigma, t)
     if strategy is Strategy.BRUTE_FORCE:
-        _check_brute_budget(t)
-        sa_rows, sb_rows = [], []
-        for m in range(m_lo, big_t + 1):
-            hi = int(m * (1.0 + tau))
-            w = m ** (-s)
-            p_t = min(big_t, hi)
-            sa_rows.append(complex(w * _powers(complex(sigma, -t), m + 1, p_t).sum()))
-            sb_rows.append(complex(w * _powers(complex(sigma, -t), big_t + 1, hi).sum()))
-        sa = sum_array_deterministic(np.array(sa_rows))
-        sb = sum_array_deterministic(np.array(sb_rows))
+        term = _separable(s, complex(sigma, -t))
+
+        def top(m):  # [m (1 + t^{d-1})]
+            return (m * (1.0 + tau)).astype(np.int64)
+        sa = _pair_sum(t, m_lo, big_t, lambda m: m + 1, lambda m: np.minimum(top(m), big_t), term)
+        sb = _pair_sum(t, m_lo, big_t, lambda m: big_t + 1, top, term)
         return SmallSetSum(total=sa + sb, sa=sa, sb=sb, l_of_t=l_of_t)
     if int(big_t * (1.0 + tau)) + 1 > 10**7 + 4096:
         raise ValueError("budget exceeded")

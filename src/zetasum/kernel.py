@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import mpmath as mp
 import numpy as np
@@ -31,42 +30,6 @@ def _as_complex(z) -> complex:
     if isinstance(z, ComplexScalar):
         return z.as_complex()
     return complex(z)
-
-
-@dataclass
-class Accumulator:
-    """Neumaier-compensated running sum of complex terms.
-
-    Adding N terms of magnitude <= 1 leaves an error <= 4*N*ulp.
-    """
-
-    sum_re: float = 0.0
-    sum_im: float = 0.0
-    comp_re: float = 0.0
-    comp_im: float = 0.0
-    count: int = 0
-
-    def add(self, z) -> None:
-        z = _as_complex(z)
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise ValueError("non-finite input")
-        s, e = _two_sum(self.sum_re, z.real)
-        self.sum_re, self.comp_re = s, self.comp_re + e
-        s, e = _two_sum(self.sum_im, z.imag)
-        self.sum_im, self.comp_im = s, self.comp_im + e
-        self.count += 1
-
-    @property
-    def value(self) -> complex:
-        return complex(self.sum_re + self.comp_re, self.sum_im + self.comp_im)
-
-
-def sum_compensated(terms: Iterable) -> complex:
-    """Neumaier sum of a finite stream of complex terms."""
-    acc = Accumulator()
-    for z in terms:
-        acc.add(z)
-    return acc.value
 
 
 def reduce_deterministic(chunks: Sequence) -> complex:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import threading
 from collections import deque
-from dataclasses import dataclass, field
 
 import numpy as np
 from mpmath import libmp
@@ -317,40 +316,6 @@ def power_prefix(exponent: complex, upper: int) -> np.ndarray:
     for a, _, block in prefix_blocks(exponent, 1, upper, CHUNK_SIZE):
         cum[a : a + block.size] = block
     return cum
-
-
-@dataclass
-class PrefixTable:
-    """Immutable cumulative sums of n**(-sigma -/+ it) for O(1) range queries."""
-
-    sigma: float
-    t: float
-    conjugate: bool  # True: n**(-sigma + it); False: n**(-sigma - it)
-    upper: int
-    cumulative: np.ndarray = field(repr=False)
-
-    def range_sum(self, a: int, b: int) -> complex:
-        """sum_{n=a}^{b} n**(-sigma -/+ it); b < a gives the empty sum."""
-        if a < 1 or b > self.upper:
-            raise ValueError("range outside table")
-        if b < a:
-            return 0j
-        return complex(self.cumulative[b] - self.cumulative[a - 1])
-
-    def range_sums(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Vectorized range queries (empty ranges yield 0)."""
-        lo = np.asarray(a, dtype=np.int64)
-        hi = np.asarray(b, dtype=np.int64)
-        if lo.min() < 1 or hi.max() > self.upper:
-            raise ValueError("range outside table")
-        out = self.cumulative[np.maximum(hi, lo - 1)] - self.cumulative[lo - 1]
-        return np.where(hi >= lo, out, 0j)
-
-
-def build_prefix(sigma: float, t: float, conjugate: bool, upper: int) -> PrefixTable:
-    exponent = complex(sigma, -t) if conjugate else complex(sigma, t)
-    cum = power_prefix(exponent, upper)
-    return PrefixTable(sigma=sigma, t=t, conjugate=conjugate, upper=upper, cumulative=cum)
 
 
 def c_ratio(x: float, t: float, k: int) -> float:

@@ -7,7 +7,6 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-import scipy.fft
 
 from zetasum import doublesums
 from zetasum.config import STREAM_CHUNK
@@ -128,6 +127,10 @@ class TestS4:
         exchanged = s4_b_part1_exchanged(-0.7, 0.3, 1.0, 200.0)
         assert abs(exchanged - both.part1) <= 1e-12 * abs(both.part1)
 
+    def test_exchanged_order_rejects_t_below_one(self):
+        with pytest.raises(ValueError, match="need t >= 1"):
+            s4_b_part1_exchanged(-0.7, 0.3, 1.0, 0.5)
+
     def test_parameter_windows(self):
         with pytest.raises(ValueError):
             s4_a_sum(0.5, 1.5, 100.0)  # sigma1 must be negative
@@ -207,6 +210,59 @@ class TestS5Sums:
             fast = s5_1_sum(sg, t, delta)
             slow = s5_1_sum(sg, t, delta, Strategy.BRUTE_FORCE)
             assert abs(fast.total - slow.total) <= 1e-9 * max(abs(slow.total), 1.0)
+
+
+# --- brute-force references against a pair-by-pair loop ---------------------
+
+def _loop_cases(t):
+    """name -> (brute-force value, m range, n range of row m, summand), each
+    index set as the reference's docstring writes it."""
+    big = int(t)
+    s, sbar, tau = complex(0.5, t), complex(0.5, -t), t ** (0.4 - 1.0)
+    bf = Strategy.BRUTE_FORCE
+
+    def s_sbar(m, n):
+        return m ** -s * n ** -sbar
+
+    def s4_b(m1, m2):
+        return m1 ** -1.0 * m2 ** -complex(0.3, -t) * (m1 + m2) ** -complex(-0.7, t)
+
+    rows = range(1, big + 1)
+    s5_1_rows, s5_2_rows = range(1, int(t**0.3) + 1), range(int(t ** (1.0 - 0.4)), big + 1)
+    return {
+        "grid": (lambda: grid_double_sum(0.5, t, bf).value, rows, lambda m: rows, s_sbar),
+        "f_sum": (lambda: f_sum(U, V, big, bf), rows, lambda m: range(m + 1, m + big + 1),
+                  lambda m, n: m ** -U * n ** -V),
+        "g_sum": (lambda: g_sum(U, V, big, bf), rows, lambda m: range(big + 1, big + m + 1),
+                  lambda m, n: m ** -U * n ** -V),
+        "tail": (lambda: tail_double_sum(0.5, t, bf), rows, lambda m: range(big + 1, big + m + 1),
+                 lambda m, n: m ** -sbar * n ** -s),
+        "s4_a": (lambda: s4_a_sum(-0.5, 1.5, t, bf).value, rows,
+                 lambda m: range(m + 1, m + big + 1),
+                 lambda m, n: m ** -complex(1.5, -t) * n ** -complex(-0.5, t)),
+        "s4_b_part1": (lambda: s4_b_sum(-0.7, 0.3, 1.0, t, bf).part1, rows,
+                       lambda m1: range(1, m1 + 1), s4_b),
+        "s4_b_part2": (lambda: s4_b_sum(-0.7, 0.3, 1.0, t, bf).part2, rows,
+                       lambda m1: range(m1 + 1, big + 1), s4_b),
+        "s4_b_exchanged": (lambda: s4_b_part1_exchanged(-0.7, 0.3, 1.0, t), rows,
+                           lambda m2: range(m2, big + 1), lambda m2, m1: s4_b(m1, m2)),
+        "s5_1_sa": (lambda: s5_1_sum(0.5, t, 0.3, bf).sa, s5_1_rows,
+                    lambda m: range(int(t ** (1.0 - 0.3) * m) + 1, big + 1), s_sbar),
+        "s5_1_sb": (lambda: s5_1_sum(0.5, t, 0.3, bf).sb, s5_1_rows,
+                    lambda m: range(big + 1, big + m + 1), s_sbar),
+        "s5_2_sa": (lambda: s5_2_sum(0.5, t, 0.4, bf).sa, s5_2_rows,
+                    lambda m: range(m + 1, min(big, int(m * (1.0 + tau))) + 1), s_sbar),
+        "s5_2_sb": (lambda: s5_2_sum(0.5, t, 0.4, bf).sb, s5_2_rows,
+                    lambda m: range(big + 1, int(m * (1.0 + tau)) + 1), s_sbar),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_loop_cases(40.7)))
+def test_brute_force_matches_pair_loop(name):
+    # [t] = 40: s5_1's last sa row and most s5_2 sb rows are empty
+    brute, m_rows, n_row, term = _loop_cases(40.7)[name]
+    ref = sum(term(m, n) for m in m_rows for n in n_row(m))
+    assert abs(brute() - ref) <= 1e-12 * max(abs(ref), 1.0)
 
 
 # --- streamed fast paths across chunk seams ----------------------------------
@@ -381,13 +437,13 @@ class TestBlockedConvolution:
         # chunk 4 would give 125 blocks of 16 at t = 2000; the cap makes 16 of 125
         monkeypatch.setattr(doublesums, "STREAM_CHUNK", 4)
         shapes = []
-        fft = scipy.fft.fft
+        fft = np.fft.fft
 
         def spy(x, *args, **kwargs):
             shapes.append(x.shape)
             return fft(x, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.fft, "fft", spy)
+        monkeypatch.setattr(np.fft, "fft", spy)
         fast = s4_b_sum(-0.7, 0.3, 1.0, 2000.0).total
         assert shapes == [(16, 250), (16, 250)]
         slow = s4_b_sum(-0.7, 0.3, 1.0, 2000.0, Strategy.BRUTE_FORCE).total

@@ -89,6 +89,25 @@ class TestJIntegrals:
         num, _ = j2_integral(0.0, t, delta)
         assert num == pytest.approx(area, rel=1e-10)
 
+    @pytest.mark.parametrize("sigma,delta", [(0.5, 0.4), (0.3, 0.2)])
+    def test_j2_against_hypergeometric_closed_form(self, sigma, delta):
+        # lemma-5.2's grid; the outer integral in closed form,
+        # F(x) = ((1+tau)**(1-s) x**(2-2s)/(2-2s)
+        #         - x**(1-s)/(1-s) 2F1(s-1, 1-s; 2-s; -x)) / (1-s),
+        # taken between t**(1-delta) and t at 40 digits
+        with mp.workdps(40):
+            s, d = mp.mpf(sigma), mp.mpf(delta)
+            for t in log_grid(1e3, 1e6, 8):
+                tau = mp.mpf(t) ** (d - 1)
+
+                def big_f(x):
+                    return ((1 + tau) ** (1 - s) * x ** (2 - 2 * s) / (2 - 2 * s)
+                            - x ** (1 - s) / (1 - s) * mp.hyp2f1(s - 1, 1 - s, 2 - s, -x)) / (1 - s)
+
+                ref = big_f(mp.mpf(t)) - big_f(mp.mpf(t) ** (1 - d))
+                num, _ = j2_integral(sigma, t, delta)
+                assert abs(num - ref) <= 1e-11 * abs(ref)
+
     def test_j2_asymptotic_agreement(self):
         num, asym = j2_integral(0.5, 1e6, 0.4)
         decay = max((1e6) ** (-2 * 0.4 * 0.5), (1e6) ** -0.4)

@@ -9,38 +9,33 @@ from hypothesis import strategies as st
 
 from zetasum.kernel import (log_gamma_complex, oracle_log_gamma,
                             oracle_recompute, reduce_deterministic,
-                            sum_array_deterministic, sum_compensated)
+                            sum_array_deterministic)
 from zetasum.specs import PhaseKind, SumSpec
 
 
-class TestSumCompensated:
+class TestReduceDeterministic:
     def test_cancellation_preserved(self):
         # naive left-to-right float addition would lose the 1e-20 entirely
-        assert sum_compensated([1 + 0j, -1 + 0j, 1e-20 + 0j]) == 1e-20 + 0j
-
-    def test_empty(self):
-        assert sum_compensated([]) == 0j
+        assert reduce_deterministic([1 + 0j, -1 + 0j, 1e-20 + 0j]) == 1e-20 + 0j
 
     def test_million_small_terms(self):
-        result = sum_compensated([1e-8 + 0j] * 10**6)
+        result = reduce_deterministic([1e-8 + 0j] * 10**6)
         # compensated error bound: a few ulps of the true sum, not O(n) ulps
         assert abs(result.real - 1e-2) <= 4e6 * math.ulp(1e-2)
         assert result.imag == 0.0
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
-            sum_compensated([1 + 0j, complex(math.inf, 0)])
+            reduce_deterministic([1 + 0j, complex(math.inf, 0)])
 
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6,
                               allow_nan=False, allow_infinity=False),
                     max_size=200))
     @settings(max_examples=300, deadline=None)
     def test_matches_fsum(self, xs):
-        result = sum_compensated([complex(x, 0) for x in xs])
+        result = reduce_deterministic([complex(x, 0) for x in xs])
         assert result.real == pytest.approx(math.fsum(xs), abs=1e-9, rel=1e-14)
 
-
-class TestReduceDeterministic:
     def test_single_partial_unchanged(self):
         z = 0.1 + 0.2j
         assert reduce_deterministic([z]) == z
