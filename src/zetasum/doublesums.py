@@ -56,7 +56,7 @@ def _ar(lo: int, hi: int) -> np.ndarray:
 
 
 # pairs per block of the brute-force enumerator
-_PAIR_BLOCK = 2**20
+_PAIR_BLOCK = 2**16
 
 
 def _pair_sum(t: float, m_lo: int, m_hi: int, first: Callable, last: Callable,

@@ -148,6 +148,8 @@ def j2_integral(sigma: float, t: float, delta: float) -> Tuple[float, float]:
 
 @dataclass(frozen=True)
 class PartialSummationBound:
+    """Result of gh_bound_check; each field is an array of k for a stack."""
+
     lhs: float
     g_constant: float
     h_constant: float
@@ -162,28 +164,41 @@ def gh_bound_check(a: np.ndarray, b: np.ndarray) -> PartialSummationBound:
     G is the max absolute rectangle prefix sum of a; H bounds the
     nonnegative real weights b, whose first differences and mixed second
     difference must each keep one sign across the grid.
+
+    a and b are one matrix (R, C), giving Python scalars, or a stack
+    (k, R, C) checked instance by instance, giving arrays of k.  A smaller
+    instance in a stack is padded with zeros in a and by repeating b's last
+    row and column: that leaves its G, H and sign conditions exactly as
+    they are unpadded, and its lhs up to the order of summation.
     """
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 2:
-        raise ValueError("a and b must be matrices of equal shape")
+    if a.shape != b.shape or a.ndim not in (2, 3):
+        raise ValueError("a and b must be matrices or stacks of equal shape")
     if (b < 0.0).any():
         raise ValueError("weights must be nonnegative")
-    h = float(b.max(initial=0.0))
-    prefix = np.cumsum(np.cumsum(a, axis=0), axis=1)
-    g = float(np.abs(prefix).max(initial=0.0))
-    lhs = abs(complex((a * b).sum()))
-    d_row = np.diff(b, axis=0)      # b[m,n] - b[m+1,n] (negated)
-    d_col = np.diff(b, axis=1)
-    d_mix = np.diff(np.diff(b, axis=0), axis=1)
-    sign_ok = all(
-        (d >= 0.0).all() or (d <= 0.0).all()
-        for d in (d_row, d_col, d_mix)
-        if d.size
-    )
+    single = a.ndim == 2
+    if single:
+        a, b = a[None], b[None]
+    grid = (1, 2)
+    h = b.max(axis=grid, initial=0.0)
+    prefix = np.cumsum(np.cumsum(a, axis=1), axis=2)
+    g = np.abs(prefix).max(axis=grid, initial=0.0)
+    total = (a * b).sum(axis=grid)
+    lhs = np.hypot(total.real, total.imag)   # as abs(complex), which np.abs is not
+    d_row = np.diff(b, axis=1)
+    sign_ok = np.ones(len(b), dtype=bool)
+    for d in (d_row, np.diff(b, axis=2), np.diff(d_row, axis=2)):
+        sign_ok &= (d >= 0.0).all(axis=grid) | (d <= 0.0).all(axis=grid)
     bound = 5.0 * g * h
+    holds = lhs <= bound + 1e-12
+    if single:
+        return PartialSummationBound(lhs=float(lhs[0]), g_constant=float(g[0]),
+                                     h_constant=float(h[0]), bound=float(bound[0]),
+                                     sign_conditions_ok=bool(sign_ok[0]),
+                                     holds=bool(holds[0]))
     return PartialSummationBound(lhs=lhs, g_constant=g, h_constant=h, bound=bound,
-                                 sign_conditions_ok=sign_ok, holds=lhs <= bound + 1e-12)
+                                 sign_conditions_ok=sign_ok, holds=holds)
 
 
 @dataclass(frozen=True)

@@ -478,6 +478,12 @@ class TestStreamMemory:
         peak = _traced_peak(call)
         assert peak <= 24 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
+    def test_brute_force_block_peak(self):
+        # 4M pairs in blocks of 2^16: about 1 MiB per block and its two factors;
+        # blocks of 2^20 pairs peaked at 32 MiB here
+        peak = _traced_peak(lambda: grid_double_sum(0.5, 2000.0, Strategy.BRUTE_FORCE))
+        assert peak <= 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
     def test_blocked_convolution_peak(self):
         # the two factors' spectra take 64 MiB at t = 1e6 (64 B per unit of t);
         # the rest is a few blocks of 2 * 65536 points

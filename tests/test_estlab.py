@@ -152,6 +152,94 @@ class TestGHBound:
             gh_bound_check(np.ones((2, 2)), -np.ones((2, 2)))
 
 
+def _instance(rng, rows, cols):
+    sg = float(rng.choice([0.25, 0.5, 0.75]))
+    m = np.arange(1, rows + 1, dtype=np.float64) ** -sg
+    n = np.arange(3, cols + 3, dtype=np.float64) ** -sg
+    return np.exp(2j * math.pi * rng.random((rows, cols))), np.outer(m, n)
+
+
+def _stack(pairs):
+    """Pad each (a, b) to the largest shape as the docstring says: a with zeros,
+    b by repeating its last row and column."""
+    rows = max(a.shape[0] for a, _ in pairs)
+    cols = max(a.shape[1] for a, _ in pairs)
+    sa = np.zeros((len(pairs), rows, cols), dtype=np.complex128)
+    sb = np.empty((len(pairs), rows, cols))
+    for k, (a, b) in enumerate(pairs):
+        sa[k, :a.shape[0], :a.shape[1]] = a
+        sb[k] = b[np.minimum(np.arange(rows), b.shape[0] - 1)][:, np.minimum(np.arange(cols), b.shape[1] - 1)]
+    return sa, sb
+
+
+class TestGHBoundStack:
+    @pytest.mark.parametrize("k", [1, 2, 7, 32])
+    def test_stack_matches_single_checks(self, k):
+        rng = np.random.default_rng(100 + k)
+        for _ in range(8):
+            pairs = [_instance(rng, *rng.integers(2, 51, size=2)) for _ in range(k)]
+            chk = gh_bound_check(*_stack(pairs))
+            assert chk.lhs.shape == (k,)
+            for i, (a, b) in enumerate(pairs):
+                one = gh_bound_check(a, b)
+                assert chk.g_constant[i] == one.g_constant
+                assert chk.h_constant[i] == one.h_constant
+                assert chk.bound[i] == one.bound
+                assert chk.sign_conditions_ok[i] == one.sign_conditions_ok
+                assert chk.holds[i] == one.holds
+                # padding only regroups the summation, whose error scales with
+                # sum |a b| (lhs itself may cancel to far below it)
+                assert abs(chk.lhs[i] - one.lhs) <= 1e-15 * np.abs(a * b).sum()
+
+    def test_single_matrix_returns_python_scalars(self):
+        a, b = _instance(np.random.default_rng(3), 4, 9)
+        chk = gh_bound_check(a, b)
+        assert all(type(getattr(chk, f)) is float
+                   for f in ("lhs", "g_constant", "h_constant", "bound"))
+        assert type(chk.sign_conditions_ok) is bool and type(chk.holds) is bool
+        assert chk.lhs == abs(complex((a * b).sum()))
+
+    def test_prefix_sums_run_rows_then_columns(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            a, b = _instance(rng, 50, 50)
+            g = np.abs(np.cumsum(np.cumsum(a, axis=0), axis=1)).max()
+            assert gh_bound_check(a, b).g_constant == g
+
+    def test_bump_flagged_alone_and_padding_never_flags(self):
+        rng = np.random.default_rng(9)
+        shapes = [(2, 2), (50, 3), (4, 50), (17, 23), (31, 9), (2, 40), (50, 50)]
+        pairs = [_instance(rng, *shape) for shape in shapes]
+        clean = gh_bound_check(*_stack(pairs))
+        assert clean.sign_conditions_ok.all()
+        a, b = pairs[3]
+        bumped = b.copy()
+        bumped[8, 11] *= 1.5    # first differences change sign around (8, 11)
+        pairs[3] = (a, bumped)
+        chk = gh_bound_check(*_stack(pairs))
+        assert list(np.flatnonzero(~chk.sign_conditions_ok)) == [3]
+        assert not gh_bound_check(a, bumped).sign_conditions_ok
+
+    @pytest.mark.parametrize("where", [0, 3, 6])
+    def test_negative_weight_in_stack_raises(self, where):
+        rng = np.random.default_rng(4)
+        sa, sb = _stack([_instance(rng, 5, 6) for _ in range(7)])
+        sb[where, 2, 3] = -1e-300
+        with pytest.raises(ValueError, match="nonnegative"):
+            gh_bound_check(sa, sb)
+
+    @pytest.mark.parametrize("shape_a,shape_b", [
+        ((3, 4, 5), (3, 4, 6)),
+        ((3, 4, 5), (2, 4, 5)),
+        ((4, 5), (1, 4, 5)),
+        ((5,), (5,)),
+        ((2, 3, 4, 5), (2, 3, 4, 5)),
+    ])
+    def test_mismatched_or_wrong_rank_raises(self, shape_a, shape_b):
+        with pytest.raises(ValueError, match="equal shape"):
+            gh_bound_check(np.ones(shape_a), np.ones(shape_b))
+
+
 class TestBoxSum:
     def test_one_element_box(self):
         out = box_sum_check(7, 7, 9, 9, 500.0)

@@ -1,10 +1,17 @@
-"""Suite plumbing: the thread-pool map behind every sweep."""
+"""Suite plumbing: the thread-pool map behind every sweep, and bound-5gh's stacked checks."""
 
+import math
 import threading
 import time
+import tracemalloc
 
+import numpy as np
+import pytest
+
+from zetasum import suites
 from zetasum.cli import records_to_json
-from zetasum.suites import ExperimentConfig, _pmap, run_suite
+from zetasum.estlab import gh_bound_check
+from zetasum.suites import ExperimentConfig, _pmap, load_manifest, run_suite
 
 
 def test_pmap_keeps_input_order_with_uneven_costs():
@@ -39,3 +46,99 @@ def test_lemma_52_records_identical_across_threads():
 
     two = artifact(2)
     assert artifact(1) == two and artifact(2) == two
+
+
+# bound-5gh's record as the one-by-one checker wrote it: float.hex of sigma,
+# rows (param1), cols (param2), lhs (value and magnitude), 5GH (envelope), ratio
+_BOUND_5GH_RECORDS = {
+    None: ("0x1.0000000000000p-2", "0x1.0000000000000p+1", "0x1.4000000000000p+2",
+           "0x1.af1d081ec0ddep-3", "0x1.0f59ea07b4b2fp+0", "0x1.96b952109cbd4p-3"),
+    7: ("0x1.0000000000000p-2", "0x1.0000000000000p+1", "0x1.0000000000000p+2",
+        "0x1.46140f4a4bf87p-2", "0x1.9a3a091b70abep+0", "0x1.96f9aacb3cd71p-3"),
+}
+
+
+def _bound_5gh(seed=None, threads=1):
+    return run_suite(ExperimentConfig(suite="bound-5gh", seed=seed, threads=threads))
+
+
+def _assert_pinned(record, seed):
+    got = (record.sigma, record.param1, record.param2, record.magnitude,
+           record.envelope, record.ratio)
+    assert tuple(x.hex() for x in got) == _BOUND_5GH_RECORDS[seed]
+    assert record.value == complex(record.magnitude)
+    assert record.t == 10000.0 and record.verdict == "pass"
+
+
+def test_bound_5gh_record_pinned_and_thread_independent():
+    one, two = _bound_5gh(threads=1), _bound_5gh(threads=2)
+    assert records_to_json(one) == records_to_json(two)
+    _assert_pinned(one[0], None)
+
+
+def test_bound_5gh_record_pinned_seed_7():
+    _assert_pinned(_bound_5gh(seed=7)[0], 7)
+
+
+def _one_by_one_5gh(seed, meta):
+    """The instances checked one gh_bound_check call at a time, in draw order."""
+    d = meta["defaults"]
+    rng = np.random.default_rng(seed)
+    failures, worst, worst_case = 0, 0.0, None
+    for _ in range(d["instances"]):
+        sg = d["sigma_list"][int(rng.integers(len(d["sigma_list"])))]
+        rows = int(rng.integers(2, d["max_side"] + 1))
+        cols = int(rng.integers(2, d["max_side"] + 1))
+        m_lo, n_lo = int(rng.integers(1, 101)), int(rng.integers(1, 101))
+        a = np.exp(2j * math.pi * rng.random((rows, cols)))
+        m = np.arange(m_lo, m_lo + rows, dtype=np.float64) ** (-sg)
+        n = np.arange(n_lo, n_lo + cols, dtype=np.float64) ** (-sg)
+        chk = gh_bound_check(a, np.outer(m, n))
+        failures += (not chk.holds) + (not chk.sign_conditions_ok)
+        if chk.lhs / chk.bound > worst:
+            worst, worst_case = chk.lhs / chk.bound, (sg, rows, cols, chk)
+    return failures, worst, worst_case
+
+
+@pytest.mark.parametrize("chunk,stack", [(512, 32), (37, 5), (1, 1)])
+def test_bound_5gh_stacks_match_one_by_one(monkeypatch, chunk, stack):
+    monkeypatch.setattr(suites, "_GH_CHUNK", chunk)
+    monkeypatch.setattr(suites, "_GH_STACK", stack)
+    meta = dict(load_manifest()["bound-5gh"], claim_id="bound-5gh")
+    meta["defaults"] = dict(meta["defaults"], instances=1500)
+    for seed in (1, 5):
+        rec, = suites._run_bound_5gh(ExperimentConfig(suite="bound-5gh", seed=seed), meta)
+        failures, worst, (sg, rows, cols, chk) = _one_by_one_5gh(seed, meta)
+        assert failures == 0 and rec.verdict == "pass"
+        assert (rec.sigma, rec.param1, rec.param2) == (sg, rows, cols)
+        assert (rec.magnitude, rec.envelope, rec.ratio) == (chk.lhs, chk.bound, worst)
+
+
+def test_bound_5gh_stack_keeps_instance_bits():
+    rng = np.random.default_rng(2)
+    draws = []
+    for _ in range(9):
+        rows, cols = (int(v) for v in rng.integers(2, 21, size=2))
+        draws.append((float(rng.choice([0.25, 0.5, 0.75])), rows, cols,
+                      int(rng.integers(1, 101)), int(rng.integers(1, 101)),
+                      rng.random((rows, cols))))
+    sa, sb = suites._gh_stack(draws, 20, 20)
+    for k, draw in enumerate(draws):
+        a, b = suites._gh_instance(*draw)
+        rows, cols = draw[1], draw[2]
+        assert np.array_equal(sa[k, :rows, :cols], a) and not sa[k, rows:].any()
+        assert not sa[k, :, cols:].any()
+        assert np.array_equal(sb[k, :rows, :cols], b)
+        assert (sb[k, rows:] == sb[k, rows - 1]).all()
+        assert (sb[k, :, cols:] == sb[k, :, cols - 1:cols]).all()
+
+
+def test_bound_5gh_peak_allocation():
+    # drawing all 10^4 instances before checking them holds about 54 MB of phases
+    tracemalloc.start()
+    try:
+        _bound_5gh()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
