@@ -26,6 +26,21 @@ def _two_sum(a: float, b: float):
     return s, e
 
 
+_SPLITTER = 134217729.0  # 2**27 + 1: Veltkamp's split into two 26-bit halves
+
+
+def _two_prod(a, b):
+    """Error-free transform (Dekker): p + e == a * b exactly unless a*SPLITTER
+    or b*SPLITTER overflows.  Works elementwise on arrays too."""
+    p = a * b
+    c = _SPLITTER * a
+    ah = c - (c - a)
+    c = _SPLITTER * b
+    bh = c - (c - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
 def _as_complex(z) -> complex:
     if isinstance(z, ComplexScalar):
         return z.as_complex()

@@ -16,7 +16,8 @@ from mpmath import libmp
 
 from .config import (ANCHOR_BLOCK_RATIO, ANCHOR_THRESHOLD, CHUNK_SIZE,
                      PREFIX_BUDGET, SINGLE_SUM_BUDGET, STREAM_CHUNK)
-from .kernel import _two_sum, reduce_deterministic
+from . import ddtables
+from .kernel import _two_prod, _two_sum, reduce_deterministic
 from .specs import PhaseKind, SumSpec
 
 
@@ -74,13 +75,19 @@ def _anchor(kind: PhaseKind, t: float, m0: int, m1: int) -> float:
     |f| is monotone in m, so f(m0) and f(m1) bound it on [m0, m1]; if either
     overflows, the phases there are not representable.  mpmath grows its
     cached constants (pi, ln 2) without a lock, so anchors take one.
+
+    The reduced value is within about 2**-60 of f(m0) mod 2*pi, but the
+    final to_float rounds it toward zero (mpmath's round_fast), not to
+    nearest: the double returned lies up to 1 ulp nearer zero than f(m0)
+    mod 2*pi and, but for those 2**-60, never farther from it.
     """
     f = phase_eval(kind, t, m0)
     if not (math.isfinite(f) and math.isfinite(phase_eval(kind, t, m1))):
         raise ValueError("non-finite input")
     if abs(f) <= math.pi:
         return f
-    # every rounding below stays under 2**-64 times max(|f|, |t|) in absolute terms
+    # prec bits cover max(|f|, |t|), so each of the six roundings below is
+    # under about 2**-63 in absolute terms
     prec = max(math.frexp(f)[1], math.frexp(t)[1]) + 64
     tt, m = libmp.from_float(t), libmp.from_int(m0)
     with _LIBMP_LOCK:
@@ -95,15 +102,110 @@ def _anchor(kind: PhaseKind, t: float, m0: int, m1: int) -> float:
         return libmp.to_float(libmp.mpf_sub(x, libmp.mpf_mul(two_pi, turns, prec), prec))
 
 
+# _anchors reduces in double-double while 1 <= |t| < _DD_LIMIT and |f| <
+# _DD_LIMIT on the run: there r_h + r_l is within about 2**-64 of f mod 2 pi.
+# _ZIV_BOUND covers that and _anchor's own 2**-60.
+_DD_LIMIT = 2.0**36
+_ZIV_BOUND = 2.0**-58
+# Shorter batches go to _anchor one by one: the vectorized pass costs about
+# 150 us whatever its length, and 10 to 12 mpmath anchors about as much.
+_BATCH_MIN = 12
+_LN_HI, _LN_LO = np.array(ddtables.LN_TABLE).T.copy()
+
+
+def _ln_dd(xh, xl):
+    """ln(xh + xl) as a double-double, for xh + xl >= 1 held as a double-double.
+
+    With xh = 2**e y, y in [1, 2), and c = 1 + j/256 nearest y,
+    ln x = e ln 2 + ln c + 2 atanh(s), s = (y - c)/(y + c), |s| <= 2**-10.
+    The series' s**3 term is formed in double-double, the rest in doubles:
+    the absolute error is a few times 2**-104 max(1, ln x).
+    """
+    mant, e = np.frexp(xh)
+    y, yl = 2.0 * mant, np.ldexp(xl, 1 - e)
+    e = e - 1.0
+    j = np.rint((y - 1.0) * ddtables.LN_STEPS)
+    c = 1.0 + j / ddtables.LN_STEPS
+    nh, nl = _two_sum(y - c, yl)  # y - c is exact
+    dh, dl = _two_sum(y, c)
+    dl += yl
+    sh = nh / dh
+    p, q = _two_prod(sh, dh)
+    sl = ((nh - p) - q + nl - sh * dl) / dh
+    s2 = sh * sh
+    p, q = _two_prod(sh, sh)
+    c3, d3 = _two_prod(p, sh)
+    d3 += q * sh  # sh**3 = c3 + d3
+    g, h = _two_prod(c3, ddtables.TWO_THIRDS[0])
+    h += c3 * ddtables.TWO_THIRDS[1] + d3 * ddtables.TWO_THIRDS[0]
+    h += 2.0 * sl * (1.0 + s2) + sh * s2 * s2 * (0.4 + s2 * (2.0 / 7.0 + s2 * (2.0 / 9.0)))
+    u, v = _two_sum(2.0 * sh, g)  # 2 atanh(s) = u + v + h
+    p, q = _two_prod(e, ddtables.LN2[0])
+    q += e * ddtables.LN2[1]
+    j = j.astype(np.intp)
+    p, r1 = _two_sum(p, _LN_HI[j])
+    p, r2 = _two_sum(p, u)
+    lo = (r1 + r2) + (q + _LN_LO[j]) + (v + h)
+    hi = p + lo
+    return hi, lo - (hi - p)
+
+
+def _anchors(kind: PhaseKind, t: float, runs) -> list:
+    """[_anchor(kind, t, m0, m1) for m0, m1 in runs], bit for bit, in one
+    vectorized double-double pass (Dekker, Numer. Math. 18, 1971).
+
+    ln X for X = m0, 1 + t/m0 or 1 + m0/t comes from _ln_dd, f = t ln X from
+    _two_prod, and r = f - 2 pi k from a double-double 2 pi.  Where no double
+    lies within _ZIV_BOUND of r_h + r_l, _anchor's value and r round toward
+    zero to the same double (Ziv's test, ACM TOMS 17, 1991).  _anchor takes
+    the anchors that fail it, those near +-pi (where k is in doubt), those
+    with |f| <= 4 (where it may return the double f) or outside the domain of
+    _DD_LIMIT, and whole batches shorter than _BATCH_MIN.
+    """
+    if len(runs) < _BATCH_MIN or not 1.0 <= abs(t) < _DD_LIMIT:
+        return [_anchor(kind, t, m0, m1) for m0, m1 in runs]
+    m0, m1 = np.array(runs, dtype=np.float64).T
+    if kind is PhaseKind.F3:
+        xh, xl = m0, 0.0
+        f1 = t * np.log(m1)
+    else:
+        num, den = (t, m0) if kind is PhaseKind.F1 else (m0, t)
+        qh = num / den
+        p, q = _two_prod(qh, den)
+        xh, xl = _two_sum(1.0, qh)
+        xl += ((num - p) - q) / den  # x = 1 + num/den
+        f1 = t * np.log1p(t / m1 if kind is PhaseKind.F1 else m1 / t)
+    lh, ll = _ln_dd(xh, xl)
+    fh, fl = _two_prod(t, lh)
+    fl += t * ll
+    k = np.rint(fh / ddtables.TWO_PI[0])
+    ph, pl = _two_prod(k, ddtables.TWO_PI[0])
+    ch, cl = _two_prod(k, ddtables.TWO_PI[1])
+    b, bl = _two_sum(fl, -pl)
+    u, v = _two_sum(fh - ph, b)  # fh - ph is exact
+    rh, w = _two_sum(u, -ch)
+    lo = (v + w) + (bl - cl)
+    r = rh + lo
+    lo -= r - rh
+    out = np.where(np.signbit(r) == np.signbit(lo), r, np.nextafter(r, 0.0)).tolist()
+    fast = ((np.abs(lo) > _ZIV_BOUND) & (np.abs(r) < math.pi - 2.0**-20)
+            & (np.abs(fh) > 4.0) & (np.abs(fh) < _DD_LIMIT) & (np.abs(f1) < _DD_LIMIT)
+            & (m1 < 2.0**53))
+    for i in np.flatnonzero(~fast).tolist():
+        out[i] = _anchor(kind, t, *runs[i])
+    return out
+
+
 _OFFSETS = np.arange(STREAM_CHUNK, dtype=np.float64)
 
 
-def _panel_terms(kind: PhaseKind, sigma: float, t: float, a: int, blocks):
+def _panel_terms(kind: PhaseKind, sigma: float, t: float, a: int, blocks, anchors):
     """Real parts and halved imaginary parts of m**(-sigma) e^{i f(m)} for
     m = a, a + 1, ...: one pass of _panels or of _grid_passes.
 
     blocks [(m0, w), ...] cut the pass, in order, into runs of w terms; a run
-    is anchored at m0, its first index or (on a grid) the start of its block.
+    is anchored at m0, its first index or (on a grid) the start of its block,
+    and anchors holds the runs' f(m0) mod 2 pi.
     With m = m0 + k in the block anchored at m0, the phase is the anchor plus
     an offset built from log1p, so no rounded phase is ever as large as f:
       F3: f(m) = f(m0) + t log1p(k/m0)
@@ -113,19 +215,14 @@ def _panel_terms(kind: PhaseKind, sigma: float, t: float, a: int, blocks):
     from u = tan(f/2), which numpy vectorizes (unlike cos and sin):
     e^{if} = (1 - u**2 + 2iu) / (1 + u**2).  Any real sigma and t are taken.
     """
-    anchors, end = [], a
-    for m0, w in blocks:
-        end += w
-        anchors.append(_anchor(kind, t, m0, end - 1))
-    n = end - a
     if len(blocks) == 1:
-        m0 = blocks[0][0]
+        (m0, n), = blocks
         anchor, k = anchors[0], _OFFSETS[a - m0 : a - m0 + n]
     else:  # per-term anchors for the small blocks of one chunk
-        widths = [w for _, w in blocks]
-        m0 = np.repeat(np.array([b for b, _ in blocks], dtype=np.float64), widths)
+        starts, widths = zip(*blocks)
+        m0 = np.repeat(np.array(starts, dtype=np.float64), widths)
         anchor = np.repeat(anchors, widths)
-        k = np.arange(a, a + n, dtype=np.float64) - m0
+        k = np.arange(a, a + m0.size, dtype=np.float64) - m0
     log_ratio = np.log1p(k / m0) if kind is not PhaseKind.F2 or sigma else None
     if kind is PhaseKind.F3:
         half = log_ratio * (0.5 * t)
@@ -149,6 +246,21 @@ def _panel_terms(kind: PhaseKind, sigma: float, t: float, a: int, blocks):
     return u2, u
 
 
+def _anchored_terms(kind: PhaseKind, sigma: float, t: float, passes):
+    """(a, _panel_terms of the pass) for each pass (a, blocks), every anchor
+    of the passes reduced first in one _anchors call."""
+    passes, runs = list(passes), []
+    for a, blocks in passes:
+        for m0, w in blocks:
+            a += w
+            runs.append((m0, a - 1))
+    anchors = _anchors(kind, t, runs)
+    i = 0
+    for a, blocks in passes:
+        yield a, _panel_terms(kind, sigma, t, a, blocks, anchors[i : i + len(blocks)])
+        i += len(blocks)
+
+
 def single_sum(spec: SumSpec) -> complex:
     """sum_{m=lo}^{hi} m**(-sigma) e^{±i f(m)}, block-anchored and compensated.
 
@@ -158,8 +270,7 @@ def single_sum(spec: SumSpec) -> complex:
     if spec.term_count > SINGLE_SUM_BUDGET:
         raise ValueError(f"budget exceeded: {spec.term_count} terms")
     partials = []
-    for a, blocks in _panels(spec):
-        re, im = _panel_terms(spec.phase, spec.sigma, spec.t, a, blocks)
+    for _, (re, im) in _anchored_terms(spec.phase, spec.sigma, spec.t, _panels(spec)):
         starts = np.arange(0, re.size, CHUNK_SIZE)
         im = np.add.reduceat(im, starts)
         im *= -2.0 if spec.conjugate else 2.0
@@ -209,8 +320,7 @@ def _power_terms(exponent: complex, lo: int, hi: int) -> np.ndarray:
     sigma, t = float(exponent.real), float(exponent.imag)
     lo, hi = int(lo), int(hi)  # numpy integers make the scalar work of each pass slower
     out = np.empty(max(hi - lo + 1, 0), dtype=np.complex128)
-    for a, blocks in _grid_passes(t, lo, hi):
-        re, im = _panel_terms(PhaseKind.F3, sigma, t, a, blocks)
+    for a, (re, im) in _anchored_terms(PhaseKind.F3, sigma, t, _grid_passes(t, lo, hi)):
         part = out[a - lo : a - lo + re.size]
         part.real = re
         np.multiply(im, -2.0, out=part.imag)

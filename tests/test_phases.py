@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from zetasum.config import SINGLE_SUM_BUDGET
 from zetasum.kernel import oracle_recompute
-from zetasum import phases
+from zetasum import ddtables, kernel, phases
 from zetasum.phases import (PrefixCursor, _panels, _power_terms, c_ratio,
                             d_delta_sum, nsum_power, phase_eval, power_prefix, single_sum)
 from zetasum.specs import PhaseKind, SumSpec
@@ -141,8 +141,13 @@ class TestAnchoredEdges:
 
     def test_threads_agree_bit_for_bit(self):
         # anchors at working precisions from ~80 to ~1060 bits, so mpmath's
-        # cached constants grow while other threads read them
+        # cached constants grow while other threads read them; the last four
+        # sums reduce their anchors in _anchors' vectorized pass, and some of
+        # them fall back to _anchor
         specs = [SumSpec(PhaseKind.F3, 0.5, 10.0 ** k, 1, 2000) for k in range(2, 300, 50)]
+        specs += [SumSpec(kind, 0.5, t, 1, 20_000)
+                  for kind, t in ((PhaseKind.F3, 1e5), (PhaseKind.F1, 1e6),
+                                  (PhaseKind.F3, 1e7), (PhaseKind.F1, 1e7))]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -181,6 +186,75 @@ PINNED = [
     (SumSpec(PhaseKind.F1, 0.5, 10000.0, 1, 100, conjugate=True),
      '0x1.ee3072ab234afp+0', '0x1.bf201a647a410p+0'),
 ]
+
+
+class TestAnchors:
+    """_anchor against an 80-digit reference, and _anchors against _anchor."""
+
+    @staticmethod
+    def reference(kind, t, m):
+        with mpmath.workdps(80):
+            f = kernel._oracle_phase(kind, mpmath.mpf(t), m)
+            return f - 2 * mpmath.pi * mpmath.nint(f / (2 * mpmath.pi))
+
+    @pytest.mark.parametrize("kind,t", [(PhaseKind.F1, 1e6), (PhaseKind.F2, 12345.678),
+                                        (PhaseKind.F3, 1e7), (PhaseKind.F3, -2e6)])
+    def test_anchor_rounds_toward_zero(self, kind, t):
+        # within 1 ulp nearer zero than f mod 2 pi, never farther from zero,
+        # but for the 2**-60 of the extended-precision reduction
+        nearer = []
+        for m in sorted({int(m) for m in np.geomspace(2, 2e7, 60)}):
+            if abs(phase_eval(kind, t, m)) <= math.pi:
+                continue  # _anchor returns the double f there
+            got, ref = phases._anchor(kind, t, m, m), self.reference(kind, t, m)
+            d = float(abs(ref) - abs(got))
+            assert math.copysign(1.0, got) == math.copysign(1.0, float(ref))
+            assert -2.0**-58 < d < math.ulp(got) + 2.0**-58
+            nearer.append(d / math.ulp(got))
+        # rounding to nearest would keep every d within half an ulp
+        assert max(nearer) > 0.5
+
+    T = [1e3, 12345.678, 1e7, 1e8, 1e15, 1e20, 1e300, -2e6]
+    M0 = sorted({int(m) for m in np.geomspace(1, 2e7, 400)}
+                | set(np.random.default_rng(3).integers(1, 2 * 10**7, 200).tolist()))
+
+    def test_batch_matches_anchor_bit_for_bit(self, monkeypatch):
+        # m1 = m0 + m0/16 as in a block; F1/F2 take t > 0 only.  Out of the
+        # double-double domain (t = 1e15, 1e20, 1e300) every anchor falls back.
+        calls = {"anchor": 0}
+        anchor = phases._anchor
+
+        def counted_anchor(*args):
+            calls["anchor"] += 1
+            return anchor(*args)
+
+        monkeypatch.setattr(phases, "_anchor", counted_anchor)
+        runs = [(m, m + m // 16) for m in self.M0]
+        for kind in PhaseKind:
+            for t in self.T:
+                if kind is not PhaseKind.F3 and t < 0:
+                    continue
+                want = [anchor(kind, t, *run) for run in runs]
+                got = phases._anchors(kind, t, runs)
+                assert [x.hex() for x in got] == [x.hex() for x in want], (kind, t)
+                if abs(t) >= 2**36:
+                    assert calls["anchor"] == len(runs)
+                else:  # 7-11% fail Ziv's test; F1 at t = 1e3 has |f| <= 4 from m0 = 3e5 on
+                    assert 0 < calls["anchor"] < len(runs) * (0.7 if t == 1e3 else 0.2)
+                calls["anchor"] = 0
+
+    def test_tables_regenerate(self):
+        def pair(v):
+            hi = float(v)
+            return hi, float(v - hi)
+
+        with mpmath.workprec(200):
+            assert ddtables.LN2 == pair(mpmath.log(2))
+            assert ddtables.TWO_PI == pair(2 * mpmath.pi)
+            assert ddtables.TWO_THIRDS == pair(mpmath.mpf(2) / 3)
+            steps = ddtables.LN_STEPS
+            assert ddtables.LN_TABLE == tuple(pair(mpmath.log(1 + mpmath.mpf(j) / steps))
+                                              for j in range(steps + 1))
 
 
 class TestSingleSumBits:
@@ -240,17 +314,17 @@ class TestPowerTerms:
 
     def test_short_low_phase_range_is_one_pass_one_anchor(self, monkeypatch):
         calls = {"anchor": 0, "pass": 0}
-        anchor, terms = phases._anchor, phases._panel_terms
+        anchors, terms = phases._anchors, phases._panel_terms
 
-        def counted_anchor(*args):
-            calls["anchor"] += 1
-            return anchor(*args)
+        def counted_anchors(kind, t, runs):
+            calls["anchor"] += len(runs)
+            return anchors(kind, t, runs)
 
         def counted_terms(*args):
             calls["pass"] += 1
             return terms(*args)
 
-        monkeypatch.setattr(phases, "_anchor", counted_anchor)
+        monkeypatch.setattr(phases, "_anchors", counted_anchors)
         monkeypatch.setattr(phases, "_panel_terms", counted_terms)
         _power_terms(complex(0.3, 40.0), 11, 110)  # |f| <= 40 ln 110 < 200
         assert calls == {"anchor": 1, "pass": 1}
