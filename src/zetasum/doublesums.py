@@ -18,7 +18,8 @@ import numpy as np
 
 from .config import BRUTE_FORCE_BUDGET, STREAM_CHUNK
 from .kernel import reduce_deterministic, sum_array_deterministic
-from .phases import PrefixCursor, _power_terms, check_prefix_budget, nsum_power
+from .phases import (PrefixCursor, _grid_anchors, _power_terms, check_prefix_budget,
+                     nsum_power)
 
 
 class Strategy(enum.Enum):
@@ -108,7 +109,8 @@ def _window_sum(exponent: complex, m_lo: int, m_hi: int, bounds: Callable,
     term is generated once, over the n-range the windows touch, with prefixes
     from its start.  If every lo-end precedes every hi-end each end reads its
     own cursor and the stretch between enters as one carry times sum w;
-    otherwise one cursor serves both, keeping the blocks between them.
+    otherwise one cursor serves both, keeping the blocks between them.  Each
+    cursor, and the outer weights over [m_lo, m_hi], reduce their anchors once.
     """
     ends = np.array([m_lo, m_hi], dtype=np.int64)
     (lo_first, lo_last), (hi_first, hi_last) = np.broadcast_arrays(*bounds(ends), ends)[:2]
@@ -116,18 +118,23 @@ def _window_sum(exponent: complex, m_lo: int, m_hi: int, bounds: Callable,
     split = lo_last <= hi_first
     lo_cur = PrefixCursor(exponent, start, lo_last if split else hi_last, STREAM_CHUNK)
     hi_cur = PrefixCursor(exponent, lo_last + 1, hi_last, STREAM_CHUNK) if split else lo_cur
+    w_anchors = None if outer is None else _grid_anchors(outer, m_lo, m_hi)
     partials, weights = [], []
     for a in range(m_lo, m_hi + 1, STREAM_CHUNK):
         b = min(a + STREAM_CHUNK - 1, m_hi)
         m = _ar(a, b)
         lo, hi = np.broadcast_arrays(*bounds(m), m)[:2]
         keep = hi > lo
-        if keep.any():
-            p_lo, x_lo = lo_cur.read(lo[keep], min(lo[-1], hi[keep][0]), outer is None)
-            p_hi, _ = hi_cur.read(hi[keep], hi[-1] if split else lo[-1])
-            w = np.conj(x_lo) if outer is None else _power_terms(outer, a, b)[keep]
-            partials.append(complex(np.sum(w * (p_hi - p_lo))))
-            weights.append(complex(w.sum()))
+        if keep.all():
+            keep = slice(None)  # read the arrays themselves, not masked copies
+        elif not keep.any():
+            continue
+        lo_k, hi_k = lo[keep], hi[keep]
+        p_lo, x_lo = lo_cur.read(lo_k, min(lo[-1], hi_k[0]), outer is None)
+        p_hi, _ = hi_cur.read(hi_k, hi[-1] if split else lo[-1])
+        w = np.conj(x_lo) if outer is None else _power_terms(outer, a, b, w_anchors)[keep]
+        partials.append(complex(np.sum(w * (p_hi - p_lo))))
+        weights.append(complex(w.sum()))
     if split and weights:
         gap = lo_cur.read(np.array([lo_last]), lo_last)[0][0]
         partials.append(gap * reduce_deterministic(weights))
@@ -282,9 +289,11 @@ def s4_b_sum(sigma1: float, sigma2: float, sigma3: float, t: float,
     count = -(-big_t // width)
     a3_hat = _block_spectra(complex(sigma3, 0.0), big_t, width, count)  # m1**(-sigma3)
     b2_hat = _block_spectra(complex(sigma2, -t), big_t, width, count)   # m2**(-sigma2+it)
+    e1 = complex(sigma1, t)
+    c1_anchors = _grid_anchors(e1, 2, 2 * big_t)
 
     def c1(j):  # n**(-sigma1-it) for n in [j*W + 2, (j+1)*W + 1], n <= 2[t]
-        return _power_terms(complex(sigma1, t), j * width + 2, min((j + 1) * width + 1, 2 * big_t))
+        return _power_terms(e1, j * width + 2, min((j + 1) * width + 1, 2 * big_t), c1_anchors)
 
     spec = np.empty(2 * width, dtype=np.complex128)
     partials, c_next = [], c1(0)
@@ -304,8 +313,9 @@ def _block_spectra(exponent: complex, big_t: int, width: int, count: int) -> np.
     """Row i: the 2*width-point spectrum of n**(-exponent) over the n in
     [i*width + 1, (i+1)*width] with n <= [t], zero-padded; computed in place."""
     rows = np.zeros((count, 2 * width), dtype=np.complex128)
+    anchors = _grid_anchors(exponent, 1, big_t)
     for i in range(count):
-        terms = _power_terms(exponent, i * width + 1, min((i + 1) * width, big_t))
+        terms = _power_terms(exponent, i * width + 1, min((i + 1) * width, big_t), anchors)
         rows[i, :terms.size] = terms
     return np.fft.fft(rows, axis=1, out=rows)
 

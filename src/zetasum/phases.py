@@ -7,6 +7,7 @@ sum description always yields bit-identical output.
 
 from __future__ import annotations
 
+import cmath
 import math
 import threading
 from collections import deque
@@ -246,15 +247,25 @@ def _panel_terms(kind: PhaseKind, sigma: float, t: float, a: int, blocks, anchor
     return u2, u
 
 
-def _anchored_terms(kind: PhaseKind, sigma: float, t: float, passes):
-    """(a, _panel_terms of the pass) for each pass (a, blocks), every anchor
-    of the passes reduced first in one _anchors call."""
-    passes, runs = list(passes), []
+def _runs(passes):
+    """The runs (m0, m1) of passes (a, blocks): each block's anchor and last index."""
+    runs = []
     for a, blocks in passes:
         for m0, w in blocks:
             a += w
             runs.append((m0, a - 1))
-    anchors = _anchors(kind, t, runs)
+    return runs
+
+
+def _anchored_terms(kind: PhaseKind, sigma: float, t: float, passes, anchors=None):
+    """(a, _panel_terms of the pass) for each pass (a, blocks).
+
+    anchors holds the runs' anchors in order; without it every anchor of the
+    passes is reduced first in one _anchors call.
+    """
+    passes = list(passes)
+    if anchors is None:
+        anchors = _anchors(kind, t, _runs(passes))
     i = 0
     for a, blocks in passes:
         yield a, _panel_terms(kind, sigma, t, a, blocks, anchors[i : i + len(blocks)])
@@ -309,18 +320,35 @@ def _grid_passes(t: float, lo: int, hi: int):
         a = end
 
 
-def _power_terms(exponent: complex, lo: int, hi: int) -> np.ndarray:
+def _grid_anchors(exponent: complex, lo: int, hi: int) -> dict:
+    """{m0: f(m0) mod 2 pi} for the runs of _grid_passes over [lo, hi], with
+    t = Im(exponent), reduced in one _anchors call.
+
+    A stream of _power_terms calls over parts of [lo, hi] passes it to each,
+    so no anchor is reduced twice; the grid alone fixes an anchor, so every
+    term keeps its bits.  The caller holds it only while the stream lives.
+    """
+    t = float(exponent.imag)
+    runs = _runs(_grid_passes(t, int(lo), int(hi)))
+    return dict(zip([m0 for m0, _ in runs], _anchors(PhaseKind.F3, t, runs)))
+
+
+def _power_terms(exponent: complex, lo: int, hi: int, anchors=None) -> np.ndarray:
     """n**(-exponent) for n in [lo, hi] (empty for hi < lo), from the anchored kernel.
 
     These are the F3 terms with t = Im(exponent), conjugated, weighted by
     n**(-Re(exponent)) for any real part, on the passes of _grid_passes,
     written into one array.  A range within one grid chunk whose |t ln n|
-    stays within ANCHOR_THRESHOLD is one pass with one anchor.
+    stays within ANCHOR_THRESHOLD is one pass with one anchor.  anchors, from
+    _grid_anchors over a range holding [lo, hi], spares the reduction.
     """
     sigma, t = float(exponent.real), float(exponent.imag)
     lo, hi = int(lo), int(hi)  # numpy integers make the scalar work of each pass slower
     out = np.empty(max(hi - lo + 1, 0), dtype=np.complex128)
-    for a, (re, im) in _anchored_terms(PhaseKind.F3, sigma, t, _grid_passes(t, lo, hi)):
+    passes = list(_grid_passes(t, lo, hi))
+    if anchors is not None:
+        anchors = [anchors[m0] for _, blocks in passes for m0, _ in blocks]
+    for a, (re, im) in _anchored_terms(PhaseKind.F3, sigma, t, passes, anchors):
         part = out[a - lo : a - lo + re.size]
         part.real = re
         np.multiply(im, -2.0, out=part.imag)
@@ -352,29 +380,32 @@ def check_prefix_budget(upper: int) -> None:
 
 
 def prefix_blocks(exponent: complex, start: int, stop: int, width: int):
-    """Yield (a, terms, cum) for consecutive blocks a..b of [start, stop].
+    """Yield (a, terms, carry) for consecutive blocks a..b of [start, stop].
 
-    terms[i] = (a+i)**(-exponent) and cum[i] = sum_{n=start}^{a+i} n**(-exponent).
-    The blocks are the parts of [start, stop] in the width-wide blocks counted
-    from 1, which the grid of _power_terms divides.  Block totals are carried
-    by two_sum.  Against mpmath's Hurwitz zeta, the last entry of
-    power_prefix(1/2 + it, [t]) is 1.6e-13, 3.3e-12 and 2.0e-11 off at
+    terms[i] = (a+i)**(-exponent), and carry + np.cumsum(terms) holds the
+    prefixes sum_{n=start}^{a+i} n**(-exponent); the caller forms them only
+    where it reads.  The blocks are the parts of [start, stop] in the
+    width-wide blocks counted from 1, which the grid of _power_terms divides,
+    and the anchors of the whole range are reduced at its first block.  Block
+    totals are carried by two_sum; a NaN or inf term always makes its total
+    non-finite, which raises.  Against mpmath's Hurwitz zeta, the last entry
+    of power_prefix(1/2 + it, [t]) is 1.6e-13, 3.3e-12 and 2.0e-11 off at
     t = 1e5, 1e6 and 1e7 (8.0e-11, 3.3e-10 and 8.8e-9 with every phase
     t ln n rounded to a double).
     """
+    anchors = _grid_anchors(exponent, start, stop)
     hi_re = lo_re = hi_im = lo_im = 0.0
     a = start
     while a <= stop:
         b = min(a - (a - 1) % width + width - 1, stop)
-        terms = _power_terms(exponent, a, b)
-        if not np.isfinite(terms).all():
+        terms = _power_terms(exponent, a, b, anchors)
+        total = complex(terms.sum())
+        if not cmath.isfinite(total):
             raise ValueError("non-finite input")
-        carry = complex(hi_re + lo_re, hi_im + lo_im)
-        yield a, terms, carry + np.cumsum(terms)
-        chunk_total = complex(terms.sum())
-        hi_re, e = _two_sum(hi_re, chunk_total.real)
+        yield a, terms, complex(hi_re + lo_re, hi_im + lo_im)
+        hi_re, e = _two_sum(hi_re, total.real)
         lo_re += e
-        hi_im, e = _two_sum(hi_im, chunk_total.imag)
+        hi_im, e = _two_sum(hi_im, total.imag)
         lo_im += e
         a = b + 1
 
@@ -383,12 +414,13 @@ class PrefixCursor:
     """Forward-only reader of R(k) = sum_{n=start}^{k} n**(-exponent), k <= stop.
 
     Blocks of prefix_blocks are generated once, in order; a read keeps only
-    those reaching keep_from, the least position the caller reads next.
+    those reaching keep_from, the least position the caller reads next, and
+    forms a block's prefixes when a read first lands in it.
     """
 
     def __init__(self, exponent: complex, start: int, stop: int, width: int):
         self._blocks = prefix_blocks(exponent, start, stop, width)
-        self._kept: deque = deque()
+        self._kept: deque = deque()  # [a, terms, carry, prefixes or None]
         self._end = start - 1
 
     def read(self, q: np.ndarray, keep_from: int, with_terms: bool = False):
@@ -400,22 +432,27 @@ class PrefixCursor:
         terms = np.zeros(q.size, dtype=np.complex128) if with_terms else None
         kept = self._kept
 
-        def fill(a, x, c):
+        def fill(block):
+            a, x, carry, c = block
             i, j = np.searchsorted(q, (a, a + x.size))
+            if i == j:
+                return
+            if c is None:
+                c = block[3] = carry + np.cumsum(x)
             at = q[i:j] - a
             cum[i:j] = c[at]
             if with_terms:
                 terms[i:j] = x[at]
 
         for block in kept:
-            fill(*block)
+            fill(block)
         while True:
             while kept and kept[0][0] + kept[0][1].size <= keep_from:
                 kept.popleft()
             if self._end >= q[-1]:
                 return cum, terms
-            kept.append(next(self._blocks))
-            fill(*kept[-1])
+            kept.append([*next(self._blocks), None])
+            fill(kept[-1])
             self._end = kept[-1][0] + kept[-1][1].size - 1
 
 
@@ -423,8 +460,8 @@ def power_prefix(exponent: complex, upper: int) -> np.ndarray:
     """cumulative[k] = sum_{n=1}^{k} n**(-exponent), compensated in index order."""
     check_prefix_budget(upper)
     cum = np.zeros(upper + 1, dtype=np.complex128)
-    for a, _, block in prefix_blocks(exponent, 1, upper, CHUNK_SIZE):
-        cum[a : a + block.size] = block
+    for a, terms, carry in prefix_blocks(exponent, 1, upper, CHUNK_SIZE):
+        cum[a : a + terms.size] = carry + np.cumsum(terms)
     return cum
 
 

@@ -462,11 +462,28 @@ def _gh_draw(rng, sigmas, max_side):
     return sg, rows, cols, m_lo, n_lo, rng.random((rows, cols))
 
 
+def _unimodular(x):
+    """e^{2 pi i x} for an array of x as (1 - u**2 + 2iu) / (1 + u**2), u = tan(pi x).
+
+    numpy vectorizes tan, unlike the complex exp, and the form is elementwise,
+    so an instance has the same bits alone and in a stack.
+    """
+    u = np.tan(np.multiply(x, math.pi))
+    u2 = u * u
+    den = 1.0 + u2
+    a = np.empty(u.shape, dtype=np.complex128)
+    np.subtract(1.0, u2, out=u2)
+    np.divide(u2, den, out=a.real)
+    u *= 2.0
+    np.divide(u, den, out=a.imag)
+    return a
+
+
 def _gh_instance(sg, rows, cols, m_lo, n_lo, x):
-    """Unimodular a = exp(2 pi i x) and weights b = m**(-sg) n**(-sg) of one instance."""
+    """Unimodular a = e^{2 pi i x} and weights b = m**(-sg) n**(-sg) of one instance."""
     m = np.arange(m_lo, m_lo + rows, dtype=np.float64) ** (-sg)
     n = np.arange(n_lo, n_lo + cols, dtype=np.float64) ** (-sg)
-    return np.exp(2j * math.pi * x), np.outer(m, n)
+    return _unimodular(x), np.outer(m, n)
 
 
 def _gh_stack(draws, rows, cols):
@@ -476,9 +493,8 @@ def _gh_stack(draws, rows, cols):
     x = np.zeros((len(draws), rows, cols))
     for k, d in enumerate(draws):
         x[k, :d[1], :d[2]] = d[5]
-    inside = (i < r)[:, :, None] & (j < c)[:, None, :]
-    a = np.multiply(x, 2j * math.pi)
-    np.exp(a, out=a, where=inside)      # the padding stays 0
+    a = _unimodular(x)
+    a *= (i < r)[:, :, None] & (j < c)[:, None, :]   # the padding is 0
     # past its last row and column an instance's weights repeat them
     m = (m_lo + np.minimum(i, r - 1)) ** -sg
     n = (n_lo + np.minimum(j, c - 1)) ** -sg

@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from zetasum import doublesums
+from zetasum import doublesums, phases
 from zetasum.config import STREAM_CHUNK
 from zetasum.doublesums import (Strategy, _window_sum, f_sum, g_sum, grid_double_sum,
                                 lemma32_identity_residual, m_set_contains,
@@ -489,6 +489,34 @@ class TestStreamMemory:
         # the rest is a few blocks of 2 * 65536 points
         peak = _traced_peak(lambda: s4_b_sum(-0.7, 0.3, 1.0, 1e6))
         assert peak <= 96 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+class TestStreamAnchors:
+    """A stream of _power_terms calls over one range reduces its anchors in one
+    _anchors call: (t, first anchor, last index) of each call, in order."""
+
+    @staticmethod
+    def _calls(monkeypatch, fn):
+        calls, anchors = [], phases._anchors
+
+        def counted(kind, t, runs):
+            calls.append((t, runs[0][0], runs[-1][1]))
+            return anchors(kind, t, runs)
+
+        monkeypatch.setattr(phases, "_anchors", counted)
+        fn()
+        return calls
+
+    def test_window_sum_streams(self, monkeypatch):
+        # outer weights m**(-sigma2+it) over [1, [t]], then the lo cursor of
+        # n**(-sigma1-it) over [2, [t]] and its hi cursor over [[t]+1, 2[t]]
+        calls = self._calls(monkeypatch, lambda: s4_a_sum(-0.5, 1.5, 1e6))
+        assert calls == [(-1e6, 1, 10**6), (1e6, 2, 10**6), (1e6, 999_425, 2 * 10**6)]
+
+    def test_convolution_streams(self, monkeypatch):
+        # the spectra of m1**(-sigma3) and m2**(-sigma2+it), then c1 over [2, 2[t]]
+        calls = self._calls(monkeypatch, lambda: s4_b_sum(-0.7, 0.3, 1.0, 1e6))
+        assert calls == [(0.0, 1, 10**6), (-1e6, 1, 10**6), (1e6, 2, 2 * 10**6)]
 
 
 class TestKernelSplit:

@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetasum.config import SINGLE_SUM_BUDGET
+from zetasum.config import CHUNK_SIZE, SINGLE_SUM_BUDGET
 from zetasum.kernel import oracle_recompute
 from zetasum import ddtables, kernel, phases
-from zetasum.phases import (PrefixCursor, _panels, _power_terms, c_ratio,
+from zetasum.phases import (PrefixCursor, _grid_anchors, _panels, _power_terms, c_ratio,
                             d_delta_sum, nsum_power, phase_eval, power_prefix, single_sum)
 from zetasum.specs import PhaseKind, SumSpec
 
@@ -299,6 +299,18 @@ class TestPowerTerms:
                        (262_140, 262_150), (299_999, 300_000)]:
             assert np.array_equal(_power_terms(e, lo, hi), whole[lo - 1 : hi])
 
+    @pytest.mark.parametrize("t", [50.0, 1e6, -3e4])
+    def test_stream_anchors_keep_bits(self, t):
+        # sub-ranges on both sides of _NARROW (65536) and _WIDE (262144): the
+        # stream's anchors, reduced once, are those each call would reduce
+        assert (phases._NARROW, phases._WIDE) == (65_536, 262_144)
+        e = complex(0.5, t)
+        anchors = _grid_anchors(e, 60_000, 270_000)
+        for lo, hi in [(60_000, 60_000), (60_001, 65_536), (65_536, 65_537), (65_000, 70_000),
+                       (262_143, 262_145), (200_000, 270_000), (269_999, 270_000)]:
+            assert (_power_terms(e, lo, hi, anchors).tobytes()
+                    == _power_terms(e, lo, hi).tobytes())
+
     def test_real_exponent_is_real(self):
         got = _power_terms(complex(0.5, 0.0), 1, 5000)
         assert not got.imag.any()
@@ -385,6 +397,29 @@ class TestPrefix:
             assert none is None and p.tobytes() == p_x.tobytes()
             assert np.allclose(p, cum[q], rtol=0, atol=1e-13)
             assert np.array_equal(x[q > 0], _power_terms(e, 1, 200)[q[q > 0] - 1])
+
+
+    def test_cursor_reads_after_unread_blocks_match_power_prefix(self):
+        # blocks no read lands in never form their prefixes; their totals
+        # still carry into the blocks read after them
+        e = complex(0.5, 1e5)
+        full = power_prefix(e, 100_000)
+        cursor = PrefixCursor(e, 1, 100_000, CHUNK_SIZE)
+        for q in ([3], [50_000, 50_001], [73_727, 73_728, 73_729], [99_999, 100_000]):
+            q = np.array(q)
+            got, _ = cursor.read(q, q[0])
+            assert got.tobytes() == full[q].tobytes()
+
+    def test_overflowing_weights_raise(self):
+        # n**400 overflows from n = 6 on, in the second block of 4
+        e = complex(-400.0, 3.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite input"):
+                power_prefix(e, 100)
+            cursor = PrefixCursor(e, 1, 100, 4)
+            assert math.isfinite(abs(cursor.read(np.array([2]), 2)[0][0]))
+            with pytest.raises(ValueError, match="non-finite input"):
+                cursor.read(np.array([50]), 50)
 
 
 class TestCRatio:

@@ -5,6 +5,7 @@ import threading
 import time
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -52,9 +53,9 @@ def test_lemma_52_records_identical_across_threads():
 # rows (param1), cols (param2), lhs (value and magnitude), 5GH (envelope), ratio
 _BOUND_5GH_RECORDS = {
     None: ("0x1.0000000000000p-2", "0x1.0000000000000p+1", "0x1.4000000000000p+2",
-           "0x1.af1d081ec0ddep-3", "0x1.0f59ea07b4b2fp+0", "0x1.96b952109cbd4p-3"),
+           "0x1.af1d081ec0ddcp-3", "0x1.0f59ea07b4b2ep+0", "0x1.96b952109cbd4p-3"),
     7: ("0x1.0000000000000p-2", "0x1.0000000000000p+1", "0x1.0000000000000p+2",
-        "0x1.46140f4a4bf87p-2", "0x1.9a3a091b70abep+0", "0x1.96f9aacb3cd71p-3"),
+        "0x1.46140f4a4bf86p-2", "0x1.9a3a091b70abep+0", "0x1.96f9aacb3cd70p-3"),
 }
 
 
@@ -90,7 +91,7 @@ def _one_by_one_5gh(seed, meta):
         rows = int(rng.integers(2, d["max_side"] + 1))
         cols = int(rng.integers(2, d["max_side"] + 1))
         m_lo, n_lo = int(rng.integers(1, 101)), int(rng.integers(1, 101))
-        a = np.exp(2j * math.pi * rng.random((rows, cols)))
+        a = suites._unimodular(rng.random((rows, cols)))
         m = np.arange(m_lo, m_lo + rows, dtype=np.float64) ** (-sg)
         n = np.arange(n_lo, n_lo + cols, dtype=np.float64) ** (-sg)
         chk = gh_bound_check(a, np.outer(m, n))
@@ -131,6 +132,23 @@ def test_bound_5gh_stack_keeps_instance_bits():
         assert np.array_equal(sb[k, :rows, :cols], b)
         assert (sb[k, rows:] == sb[k, rows - 1]).all()
         assert (sb[k, :, cols:] == sb[k, :, cols - 1:cols]).all()
+
+
+def test_unimodular_matches_expjpi():
+    edges = [0.0, 2.0**-60, 0.125, 0.25, 0.5, 0.75, 1.0 - 2.0**-53]
+    x = np.concatenate([np.random.default_rng(3).random(10_000), edges])
+    a = suites._unimodular(x)
+    assert a.dtype == np.complex128 and a.shape == x.shape
+    with mpmath.workdps(40):
+        err = max(abs(mpmath.mpc(v) - mpmath.expjpi(2 * mpmath.mpf(xi)))
+                  for xi, v in zip(x.tolist(), a.tolist()))
+    assert err <= 1e-15
+    assert np.abs(np.abs(a) - 1.0).max() <= 5e-16
+    # a stack pads with exact zeros around the unimodular entries
+    draws = [(0.5, 3, 7, 1, 1, x[:21].reshape(3, 7)), (0.5, 10, 2, 1, 1, x[21:41].reshape(10, 2))]
+    sa, _ = suites._gh_stack(draws, 10, 10)
+    assert np.array_equal(sa[0, :3, :7], a[:21].reshape(3, 7))
+    assert np.count_nonzero(sa) == 41 and math.isfinite(abs(sa).sum())
 
 
 def test_bound_5gh_peak_allocation():
