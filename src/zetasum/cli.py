@@ -18,8 +18,9 @@ from .config import EXTENDED_DPS
 from .kernel import oracle_recompute
 from .phases import single_sum
 from .specs import PhaseKind, SumSpec
-from .suites import (ClaimRecord, ExperimentConfig, UnknownSuiteError,
-                     load_manifest, registered_suites, run_suite)
+from .suites import (ClaimRecord, ExperimentConfig, RefusedOptionError,
+                     UnknownSuiteError, load_manifest, registered_suites,
+                     run_suite)
 
 CSV_COLUMNS = ["claim_id", "sigma", "t", "param1", "param2", "value_re",
                "value_im", "magnitude", "envelope", "ratio", "slope", "verdict"]
@@ -123,7 +124,7 @@ def _cmd_run(args) -> int:
         seed=args.seed)
     try:
         records = run_suite(config)
-    except UnknownSuiteError as exc:
+    except (UnknownSuiteError, RefusedOptionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = emit(records, args.format, args.out)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -80,13 +80,6 @@ def fit_growth_exponent(series: SampleSeries, claimed_exponent: float = math.nan
     return FitReport(slope=float(slope), intercept=float(intercept), residual_rms=rms,
                      max_ratio_constant=float(constant), claimed_exponent=claimed_exponent,
                      tolerance=tolerance, verdict=verdict, dropped_points=dropped)
-
-
-def bound_envelope(series: SampleSeries, alpha: float, ln_power: Optional[int] = None) -> float:
-    """max over the grid of magnitude / (t**alpha (ln t)**k) - the envelope constant."""
-    pts, _ = _usable(series)
-    k = series.ln_power if ln_power is None else ln_power
-    return max(m / (t**alpha * math.log(t) ** k) for t, m in pts)
 
 
 # 64-node Gauss-Legendre rule on [-1, 1], shared by the two comparison integrals

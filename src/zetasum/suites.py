@@ -1,10 +1,14 @@
 """Named experiment suites keyed to claim ids.
 
 The registry itself is data (claims.json); each entry carries an anchor
-string and the default parameters of its sweep. Runners here turn a resolved
-configuration into a flat list of ClaimRecord rows that the CLI serializes.
-Adding a sweep means adding a manifest entry plus one runner; the evaluators
-stay untouched.
+string and the default parameters of its sweep.  A run first merges the
+configuration into those defaults (`_resolve_defaults`): a suite takes an
+override only where its manifest holds that default and refuses any other.
+Runners then turn the merged parameters into a flat list of ClaimRecord rows
+that the CLI serializes, mostly through a few shared shapes: a row checked
+against a fixed tolerance (`_exact`), a growth-exponent sweep (`_growth`)
+and a bound by one frozen constant (`_frozen_bound`).  Adding a sweep means
+adding a manifest entry plus a runner; the evaluators stay untouched.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -35,6 +39,10 @@ NAN = math.nan
 
 class UnknownSuiteError(ValueError):
     """Raised for a suite id missing from the registry; lists valid ids."""
+
+
+class RefusedOptionError(ValueError):
+    """Raised for an override the suite has no use for; names the option."""
 
 
 @dataclass(frozen=True)
@@ -79,6 +87,47 @@ def registered_suites() -> List[str]:
     return sorted(load_manifest())
 
 
+def _refuse(meta: dict, what: str, why: str):
+    raise RefusedOptionError(f"suite {meta['claim_id']!r} refuses {what}: {why}")
+
+
+def _resolve_defaults(config: ExperimentConfig, meta: dict) -> dict:
+    """The manifest defaults of ``meta`` with the overrides of ``config`` merged in.
+
+    Each override replaces the default of its own name (``sigma_list`` is
+    ``--sigma``), and ``delta2`` with ``delta3`` together replace
+    ``delta_pairs``.  An override without such a default is refused.
+    """
+    d = dict(meta["defaults"])
+    given = {k: v for k, v in vars(config).items()
+             if v is not None and k not in ("suite", "threads")}
+    pair = given.pop("delta2", None), given.pop("delta3", None)
+    if pair != (None, None):
+        if None in pair or "delta_pairs" not in d:
+            _refuse(meta, "--delta2/--delta3",
+                    "the two replace a delta_pairs default, and only together")
+        d["delta_pairs"] = [pair]
+    for key, value in given.items():
+        option = "--sigma" if key == "sigma_list" else "--" + key.replace("_", "-")
+        if key not in d:
+            _refuse(meta, option, f"its manifest holds no {key} default")
+        if value == []:
+            _refuse(meta, option, "an empty list sweeps nothing")
+        d[key] = list(value) if key == "sigma_list" else value
+    return d
+
+
+def _one_sigma(meta: dict, d: dict) -> float:
+    """The single sigma of a suite that freezes one golden constant for it."""
+    if len(d["sigma_list"]) != 1:
+        _refuse(meta, "more than one --sigma", "it freezes one constant for one sigma")
+    return d["sigma_list"][0]
+
+
+def _t_grid(d: dict) -> List[float]:
+    return log_grid(d["t_min"], d["t_max"], d["points"])
+
+
 def _pmap(fn: Callable, items: Sequence, threads: int) -> list:
     """Order-preserving map, optionally across a thread pool.
 
@@ -93,24 +142,72 @@ def _pmap(fn: Callable, items: Sequence, threads: int) -> list:
         return [f.result() for f in reversed(futures)]
 
 
-def _verdict(ok: bool) -> str:
-    return "pass" if ok else "fail"
+# ---------------------------------------------------------------------------
+# record shapes
+# ---------------------------------------------------------------------------
 
 
-def _grid(config: ExperimentConfig, d: dict) -> List[float]:
-    return log_grid(config.t_min if config.t_min is not None else d["t_min"],
-                    config.t_max if config.t_max is not None else d["t_max"],
-                    config.points if config.points is not None else d["points"])
+def _record(meta, ok, *, value, magnitude, envelope, ratio=NAN, sigma=NAN,
+            t=NAN, param1=NAN, param2=NAN, slope=NAN) -> ClaimRecord:
+    """One row of the suite ``meta``, passing when ``ok``."""
+    return ClaimRecord(meta["claim_id"], meta["anchor"], sigma, t, param1, param2,
+                       value, magnitude, envelope, ratio, slope,
+                       "pass" if ok else "fail")
 
 
-def _sigmas(config: ExperimentConfig, d: dict) -> List[float]:
-    if config.sigma_list:
-        return list(config.sigma_list)
-    return list(d["sigma_list"])
+def _exact(meta, rel, tol, ok=True, **fields) -> ClaimRecord:
+    """A row checked against a fixed tolerance: passes when ``ok`` and rel <= tol.
+
+    Its ratio is rel / tol; magnitude and envelope default to rel and tol.
+    """
+    fields.setdefault("magnitude", rel)
+    fields.setdefault("envelope", tol)
+    return _record(meta, ok and rel <= tol, ratio=rel / tol, **fields)
 
 
-def _seed(config: ExperimentConfig, d: dict) -> int:
-    return config.seed if config.seed is not None else d.get("seed", 0)
+def _growth(config, meta, d, evaluate, params=(NAN, NAN)) -> List[ClaimRecord]:
+    """Growth exponent of |evaluate(s, t)| over the t grid, per s in sigma_list.
+
+    With alpha, tol, k the claimed_exponent, tolerance and ln_power, a sigma's
+    rows share the verdict slope <= alpha + tol and report the envelope
+    t**(alpha + tol) (ln t)**k C, C the fit's max-ratio constant.
+    """
+    ts = _t_grid(d)
+    alpha, tol, k = d["claimed_exponent"], d["tolerance"], d["ln_power"]
+    records = []
+    for s in d["sigma_list"]:
+        vals = _pmap(lambda t: evaluate(s, t), ts, config.threads)
+        mags = [abs(v) for v in vals]
+        fit = fit_growth_exponent(SampleSeries(meta["claim_id"], list(zip(ts, mags)),
+                                               ln_power=k),
+                                  claimed_exponent=alpha, tolerance=tol)
+        for t, v, m in zip(ts, vals, mags):
+            env = t ** (alpha + tol) * math.log(t) ** k * fit.max_ratio_constant
+            records.append(_record(
+                meta, fit.verdict is Verdict.PASS, sigma=s, t=t, param1=params[0],
+                param2=params[1], value=v, magnitude=m, envelope=env,
+                ratio=m / env if env > 0 else NAN, slope=fit.slope))
+    return records
+
+
+def _frozen_bound(meta, d, ts, vals, k, key, context, **fields) -> List[ClaimRecord]:
+    """|value| <= C (ln t)**k, C frozen under ``key``, and a fitted slope within +-tol.
+
+    The slope is that of |value| / (ln t)**k; tol is slope_tolerance, and C
+    the largest |value| / (ln t)**k times the headroom.
+    """
+    tol = d["slope_tolerance"]
+    mags = [abs(v) for v in vals]
+    fit = fit_growth_exponent(SampleSeries(meta["claim_id"], list(zip(ts, mags)),
+                                           ln_power=k),
+                              claimed_exponent=0.0, tolerance=tol)
+    logs = [math.log(t) ** k for t in ts]
+    c = golden.freeze(key, max(m / g for m, g in zip(mags, logs)) * d["headroom"],
+                      context)["constant"]
+    ok = abs(fit.slope) <= tol and all(m <= c * g for m, g in zip(mags, logs))
+    return [_record(meta, ok, t=t, value=v, magnitude=m, envelope=c * g,
+                    ratio=m / (c * g), slope=fit.slope, **fields)
+            for t, v, m, g in zip(ts, vals, mags, logs)]
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +216,8 @@ def _seed(config: ExperimentConfig, d: dict) -> int:
 
 
 def _run_identity_312(config, meta) -> List[ClaimRecord]:
-    d = meta["defaults"]
-    tol = d["tolerance"]
-    rng = np.random.default_rng(_seed(config, d))
+    d = _resolve_defaults(config, meta)
+    rng = np.random.default_rng(d["seed"])
     records = []
     for n_max in d["n_values"]:
         for _ in range(d["draws"]):
@@ -131,74 +227,54 @@ def _run_identity_312(config, meta) -> List[ClaimRecord]:
             # scale by the product side so the residual is relative
             m = np.arange(1, n_max + 1, dtype=np.float64)
             scale = abs(np.exp(-u * np.log(m)).sum() * np.exp(-v * np.log(m)).sum())
-            rel = abs(res) / max(scale, 1.0)
-            records.append(ClaimRecord(
-                claim_id=meta["claim_id"], anchor=meta["anchor"],
-                sigma=u.real, t=float(n_max), param1=u.imag, param2=v.imag,
-                value=res, magnitude=rel, envelope=tol, ratio=rel / tol,
-                slope=NAN, verdict=_verdict(rel <= tol)))
+            records.append(_exact(meta, abs(res) / max(scale, 1.0), d["tolerance"],
+                                  sigma=u.real, t=float(n_max), param1=u.imag,
+                                  param2=v.imag, value=res))
     return records
 
 
 def _run_relation_34(config, meta) -> List[ClaimRecord]:
-    d = meta["defaults"]
-    tol = d["tolerance"]
-    jobs = [(s, t) for s in _sigmas(config, d) for t in d["t_values"]]
+    d = _resolve_defaults(config, meta)
 
     def one(job):
         s, t = job
         rc = relation_36_check(s, t)
-        rel = rc.relative_residual
-        return ClaimRecord(
-            claim_id=meta["claim_id"], anchor=meta["anchor"],
-            sigma=s, t=t, param1=NAN, param2=NAN,
-            value=rc.residual, magnitude=abs(rc.residual), envelope=tol,
-            ratio=rel / tol, slope=NAN, verdict=_verdict(rel <= tol))
+        return _exact(meta, rc.relative_residual, d["tolerance"], sigma=s, t=t,
+                      value=rc.residual, magnitude=abs(rc.residual))
 
+    jobs = [(s, t) for s in d["sigma_list"] for t in d["t_values"]]
     return _pmap(one, jobs, config.threads)
 
 
 def _run_decomp_53(config, meta) -> List[ClaimRecord]:
-    d = meta["defaults"]
-    tol = d["tolerance"]
-    pairs = [(d2, d3) for d2, d3 in d["delta_pairs"]]
-    if config.delta2 is not None and config.delta3 is not None:
-        pairs = [(config.delta2, config.delta3)]
-    jobs = [(t, p) for t in d["t_values"] for p in pairs]
+    d = _resolve_defaults(config, meta)
 
     def one(job):
-        t, (d2, d3) = job
+        t, d2, d3 = job
         rep = s5_decomposition_residual(0.5, t, d2, d3)
-        ok = rep.partition_exact and rep.relative_residual <= tol
-        return ClaimRecord(
-            claim_id=meta["claim_id"], anchor=meta["anchor"],
-            sigma=0.5, t=t, param1=d2, param2=d3,
-            value=rep.residual, magnitude=abs(rep.residual), envelope=tol,
-            ratio=rep.relative_residual / tol, slope=NAN, verdict=_verdict(ok))
+        return _exact(meta, rep.relative_residual, d["tolerance"], rep.partition_exact,
+                      sigma=0.5, t=t, param1=d2, param2=d3, value=rep.residual,
+                      magnitude=abs(rep.residual))
 
+    jobs = [(t, d2, d3) for t in d["t_values"] for d2, d3 in d["delta_pairs"]]
     return _pmap(one, jobs, config.threads)
 
 
 def _run_identity_26(config, meta) -> List[ClaimRecord]:
-    d = meta["defaults"]
-    tol = d["tolerance"]
-    ts = _grid(config, d)
+    d = _resolve_defaults(config, meta)
+    ts = _t_grid(d)
     records = []
-    for s in _sigmas(config, d):
+    for s in d["sigma_list"]:
         rows = _pmap(lambda t: fl_identity_residual(s, t, 9.0 * math.pi * t),
                      ts, config.threads)
         mags = [abs(r.residual) for r in rows]
         fit = fit_growth_exponent(SampleSeries(meta["claim_id"], list(zip(ts, mags)),
                                                ln_power=0),
-                                  claimed_exponent=-s, tolerance=tol)
-        ok = fit.verdict is Verdict.PASS
-        for t, r in zip(ts, rows):
-            records.append(ClaimRecord(
-                claim_id=meta["claim_id"], anchor=meta["anchor"],
-                sigma=s, t=t, param1=9.0 * math.pi * t, param2=NAN,
-                value=r.residual, magnitude=abs(r.residual), envelope=r.envelope,
-                ratio=abs(r.residual) / r.envelope, slope=fit.slope,
-                verdict=_verdict(ok)))
+                                  claimed_exponent=-s, tolerance=d["tolerance"])
+        records += [_record(meta, fit.verdict is Verdict.PASS, sigma=s, t=t,
+                            param1=9.0 * math.pi * t, value=r.residual, magnitude=m,
+                            envelope=r.envelope, ratio=m / r.envelope, slope=fit.slope)
+                    for t, r, m in zip(ts, rows, mags)]
     return records
 
 
@@ -212,215 +288,104 @@ def nudge_eta(eta: float, clearance: float = 0.1) -> float:
 
 
 def _run_identity_27(config, meta) -> List[ClaimRecord]:
-    d = meta["defaults"]
-    ts = _grid(config, d)
-    sigma = _sigmas(config, d)[0]
-
-    def main_case(t):
-        return fr_identity_residual(sigma, t, math.e, nudge_eta(math.sqrt(t) / 2.0))
-
-    def empty_case(t):
-        # both etas inside (2pi, 4pi): the chi-side sum has an empty range
-        return fr_identity_residual(sigma, t, 2.0 * math.pi + 0.5,
-                                    4.0 * math.pi - 0.5)
-
-    rows = _pmap(main_case, ts, config.threads)
-    empty_ts = d["empty_case_t"]
-    empty_rows = _pmap(empty_case, empty_ts, config.threads)
-    all_ratios = [abs(r.residual) / r.envelope for r in rows + empty_rows]
+    d = _resolve_defaults(config, meta)
+    sigma = _one_sigma(meta, d)
+    ts, empty_ts = _t_grid(d), d["empty_case_t"]
+    # (t, eta1, eta2): the main case, then both etas inside (2pi, 4pi), where
+    # the chi-side sum has an empty range
+    cases = ([(t, math.e, nudge_eta(math.sqrt(t) / 2.0)) for t in ts]
+             + [(t, 2.0 * math.pi + 0.5, 4.0 * math.pi - 0.5) for t in empty_ts])
+    rows = _pmap(lambda case: fr_identity_residual(sigma, *case), cases, config.threads)
+    ratios = [abs(r.residual) / r.envelope for r in rows]
     context = {"suite": meta["claim_id"], "sigma": sigma, "t_grid": ts,
                "empty_case_t": empty_ts, "eta1": "e", "eta2": "sqrt(t)/2"}
-    frozen = golden.freeze(meta["claim_id"],
-                           max(all_ratios) * d["headroom"], context)
-    c = frozen["constant"]
-    records = []
-    for t, r in zip(ts, rows):
-        ratio = abs(r.residual) / r.envelope
-        records.append(ClaimRecord(
-            claim_id=meta["claim_id"], anchor=meta["anchor"],
-            sigma=sigma, t=t, param1=math.e, param2=nudge_eta(math.sqrt(t) / 2.0),
-            value=r.residual, magnitude=abs(r.residual), envelope=c * r.envelope,
-            ratio=ratio / c, slope=NAN, verdict=_verdict(ratio <= c)))
-    for t, r in zip(empty_ts, empty_rows):
-        ratio = abs(r.residual) / r.envelope
-        records.append(ClaimRecord(
-            claim_id=meta["claim_id"], anchor=meta["anchor"],
-            sigma=sigma, t=t, param1=2.0 * math.pi + 0.5, param2=4.0 * math.pi - 0.5,
-            value=r.residual, magnitude=abs(r.residual), envelope=c * r.envelope,
-            ratio=ratio / c, slope=NAN, verdict=_verdict(ratio <= c)))
-    return records
+    c = golden.freeze(meta["claim_id"], max(ratios) * d["headroom"], context)["constant"]
+    return [_exact(meta, ratio, c, sigma=sigma, t=t, param1=eta1, param2=eta2,
+                   value=r.residual, magnitude=abs(r.residual), envelope=c * r.envelope)
+            for (t, eta1, eta2), r, ratio in zip(cases, rows, ratios)]
 
 
 def _run_lemma_23(config, meta) -> List[ClaimRecord]:
-    d = meta["defaults"]
-    ts = _grid(config, d)
+    d = _resolve_defaults(config, meta)
+    ts = _t_grid(d)
     records = []
-    for s in _sigmas(config, d):
+    for s in d["sigma_list"]:
         vals = _pmap(lambda t: single_sum(SumSpec(PhaseKind.F2, s, t, 1, int(t))),
                      ts, config.threads)
-        mags = [abs(v) for v in vals]
-        fit = fit_growth_exponent(SampleSeries(meta["claim_id"], list(zip(ts, mags)),
-                                               ln_power=0),
-                                  claimed_exponent=0.0, tolerance=d["slope_tolerance"])
-        slope_ok = abs(fit.slope) <= d["slope_tolerance"]
         context = {"suite": meta["claim_id"], "sigma": s, "t_grid": ts}
-        frozen = golden.freeze(f"{meta['claim_id']}-sigma-{s:g}",
-                               max(mags) * d["headroom"], context)
-        c = frozen["constant"]
-        ok = slope_ok and all(m <= c for m in mags)
-        for t, v, m in zip(ts, vals, mags):
-            records.append(ClaimRecord(
-                claim_id=meta["claim_id"], anchor=meta["anchor"],
-                sigma=s, t=t, param1=NAN, param2=NAN,
-                value=v, magnitude=m, envelope=c, ratio=m / c,
-                slope=fit.slope, verdict=_verdict(ok)))
-    return records
-
-
-def _exponent_sweep(config, meta, evaluate) -> List[ClaimRecord]:
-    """Shared shape of the pure growth-exponent suites."""
-    d = meta["defaults"]
-    ts = _grid(config, d)
-    records = []
-    for s in _sigmas(config, d) if "sigma_list" in d else [NAN]:
-        vals = _pmap(lambda t: evaluate(s, t), ts, config.threads)
-        mags = [abs(v) for v in vals]
-        fit = fit_growth_exponent(
-            SampleSeries(meta["claim_id"], list(zip(ts, mags)),
-                         ln_power=d["ln_power"]),
-            claimed_exponent=d["claimed_exponent"], tolerance=d["tolerance"])
-        ok = fit.verdict is Verdict.PASS
-        for t, v, m in zip(ts, vals, mags):
-            env = (t ** (d["claimed_exponent"] + d["tolerance"])
-                   * math.log(t) ** d["ln_power"] * fit.max_ratio_constant)
-            records.append(ClaimRecord(
-                claim_id=meta["claim_id"], anchor=meta["anchor"],
-                sigma=s, t=t, param1=NAN, param2=NAN,
-                value=v, magnitude=m, envelope=env,
-                ratio=m / env if env > 0 else NAN,
-                slope=fit.slope, verdict=_verdict(ok)))
+        records += _frozen_bound(meta, d, ts, vals, 0, f"{meta['claim_id']}-sigma-{s:g}",
+                                 context, sigma=s)
     return records
 
 
 def _run_est_213(config, meta) -> List[ClaimRecord]:
-    return _exponent_sweep(
-        config, meta,
-        lambda s, t: single_sum(SumSpec(PhaseKind.F1, s, t, 1, int(t))))
+    return _growth(config, meta, _resolve_defaults(config, meta),
+                   lambda s, t: single_sum(SumSpec(PhaseKind.F1, s, t, 1, int(t))))
 
 
 def _run_est_25(config, meta) -> List[ClaimRecord]:
-    return _exponent_sweep(
-        config, meta,
-        lambda s, t: nsum_power(s, t, 1, int(t), minus_it=False))
+    return _growth(config, meta, _resolve_defaults(config, meta),
+                   lambda s, t: nsum_power(s, t, 1, int(t), minus_it=False))
 
 
 def _run_chi_checks(config, meta) -> List[ClaimRecord]:
-    d = meta["defaults"]
+    d = _resolve_defaults(config, meta)
     tol = d["tolerance"]
-    ts = log_grid(d["t_min"], d["t_max"], d["points"])
     records = []
-    for t in ts:
+    for t in _t_grid(d):
         s = complex(0.5, t)
         chi = chi_exact(s)
-        dev = abs(abs(chi) - 1.0)
-        records.append(ClaimRecord(
-            claim_id=meta["claim_id"], anchor=meta["anchor"],
-            sigma=0.5, t=t, param1=1.0, param2=NAN,
-            value=chi, magnitude=dev, envelope=tol, ratio=dev / tol,
-            slope=NAN, verdict=_verdict(dev <= tol)))
-        ratio_dev = abs(chi / chi_asymptotic(s) - 1.0)
-        env = 10.0 / t
-        records.append(ClaimRecord(
-            claim_id=meta["claim_id"], anchor=meta["anchor"],
-            sigma=0.5, t=t, param1=2.0, param2=NAN,
-            value=chi, magnitude=ratio_dev, envelope=env, ratio=ratio_dev / env,
-            slope=NAN, verdict=_verdict(ratio_dev <= env)))
-    rng = np.random.default_rng(_seed(config, d))
+        records += [
+            _exact(meta, abs(abs(chi) - 1.0), tol, sigma=0.5, t=t, param1=1.0, value=chi),
+            _exact(meta, abs(chi / chi_asymptotic(s) - 1.0), 10.0 / t,
+                   sigma=0.5, t=t, param1=2.0, value=chi)]
+    rng = np.random.default_rng(d["seed"])
     for _ in range(d["involution_draws"]):
         sg = rng.uniform(0.05, 0.95)
         t = rng.uniform(10.0, 1e4)
         s = complex(sg, t)
         prod = chi_exact(s) * chi_exact(1.0 - s)
-        dev = abs(prod - 1.0)
-        records.append(ClaimRecord(
-            claim_id=meta["claim_id"], anchor=meta["anchor"],
-            sigma=sg, t=t, param1=3.0, param2=NAN,
-            value=prod, magnitude=dev, envelope=tol, ratio=dev / tol,
-            slope=NAN, verdict=_verdict(dev <= tol)))
+        records.append(_exact(meta, abs(prod - 1.0), tol, sigma=sg, t=t, param1=3.0,
+                              value=prod))
     return records
 
 
 def _run_appendix_a(config, meta) -> List[ClaimRecord]:
-    d = meta["defaults"]
+    d = _resolve_defaults(config, meta)
     tol = d["tolerance"]
     records = []
-    for s in _sigmas(config, d):
+    for s in d["sigma_list"]:
         for t in d["t_values"]:
             r = functional_equation_residual(s, t)
-            rel = abs(r.residual) / r.envelope
-            records.append(ClaimRecord(
-                claim_id=meta["claim_id"], anchor=meta["anchor"],
-                sigma=s, t=t, param1=NAN, param2=NAN,
-                value=r.residual, magnitude=abs(r.residual), envelope=r.envelope * tol,
-                ratio=rel / tol, slope=NAN, verdict=_verdict(rel <= tol)))
+            records.append(_exact(meta, abs(r.residual) / r.envelope, tol, sigma=s, t=t,
+                                  value=r.residual, magnitude=abs(r.residual),
+                                  envelope=r.envelope * tol))
     # finite-sum growth at s = sigma - 1 + it
     sg = d["slope_sigma"]
-    ts = log_grid(d["t_min"], d["t_max"], d["points"])
-    vals = _pmap(lambda t: nsum_power(sg - 1.0, t, 1, int(t), minus_it=True),
-                 ts, config.threads)
-    mags = [abs(v) for v in vals]
-    claimed = 1.5 - sg
-    fit = fit_growth_exponent(SampleSeries(meta["claim_id"], list(zip(ts, mags)),
-                                           ln_power=0),
-                              claimed_exponent=claimed,
-                              tolerance=d["slope_tolerance"])
-    ok = fit.verdict is Verdict.PASS
-    for t, v, m in zip(ts, vals, mags):
-        env = t ** (claimed + d["slope_tolerance"]) * fit.max_ratio_constant
-        records.append(ClaimRecord(
-            claim_id=meta["claim_id"], anchor=meta["anchor"],
-            sigma=sg, t=t, param1=sg - 1.0, param2=NAN,
-            value=v, magnitude=m, envelope=env, ratio=m / env,
-            slope=fit.slope, verdict=_verdict(ok)))
-    return records
+    slope = dict(d, sigma_list=[sg], claimed_exponent=1.5 - sg,
+                 tolerance=d["slope_tolerance"], ln_power=0)
+    return records + _growth(
+        config, meta, slope,
+        lambda s, t: nsum_power(s - 1.0, t, 1, int(t), minus_it=True), (sg - 1.0, NAN))
 
 
 def _run_thm_51(config, meta) -> List[ClaimRecord]:
-    d = meta["defaults"]
-    delta = config.delta if config.delta is not None else d["delta"]
-    meta = dict(meta)
-    return _exponent_sweep(
-        config, meta,
-        lambda s, t: s5_1_sum(s, t, delta).total)
+    d = _resolve_defaults(config, meta)
+    return _growth(config, meta, d, lambda s, t: s5_1_sum(s, t, d["delta"]).total)
 
 
 def _run_thm_53(config, meta) -> List[ClaimRecord]:
-    d = meta["defaults"]
-    delta = config.delta if config.delta is not None else d["delta"]
-    ts = _grid(config, d)
-    s = _sigmas(config, d)[0]
+    d = _resolve_defaults(config, meta)
+    s, delta, ts = _one_sigma(meta, d), d["delta"], _t_grid(d)
     vals = _pmap(lambda t: s5_2_sum(s, t, delta).total, ts, config.threads)
-    mags = [abs(v) for v in vals]
-    fit = fit_growth_exponent(SampleSeries(meta["claim_id"], list(zip(ts, mags)),
-                                           ln_power=d["ln_power"]),
-                              claimed_exponent=0.0, tolerance=d["slope_tolerance"])
-    slope_ok = abs(fit.slope) <= d["slope_tolerance"]
-    ln_mags = [m / math.log(t) for t, m in zip(ts, mags)]
     context = {"suite": meta["claim_id"], "sigma": s, "delta": delta, "t_grid": ts}
-    frozen = golden.freeze(meta["claim_id"], max(ln_mags) * d["headroom"], context)
-    c = frozen["constant"]
-    ok = slope_ok and all(m <= c * math.log(t) for t, m in zip(ts, mags))
-    return [ClaimRecord(
-        claim_id=meta["claim_id"], anchor=meta["anchor"],
-        sigma=s, t=t, param1=delta, param2=NAN,
-        value=v, magnitude=m, envelope=c * math.log(t),
-        ratio=m / (c * math.log(t)), slope=fit.slope, verdict=_verdict(ok))
-        for t, v, m in zip(ts, vals, mags)]
+    return _frozen_bound(meta, d, ts, vals, d["ln_power"], meta["claim_id"], context,
+                         sigma=s, param1=delta)
 
 
 def _run_lemma_52(config, meta) -> List[ClaimRecord]:
-    d = meta["defaults"]
-    ts = _grid(config, d)
+    d = _resolve_defaults(config, meta)
+    ts = _t_grid(d)
     records = []
     for sg, delta in d["pairs"]:
         def one(t):
@@ -429,19 +394,13 @@ def _run_lemma_52(config, meta) -> List[ClaimRecord]:
             decay = max(t ** (-2.0 * delta * (1.0 - sg)), t ** (-delta))
             return num, asym, rel, decay
         rows = _pmap(one, ts, config.threads)
-        ratios = [rel / decay for _, _, rel, decay in rows]
-        context = {"suite": meta["claim_id"], "sigma": sg, "delta": delta,
-                   "t_grid": ts}
-        frozen = golden.freeze(f"{meta['claim_id']}-s{sg:g}-d{delta:g}",
-                               max(ratios) * d["headroom"], context)
-        c = frozen["constant"]
-        for t, (num, asym, rel, decay) in zip(ts, rows):
-            records.append(ClaimRecord(
-                claim_id=meta["claim_id"], anchor=meta["anchor"],
-                sigma=sg, t=t, param1=delta, param2=asym,
-                value=complex(num), magnitude=rel, envelope=c * decay,
-                ratio=rel / (c * decay), slope=NAN,
-                verdict=_verdict(rel <= c * decay)))
+        context = {"suite": meta["claim_id"], "sigma": sg, "delta": delta, "t_grid": ts}
+        c = golden.freeze(f"{meta['claim_id']}-s{sg:g}-d{delta:g}",
+                          max(rel / decay for _, _, rel, decay in rows) * d["headroom"],
+                          context)["constant"]
+        records += [_exact(meta, rel, c * decay, sigma=sg, t=t, param1=delta,
+                           param2=asym, value=complex(num))
+                    for t, (num, asym, rel, decay) in zip(ts, rows)]
     return records
 
 
@@ -502,11 +461,10 @@ def _gh_stack(draws, rows, cols):
 
 
 def _run_bound_5gh(config, meta) -> List[ClaimRecord]:
-    d = meta["defaults"]
-    rng = np.random.default_rng(_seed(config, d))
+    d = _resolve_defaults(config, meta)
+    rng = np.random.default_rng(d["seed"])
     n_inst = d["instances"]
-    failures = 0
-    sign_failures = 0
+    failures = 0   # instances breaking the bound or its sign conditions
     worst = (0.0, None)   # (stacked ratio, draw); ties keep the earliest draw
     for start in range(0, n_inst, _GH_CHUNK):
         draws = [_gh_draw(rng, d["sigma_list"], d["max_side"])
@@ -520,8 +478,7 @@ def _run_bound_5gh(config, meta) -> List[ClaimRecord]:
             for s in range(0, len(members), _GH_STACK):
                 idx = members[s:s + _GH_STACK]
                 chk = gh_bound_check(*_gh_stack([draws[k] for k in idx], *shape))
-                failures += int(np.count_nonzero(~chk.holds))
-                sign_failures += int(np.count_nonzero(~chk.sign_conditions_ok))
+                failures += int(np.count_nonzero(~(chk.holds & chk.sign_conditions_ok)))
                 ratios[idx] = chk.lhs / chk.bound
         k = int(np.argmax(ratios))
         if ratios[k] > worst[0]:
@@ -530,59 +487,28 @@ def _run_bound_5gh(config, meta) -> List[ClaimRecord]:
     # worst instance checked on its own
     sg, rows, cols, *_rest = draw = worst[1]
     chk = gh_bound_check(*_gh_instance(*draw))
-    ok = failures == 0 and sign_failures == 0
-    return [ClaimRecord(
-        claim_id=meta["claim_id"], anchor=meta["anchor"],
-        sigma=sg, t=float(n_inst), param1=float(rows), param2=float(cols),
-        value=complex(chk.lhs), magnitude=chk.lhs, envelope=chk.bound,
-        ratio=chk.lhs / chk.bound, slope=NAN, verdict=_verdict(ok))]
+    return [_record(meta, failures == 0, sigma=sg,
+                    t=float(n_inst), param1=float(rows), param2=float(cols),
+                    value=complex(chk.lhs), magnitude=chk.lhs, envelope=chk.bound,
+                    ratio=chk.lhs / chk.bound)]
 
 
 def _run_lemma_41(config, meta) -> List[ClaimRecord]:
-    d = meta["defaults"]
-    ts = _grid(config, d)
-    vals = _pmap(lambda t: s4_a_sum(d["sigma1"], d["sigma2"], t).value,
-                 ts, config.threads)
-    mags = [abs(v) for v in vals]
-    fit = fit_growth_exponent(SampleSeries(meta["claim_id"], list(zip(ts, mags)),
-                                           ln_power=d["ln_power"]),
-                              claimed_exponent=d["claimed_exponent"],
-                              tolerance=d["tolerance"])
-    ok = fit.verdict is Verdict.PASS
-    return [ClaimRecord(
-        claim_id=meta["claim_id"], anchor=meta["anchor"],
-        sigma=d["sigma1"], t=t, param1=d["sigma2"], param2=NAN,
-        value=v, magnitude=m,
-        envelope=t ** (d["claimed_exponent"] + d["tolerance"]) * fit.max_ratio_constant,
-        ratio=NAN, slope=fit.slope, verdict=_verdict(ok))
-        for t, v, m in zip(ts, vals, mags)]
+    d = _resolve_defaults(config, meta)
+    return _growth(config, meta, dict(d, sigma_list=[d["sigma1"]]),
+                   lambda s, t: s4_a_sum(s, d["sigma2"], t).value, (d["sigma2"], NAN))
 
 
 def _run_lemma_42(config, meta) -> List[ClaimRecord]:
-    d = meta["defaults"]
-    ts = _grid(config, d)
+    d = _resolve_defaults(config, meta)
     sg = d["sigma"]
-    vals = _pmap(lambda t: s4_b_sum(sg - 1.0, sg, 1.0, t).total,
-                 ts, config.threads)
-    mags = [abs(v) for v in vals]
-    fit = fit_growth_exponent(SampleSeries(meta["claim_id"], list(zip(ts, mags)),
-                                           ln_power=d["ln_power"]),
-                              claimed_exponent=d["claimed_exponent"],
-                              tolerance=d["tolerance"])
-    ok = fit.verdict is Verdict.PASS
-    return [ClaimRecord(
-        claim_id=meta["claim_id"], anchor=meta["anchor"],
-        sigma=sg, t=t, param1=sg - 1.0, param2=1.0,
-        value=v, magnitude=m,
-        envelope=t ** (d["claimed_exponent"] + d["tolerance"]) * fit.max_ratio_constant,
-        ratio=NAN, slope=fit.slope, verdict=_verdict(ok))
-        for t, v, m in zip(ts, vals, mags)]
+    return _growth(config, meta, dict(d, sigma_list=[sg]),
+                   lambda s, t: s4_b_sum(s - 1.0, s, 1.0, t).total, (sg - 1.0, 1.0))
 
 
 def _run_determinism(config, meta) -> List[ClaimRecord]:
-    d = meta["defaults"]
-    tol = d["tolerance"]
-    rng = np.random.default_rng(_seed(config, d))
+    d = _resolve_defaults(config, meta)
+    rng = np.random.default_rng(d["seed"])
     records = []
     for i in range(d["draws"]):
         t = float(rng.uniform(50.0, d["t_max_draw"]))
@@ -590,24 +516,17 @@ def _run_determinism(config, meta) -> List[ClaimRecord]:
         fast = grid_double_sum(sg, t).value + tail_double_sum(sg, t)
         slow = (grid_double_sum(sg, t, Strategy.BRUTE_FORCE).value
                 + tail_double_sum(sg, t, Strategy.BRUTE_FORCE))
-        rel = abs(fast - slow) / max(abs(slow), 1e-300)
-        records.append(ClaimRecord(
-            claim_id=meta["claim_id"], anchor=meta["anchor"],
-            sigma=sg, t=t, param1=float(i), param2=NAN,
-            value=fast - slow, magnitude=rel, envelope=tol, ratio=rel / tol,
-            slope=NAN, verdict=_verdict(rel <= tol)))
+        records.append(_exact(meta, abs(fast - slow) / max(abs(slow), 1e-300),
+                              d["tolerance"], sigma=sg, t=t, param1=float(i),
+                              value=fast - slow))
     # same sub-suite run on one thread and eight must agree exactly
-    probe = ExperimentConfig(suite="relation-3.4", threads=1)
-    manifest = load_manifest()
-    sub = dict(manifest["relation-3.4"], claim_id="relation-3.4")
+    probe = ExperimentConfig(suite="relation-3.4")
+    sub = dict(load_manifest()["relation-3.4"], claim_id="relation-3.4")
     one_thread = _run_relation_34(probe, sub)
-    eight = _run_relation_34(replace(probe, threads=8), sub)
-    identical = repr(one_thread) == repr(eight)
-    records.append(ClaimRecord(
-        claim_id=meta["claim_id"], anchor=meta["anchor"],
-        sigma=NAN, t=NAN, param1=1.0, param2=8.0,
-        value=complex(len(one_thread)), magnitude=0.0 if identical else 1.0,
-        envelope=0.0, ratio=NAN, slope=NAN, verdict=_verdict(identical)))
+    identical = repr(one_thread) == repr(_run_relation_34(replace(probe, threads=8), sub))
+    records.append(_record(meta, identical, param1=1.0, param2=8.0,
+                           value=complex(len(one_thread)),
+                           magnitude=0.0 if identical else 1.0, envelope=0.0))
     return records
 
 

@@ -13,8 +13,8 @@ import pytest
 import zetasum
 from zetasum.cli import (CSV_COLUMNS, emit, main, records_from_json,
                          records_to_csv, records_to_json)
-from zetasum.suites import (ClaimRecord, ExperimentConfig, registered_suites,
-                            run_suite)
+from zetasum.suites import (ClaimRecord, ExperimentConfig, RefusedOptionError,
+                            load_manifest, registered_suites, run_suite)
 
 RECORD = ClaimRecord(claim_id="demo", anchor="demo anchor", sigma=0.5,
                      t=12345.678901234567, param1=math.nan, param2=2.0,
@@ -172,7 +172,57 @@ class TestConfigPlumbing:
                                              sigma_list=[0.5]))
         assert {r.sigma for r in records} == {0.5}
 
+    def test_empty_sigma_list_refused(self):
+        with pytest.raises(RefusedOptionError, match="--sigma"):
+            run_suite(ExperimentConfig(suite="relation-3.4", sigma_list=[]))
+
     def test_grid_invariants(self):
         with pytest.raises(ValueError):
             run_suite(ExperimentConfig(suite="lemma-2.3", t_min=1e3,
                                        t_max=1e4, points=3))
+
+
+class TestOverrides:
+    """A suite takes an option only where its manifest holds that default."""
+
+    @pytest.mark.parametrize("suite,option", [
+        ("est-2.5", ["--seed", "3"]),
+        ("lemma-4.1", ["--sigma", "0.5"]),
+        ("identity-3.12", ["--t-min", "100"]),
+        ("lemma-2.3", ["--delta", "0.2"]),
+        ("decomp-5.3", ["--delta2", "0.3"]),
+        # one golden constant is frozen for the suite's single sigma
+        ("identity-2.7", ["--sigma", "0.5", "--sigma", "0.6"]),
+        ("thm-5.3", ["--sigma", "0.5", "--sigma", "0.6"]),
+    ])
+    def test_refused_option_exit_2_and_named(self, tmp_path, capsys, suite, option):
+        out = tmp_path / "never.json"
+        assert main(["run", "--suite", suite, *option, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert suite in err and option[0] in err
+        assert not out.exists()
+
+    def test_chi_checks_takes_the_grid(self, capsys):
+        assert main(["run", "--suite", "chi-checks", "--t-min", "1000",
+                     "--format", "json"]) == 0
+        rows = [r for r in json.loads(capsys.readouterr().out) if r["param1"] != 3.0]
+        assert len(rows) == 2 * 20 and min(r["t"] for r in rows) == 1000.0
+
+    def test_bound_5gh_takes_sigma(self, capsys):
+        assert main(["run", "--suite", "bound-5gh", "--sigma", "0.5",
+                     "--format", "json"]) == 0
+        record, = json.loads(capsys.readouterr().out)
+        assert record["sigma"] == 0.5
+
+    def test_delta2_with_delta3_replace_the_pairs(self):
+        records = run_suite(ExperimentConfig(suite="decomp-5.3", delta2=0.35, delta3=0.3))
+        assert {(r.param1, r.param2) for r in records} == {(0.35, 0.3)}
+        assert len(records) == 3 and all(r.passed() for r in records)
+
+    @pytest.mark.parametrize("suite", registered_suites())
+    def test_seed_taken_exactly_where_the_manifest_holds_one(self, tmp_path, capsys, suite):
+        # the benchmark passes --seed to the suites whose defaults hold "seed"
+        out = tmp_path / "out.json"
+        code = main(["run", "--suite", suite, "--seed", "5", "--out", str(out)])
+        capsys.readouterr()
+        assert (code != 2) == ("seed" in load_manifest()[suite]["defaults"])

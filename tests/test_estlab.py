@@ -6,10 +6,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from zetasum.estlab import (SampleSeries, Verdict, bound_envelope,
-                            box_sum_brute, box_sum_check, fit_growth_exponent,
-                            gh_bound_check, j2_integral, j_integral,
-                            j_integral_bound, log_grid)
+from zetasum.estlab import (SampleSeries, Verdict, box_sum_brute,
+                            box_sum_check, fit_growth_exponent, gh_bound_check,
+                            j2_integral, j_integral, j_integral_bound,
+                            log_grid)
 
 
 def _series(ts, mags, k=0):
@@ -42,8 +42,8 @@ class TestFit:
 
     def test_envelope_constant_one(self):
         ts = log_grid(1e2, 1e5, 6)
-        assert bound_envelope(_series(ts, [t**0.7 for t in ts]), 0.7) == \
-            pytest.approx(1.0, rel=1e-12)
+        rep = fit_growth_exponent(_series(ts, [t**0.7 for t in ts]), 0.7)
+        assert rep.max_ratio_constant == pytest.approx(1.0, rel=1e-12)
 
     def test_elementary_power_sum_estimate(self):
         # sum_{m<=t} m^{-0.6} tracks t^{0.4}/0.4

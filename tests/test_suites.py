@@ -1,5 +1,7 @@
-"""Suite plumbing: the thread-pool map behind every sweep, and bound-5gh's stacked checks."""
+"""Suite plumbing: the thread-pool map behind every sweep, bound-5gh's stacked checks
+and the pinned artifacts of every suite."""
 
+import hashlib
 import math
 import threading
 import time
@@ -12,7 +14,8 @@ import pytest
 from zetasum import suites
 from zetasum.cli import records_to_json
 from zetasum.estlab import gh_bound_check
-from zetasum.suites import ExperimentConfig, _pmap, load_manifest, run_suite
+from zetasum.suites import (ExperimentConfig, _pmap, load_manifest, registered_suites,
+                            run_suite)
 
 
 def test_pmap_keeps_input_order_with_uneven_costs():
@@ -160,3 +163,36 @@ def test_bound_5gh_peak_allocation():
     finally:
         tracemalloc.stop()
     assert peak <= 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+# SHA-256 of each suite's JSON artifact at threads=2 (NumPy 2.4, x86-64): a
+# change to the runners that moves one bit of one record shows here
+_ARTIFACT_SHA256 = {
+    "appendix-a": "07b7acb611bfee36ec128ff119704a8b1e4fcfaaf674ecacdab53d38ebc256aa",
+    "bound-5gh": "bbe177e66f35be2183346c67be9858e354b620e0fa63a477d0ffd5dd06e5209c",
+    "chi-checks": "4f144225dc69f6fee57012df79919a6b6ea8926ac686806f52b12c89f44370de",
+    "decomp-5.3": "b790ffa4dc99451da58145b63f037b860b91689b8111ff83186562e11c7f9fdf",
+    "determinism": "b3d5ca16f47a446c42fea4caa46db2932daad52397c30e2dbd6bf82f50f07d76",
+    "est-2.13": "b065e575c247f6fd1d1e18b7c150ea80d69ceb3828f47671fa93cfaf6fd93b34",
+    "est-2.5": "472968527c76176e322dc0468488f533a785f2487fb8a05ca642978c8136af61",
+    "identity-2.6": "f6f35ac5d36dc90e87a8bbdaf953ce202f60b1de7b5da2010daecd127016894d",
+    "identity-2.7": "6db08b0e8d26288a65c0a0d0d910e02ef29bc7ae9db52fe02f76bcee1189000c",
+    "identity-3.12": "39edb5cb426d170775ee25c3a9adedb0f1bccc0ea4e1435c22b4ad4d57581af9",
+    "lemma-2.3": "5765b70e49c6b9f78c97b0f789602b552b26506969e2c93071535a0f8e65913a",
+    "lemma-4.1": "567420bff0aec6d026c651e0f6a3ad4c35c7cb86559d588f3d2aa9cd64cd59be",
+    "lemma-4.2": "33eb647ca454865bc7b544e055f4f3fd0505f46de852dcc437c65af948583817",
+    "lemma-5.2": "213c73abe10cb9605387b12bb5f925dc4b68144021580897f13513f029211f00",
+    "relation-3.4": "52e5645c15c57d0de49e89816f023f0018bb1162e93bb1a3869ccb86d025b22f",
+    "thm-5.1": "ccfce528e90025242e337fad81825806543fa57ce33f89c738bbd13058d11f95",
+    "thm-5.3": "1658d0e9d34b66fa2de526ea1839a957990d0f8c4a995222c1d185b9d0be15ea",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(_ARTIFACT_SHA256))
+def test_artifact_pinned(suite):
+    text = records_to_json(run_suite(ExperimentConfig(suite=suite, threads=2)))
+    assert hashlib.sha256(text.encode()).hexdigest() == _ARTIFACT_SHA256[suite]
+
+
+def test_every_suite_pinned():
+    assert sorted(_ARTIFACT_SHA256) == registered_suites()
