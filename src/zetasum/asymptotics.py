@@ -12,9 +12,11 @@ import cmath
 import math
 from dataclasses import dataclass
 
+from mpmath import libmp
+
 from .config import ETA_DIST_EPS
 from .kernel import _log_sin_safe, log_gamma_complex
-from .phases import nsum_power
+from .phases import _LIBMP_LOCK, _mod_2pi, nsum_power
 
 _LN_2PI = math.log(2.0 * math.pi)
 
@@ -121,6 +123,17 @@ def e_term(sigma: float, t: float, eta: float):
     return value, envelope
 
 
+def _log_phase(t: float, eta: float) -> float:
+    """t ln(eta / 2 pi) mod 2 pi, rounded to nearest.  At t = 1e6 the phase is
+    about 1.5e7, up to 1e-9 off as a double, so it is carried 64 bits past
+    max(|f|, |t|) under _LIBMP_LOCK, as _anchor carries its phases."""
+    prec = max(math.frexp(t * math.log(eta / (2.0 * math.pi)))[1], math.frexp(t)[1]) + 64
+    with _LIBMP_LOCK:
+        ln_x = libmp.mpf_sub(libmp.mpf_log(libmp.from_float(eta), prec),
+                             libmp.mpf_log(libmp.mpf_shift(libmp.mpf_pi(prec), 1), prec), prec)
+        return _mod_2pi(libmp.mpf_mul(libmp.from_float(t), ln_x, prec), prec, libmp.round_nearest)
+
+
 def fl_identity_residual(sigma: float, t: float, eta: float) -> IdentityResidual:
     """Residual of: sum_{n=[t]+1}^{[eta/2pi]} n**(-s) = (eta/2pi)**(1-s)/(1-s) + O(t**-sigma)."""
     if not 0.0 <= sigma < 1.0:
@@ -133,8 +146,7 @@ def fl_identity_residual(sigma: float, t: float, eta: float) -> IdentityResidual
         raise ValueError("requires eta/2pi > (1+eps) t")
     s = complex(sigma, t)
     lhs = nsum_power(sigma, t, lo, hi, minus_it=True)
-    x = eta / (2.0 * math.pi)
-    rhs = cmath.exp((1.0 - s) * math.log(x)) / (1.0 - s)
+    rhs = cmath.rect((eta / (2.0 * math.pi)) ** (1.0 - sigma), -_log_phase(t, eta)) / (1.0 - s)
     return IdentityResidual(lhs=lhs, rhs=rhs, residual=lhs - rhs, envelope=t ** (-sigma))
 
 

@@ -5,11 +5,11 @@
 # negligible next to the compensated cross-chunk accumulation.
 CHUNK_SIZE = 4096
 
-# single_sum evaluates its phases as f(m0) + (f(m) - f(m0)) in anchor blocks
-# [m0, m0 + w), w at most m0 / ANCHOR_BLOCK_RATIO and STREAM_CHUNK.  Blocks
-# narrower than one CHUNK_SIZE chunk are cut only where |f| passes
-# ANCHOR_THRESHOLD: a double below 2**16 is within 7.3e-12 of the phase it
-# rounds, and larger ones lose proportionally more.
+# Every phase is f(m0) + (f(m) - f(m0)) in a block [m0, m0 + w) of the grid
+# of phases._grid_passes: w <= m0 / ANCHOR_BLOCK_RATIO from m0 =
+# ANCHOR_BLOCK_RATIO * CHUNK_SIZE on, and chunks below that are cut into such
+# blocks only where |f| passes ANCHOR_THRESHOLD: a double below 2**16 is
+# within 7.3e-12 of the phase it rounds, and larger ones lose proportionally more.
 ANCHOR_BLOCK_RATIO = 16
 ANCHOR_THRESHOLD = 2.0**16
 

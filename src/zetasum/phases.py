@@ -39,29 +39,37 @@ def phase_eval(kind: PhaseKind, t: float, m: int) -> float:
     return t * math.log1p(m / t)
 
 
-def _panels(spec: SumSpec):
-    """Yield (a, [(m0, width), ...]): one vectorized pass over the anchor blocks
-    that tile [a, a + sum of widths), in order over [lo, hi].
+_NARROW = ANCHOR_BLOCK_RATIO * CHUNK_SIZE  # grid chunks below it may be cut
+_WIDE = ANCHOR_BLOCK_RATIO * STREAM_CHUNK   # grid blocks above it are STREAM_CHUNK wide
 
-    A block [m0, m0 + width) is at most m0 / ANCHOR_BLOCK_RATIO wide (one term
-    at least) and at most STREAM_CHUNK.  Blocks never straddle the CHUNK_SIZE
-    chunks counted from lo: a block of a chunk or more is a pass of its own
-    made of whole chunks; smaller ones share the pass of their chunk.  A chunk
-    whose |f| stays within ANCHOR_THRESHOLD is one block anchored at its
-    start: its raw phases already lose little to rounding.
+
+def _grid_passes(kind: PhaseKind, t: float, lo: int, hi: int):
+    """Passes (a, blocks, cut) over [lo, hi] on a grid fixed by the phase and
+    t alone, so a term is the same whatever range asks for it.
+
+    The grid is the CHUNK_SIZE chunks counted from 1 up to _WIDE and the
+    STREAM_CHUNK blocks after it, so past _NARROW no block is wider than
+    m0 / ANCHOR_BLOCK_RATIO.  A chunk below _NARROW whose |f| passes
+    ANCHOR_THRESHOLD at either end (F1 falls in m, F2 and F3 rise) is cut
+    into blocks of max(m0 // ANCHOR_BLOCK_RATIO, 1) terms.  A run is anchored
+    at its block's start, which may precede lo.
     """
-    a, hi = spec.lo, spec.hi
+    a = lo
     while a <= hi:
-        width = min(a // ANCHOR_BLOCK_RATIO, STREAM_CHUNK)
-        end = min(a + max(width - width % CHUNK_SIZE, CHUNK_SIZE), hi + 1)
-        blocks = [(a, end - a)]
-        if width < CHUNK_SIZE and max(abs(phase_eval(spec.phase, spec.t, m))
-                                      for m in (a, end - 1)) > ANCHOR_THRESHOLD:
-            blocks, m0 = [], a
+        width = STREAM_CHUNK if a > _WIDE else CHUNK_SIZE
+        c = a - (a - 1) % width
+        end = min(c + width, hi + 1)
+        blocks = [(c, end - a)]
+        cut = c < _NARROW and max(abs(phase_eval(kind, t, m))
+                                  for m in (c, c + width - 1)) > ANCHOR_THRESHOLD
+        if cut:
+            blocks, m0 = [], c
             while m0 < end:
-                blocks.append((m0, min(max(m0 // ANCHOR_BLOCK_RATIO, 1), end - m0)))
-                m0 += blocks[-1][1]
-        yield a, blocks
+                w = min(max(m0 // ANCHOR_BLOCK_RATIO, 1), c + width - m0)
+                if m0 + w > a:
+                    blocks.append((m0, min(m0 + w, end) - max(m0, a)))
+                m0 += w
+        yield a, blocks, cut
         a = end
 
 
@@ -78,7 +86,7 @@ def _anchor(kind: PhaseKind, t: float, m0: int, m1: int) -> float:
     cached constants (pi, ln 2) without a lock, so anchors take one.
 
     The reduced value is within about 2**-60 of f(m0) mod 2*pi, but the
-    final to_float rounds it toward zero (mpmath's round_fast), not to
+    final to_float rounds it toward zero (mpmath's round_down), not to
     nearest: the double returned lies up to 1 ulp nearer zero than f(m0)
     mod 2*pi and, but for those 2**-60, never farther from it.
     """
@@ -98,9 +106,14 @@ def _anchor(kind: PhaseKind, t: float, m0: int, m1: int) -> float:
             den = m if kind is PhaseKind.F1 else tt
             ratio = libmp.mpf_div(libmp.mpf_add(m, tt, prec), den, prec)  # 1 + t/m0, 1 + m0/t
         x = libmp.mpf_mul(tt, libmp.mpf_log(ratio, prec), prec)
-        two_pi = libmp.mpf_shift(libmp.mpf_pi(prec), 1)
-        turns = libmp.mpf_nint(libmp.mpf_div(x, two_pi, prec))
-        return libmp.to_float(libmp.mpf_sub(x, libmp.mpf_mul(two_pi, turns, prec), prec))
+        return _mod_2pi(x, prec, libmp.round_down)
+
+
+def _mod_2pi(x, prec: int, rnd) -> float:
+    """The mpf x mod 2 pi at prec bits, rounded to a double by rnd; under _LIBMP_LOCK."""
+    two_pi = libmp.mpf_shift(libmp.mpf_pi(prec), 1)
+    turns = libmp.mpf_nint(libmp.mpf_div(x, two_pi, prec))
+    return libmp.to_float(libmp.mpf_sub(x, libmp.mpf_mul(two_pi, turns, prec), prec), rnd=rnd)
 
 
 # _anchors reduces in double-double while 1 <= |t| < _DD_LIMIT and |f| <
@@ -200,13 +213,13 @@ def _anchors(kind: PhaseKind, t: float, runs) -> list:
 _OFFSETS = np.arange(STREAM_CHUNK, dtype=np.float64)
 
 
-def _panel_terms(kind: PhaseKind, sigma: float, t: float, a: int, blocks, anchors):
+def _panel_terms(kind: PhaseKind, sigma: float, t: float, a: int, blocks, cut, anchors):
     """Real parts and halved imaginary parts of m**(-sigma) e^{i f(m)} for
-    m = a, a + 1, ...: one pass of _panels or of _grid_passes.
+    m = a, a + 1, ...: one pass (a, blocks, cut) of _grid_passes.
 
     blocks [(m0, w), ...] cut the pass, in order, into runs of w terms; a run
-    is anchored at m0, its first index or (on a grid) the start of its block,
-    and anchors holds the runs' f(m0) mod 2 pi.
+    is anchored at m0, the start of its block, and anchors holds the runs'
+    f(m0) mod 2 pi.
     With m = m0 + k in the block anchored at m0, the phase is the anchor plus
     an offset built from log1p, so no rounded phase is ever as large as f:
       F3: f(m) = f(m0) + t log1p(k/m0)
@@ -215,11 +228,14 @@ def _panel_terms(kind: PhaseKind, sigma: float, t: float, a: int, blocks, anchor
     and m**(-sigma) = m0**(-sigma) exp(-sigma log1p(k/m0)).  The terms come
     from u = tan(f/2), which numpy vectorizes (unlike cos and sin):
     e^{if} = (1 - u**2 + 2iu) / (1 + u**2).  Any real sigma and t are taken.
+
+    A pass not cut is one block weighted by Python's pow, a cut one by
+    numpy's, which differs in the last bit for about 5% of m0.
     """
-    if len(blocks) == 1:
+    if not cut:
         (m0, n), = blocks
         anchor, k = anchors[0], _OFFSETS[a - m0 : a - m0 + n]
-    else:  # per-term anchors for the small blocks of one chunk
+    else:  # per-term anchors for the small blocks of a cut chunk
         starts, widths = zip(*blocks)
         m0 = np.repeat(np.array(starts, dtype=np.float64), widths)
         anchor = np.repeat(anchors, widths)
@@ -248,9 +264,9 @@ def _panel_terms(kind: PhaseKind, sigma: float, t: float, a: int, blocks, anchor
 
 
 def _runs(passes):
-    """The runs (m0, m1) of passes (a, blocks): each block's anchor and last index."""
+    """The runs (m0, m1) of passes (a, blocks, cut): each block's anchor and last index."""
     runs = []
-    for a, blocks in passes:
+    for a, blocks, _ in passes:
         for m0, w in blocks:
             a += w
             runs.append((m0, a - 1))
@@ -258,7 +274,7 @@ def _runs(passes):
 
 
 def _anchored_terms(kind: PhaseKind, sigma: float, t: float, passes, anchors=None):
-    """(a, _panel_terms of the pass) for each pass (a, blocks).
+    """(a, _panel_terms of the pass) for each pass (a, blocks, cut).
 
     anchors holds the runs' anchors in order; without it every anchor of the
     passes is reduced first in one _anchors call.
@@ -267,8 +283,8 @@ def _anchored_terms(kind: PhaseKind, sigma: float, t: float, passes, anchors=Non
     if anchors is None:
         anchors = _anchors(kind, t, _runs(passes))
     i = 0
-    for a, blocks in passes:
-        yield a, _panel_terms(kind, sigma, t, a, blocks, anchors[i : i + len(blocks)])
+    for a, blocks, cut in passes:
+        yield a, _panel_terms(kind, sigma, t, a, blocks, cut, anchors[i : i + len(blocks)])
         i += len(blocks)
 
 
@@ -281,43 +297,13 @@ def single_sum(spec: SumSpec) -> complex:
     if spec.term_count > SINGLE_SUM_BUDGET:
         raise ValueError(f"budget exceeded: {spec.term_count} terms")
     partials = []
-    for _, (re, im) in _anchored_terms(spec.phase, spec.sigma, spec.t, _panels(spec)):
+    passes = _grid_passes(spec.phase, spec.t, spec.lo, spec.hi)
+    for _, (re, im) in _anchored_terms(spec.phase, spec.sigma, spec.t, passes):
         starts = np.arange(0, re.size, CHUNK_SIZE)
         im = np.add.reduceat(im, starts)
         im *= -2.0 if spec.conjugate else 2.0
         partials.extend((np.add.reduceat(re, starts) + 1j * im).tolist())
     return reduce_deterministic(partials)
-
-
-_NARROW = ANCHOR_BLOCK_RATIO * CHUNK_SIZE  # grid chunks below it may be cut
-_WIDE = ANCHOR_BLOCK_RATIO * STREAM_CHUNK   # grid blocks above it are STREAM_CHUNK wide
-
-
-def _grid_passes(t: float, lo: int, hi: int):
-    """Passes (a, blocks) of F3 terms over [lo, hi] on a grid fixed by t alone,
-    so the term of n is the same whatever range asks for it.
-
-    The grid is the CHUNK_SIZE chunks counted from 1 up to _WIDE and the
-    STREAM_CHUNK blocks after it, so past _NARROW no block is wider than
-    m0 / ANCHOR_BLOCK_RATIO.  A chunk below _NARROW whose |t ln m| passes
-    ANCHOR_THRESHOLD is cut as _panels cuts it.  A run is anchored at the
-    start of its block, which may precede lo.
-    """
-    a = lo
-    while a <= hi:
-        width = STREAM_CHUNK if a > _WIDE else CHUNK_SIZE
-        c = a - (a - 1) % width
-        end = min(c + width, hi + 1)
-        blocks = [(c, end - a)]
-        if c < _NARROW and abs(phase_eval(PhaseKind.F3, t, c + width - 1)) > ANCHOR_THRESHOLD:
-            blocks, m0 = [], c
-            while m0 < end:
-                w = min(max(m0 // ANCHOR_BLOCK_RATIO, 1), c + width - m0)
-                if m0 + w > a:
-                    blocks.append((m0, min(m0 + w, end) - max(m0, a)))
-                m0 += w
-        yield a, blocks
-        a = end
 
 
 def _grid_anchors(exponent: complex, lo: int, hi: int) -> dict:
@@ -329,7 +315,7 @@ def _grid_anchors(exponent: complex, lo: int, hi: int) -> dict:
     term keeps its bits.  The caller holds it only while the stream lives.
     """
     t = float(exponent.imag)
-    runs = _runs(_grid_passes(t, int(lo), int(hi)))
+    runs = _runs(_grid_passes(PhaseKind.F3, t, int(lo), int(hi)))
     return dict(zip([m0 for m0, _ in runs], _anchors(PhaseKind.F3, t, runs)))
 
 
@@ -338,16 +324,17 @@ def _power_terms(exponent: complex, lo: int, hi: int, anchors=None) -> np.ndarra
 
     These are the F3 terms with t = Im(exponent), conjugated, weighted by
     n**(-Re(exponent)) for any real part, on the passes of _grid_passes,
-    written into one array.  A range within one grid chunk whose |t ln n|
-    stays within ANCHOR_THRESHOLD is one pass with one anchor.  anchors, from
-    _grid_anchors over a range holding [lo, hi], spares the reduction.
+    written into one array.  anchors, from _grid_anchors over a range holding
+    [lo, hi], spares the reduction.  Unlike single_sum, a pass of one block
+    in a cut chunk is weighted as if not cut, as the coupled artifacts pinned.
     """
     sigma, t = float(exponent.real), float(exponent.imag)
     lo, hi = int(lo), int(hi)  # numpy integers make the scalar work of each pass slower
     out = np.empty(max(hi - lo + 1, 0), dtype=np.complex128)
-    passes = list(_grid_passes(t, lo, hi))
+    passes = [(a, blocks, len(blocks) > 1)
+              for a, blocks, _ in _grid_passes(PhaseKind.F3, t, lo, hi)]
     if anchors is not None:
-        anchors = [anchors[m0] for _, blocks in passes for m0, _ in blocks]
+        anchors = [anchors[m0] for _, blocks, _ in passes for m0, _ in blocks]
     for a, (re, im) in _anchored_terms(PhaseKind.F3, sigma, t, passes, anchors):
         part = out[a - lo : a - lo + re.size]
         part.real = re

@@ -120,6 +120,15 @@ class TestLeftIdentity:
         s = complex(0.5, t)
         assert r.lhs == pytest.approx(cmath.exp(-s * math.log(6)), abs=1e-12)
 
+    def test_closed_form_phase_is_exact(self):
+        # (eta/2pi)**(1-s)/(1-s) at identity-2.6's top point, from mpmath at 40
+        # digits; its phase t ln(eta/2pi) is about 1.5e7 rad, which the double
+        # product rounds by up to 1e-9 (4e-10 relative off here)
+        t = 1e6
+        ref = complex(0.07872787513394791058015588, 0.05786072262689541449140755)
+        r = fl_identity_residual(0.25, t, 9.0 * math.pi * t)
+        assert abs(r.rhs - ref) <= 1e-15 * abs(ref)
+
     def test_empty_sum_error(self):
         with pytest.raises(ValueError):
             fl_identity_residual(0.5, 1000.0, 2.0 * math.pi * 500.0)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from zetasum.config import CHUNK_SIZE, SINGLE_SUM_BUDGET
 from zetasum.kernel import oracle_recompute
 from zetasum import ddtables, kernel, phases
-from zetasum.phases import (PrefixCursor, _grid_anchors, _panels, _power_terms, c_ratio,
+from zetasum.phases import (PrefixCursor, _grid_anchors, _power_terms, c_ratio,
                             d_delta_sum, nsum_power, phase_eval, power_prefix, single_sum)
 from zetasum.specs import PhaseKind, SumSpec
 
@@ -76,13 +76,14 @@ class TestAnchoredAccuracy:
         t = 464158.8833612772
         spec = SumSpec(PhaseKind.F3, 0.25, t, 464159, 2088714, conjugate=True)
         ref = complex(-0.036868824022486306992, 0.070349151120651683882)
-        # full phases rounded to doubles: 1.4e-8; anchored: 1.6e-11
+        # full phases rounded to doubles: 1.4e-8; anchored: 9.7e-12
         assert abs(single_sum(spec) - ref) <= 1e-10
 
     @pytest.mark.parametrize("kind", [PhaseKind.F1, PhaseKind.F2])
     def test_window_deep_inside(self, kind):
         spec = SumSpec(kind, 0.5, 1e7, 5_000_001, 5_002_000)
-        # full phases: 1.4e-11 (F1), 4.5e-12 (F2); anchored: <= 1.1e-15
+        # full phases: 1.4e-11 (F1), 4.5e-12 (F2); anchored: 5.6e-15 (F1), 1.5e-15
+        # (F2), on offsets of 2880 to 4879 from the grid block at 4997121
         assert abs(single_sum(spec) - oracle_recompute(spec).as_complex()) <= 1e-13
 
 
@@ -90,20 +91,25 @@ class TestAnchoredEdges:
     @pytest.mark.parametrize("kind,t", [(PhaseKind.F3, 1e6), (PhaseKind.F1, 1e7),
                                         (PhaseKind.F2, 1e6)])
     def test_split_on_and_off_a_block_seam(self, kind, t):
-        whole_spec = SumSpec(kind, 0.5, t, 1, 300_000)
-        whole = single_sum(whole_spec)
-        seams = [a for a, _ in _panels(whole_spec)]
-        assert 131073 in seams and 2000 not in seams
+        # the anchor grid is fixed by the phase and t, so both halves evaluate
+        # every term as the whole sum does, on a seam (131073, grid chunk 33)
+        # or off one: only the reduction order differs
+        whole = single_sum(SumSpec(kind, 0.5, t, 1, 300_000))
+        for s in (2000, 77_777, 131_073, 132_073, 262_150):
+            split = (single_sum(SumSpec(kind, 0.5, t, 1, s - 1))
+                     + single_sum(SumSpec(kind, 0.5, t, s, 300_000)))
+            assert abs(split - whole) <= 1e-14, s
 
-        def split(s):
-            return (single_sum(SumSpec(kind, 0.5, t, 1, s - 1))
-                    + single_sum(SumSpec(kind, 0.5, t, s, 300_000)))
-
-        # on a seam both halves evaluate the same blocks: only the reduction
-        # order differs; off a seam the blocks differ, within the kernel error
-        assert abs(split(131073) - whole) <= 1e-14
-        assert abs(split(131073 + 1000) - whole) <= 1e-9
-        assert abs(split(2000) - whole) <= 1e-9
+    def test_one_value_per_term(self):
+        # a one-term sum is the term the coupled sums take from _power_terms
+        t, hi = 1e7, 2_000_000
+        terms = _power_terms(complex(0.5, t), 1, hi)
+        edges = {1, 2, 4096, 4097, 65_536, 65_537, 262_144, 262_145, 262_146,
+                 1_998_849, hi - 1, hi}
+        sample = sorted(edges | set(np.random.default_rng(11).integers(1, hi + 1, 400).tolist()))
+        for n in sample:
+            got = single_sum(SumSpec(PhaseKind.F3, 0.5, t, n, n, conjugate=True))
+            assert got == terms[n - 1], n
 
     @pytest.mark.parametrize("kind", list(PhaseKind))
     def test_conjugate_is_exact(self, kind):
@@ -164,25 +170,27 @@ class TestAnchoredEdges:
             single_sum(SumSpec(kind, 0.0, 1e308, 1, 10))
 
 
-# single_sum values of the kernel as first written, bit for bit: the
-# term builder it shares with _power_terms must leave them untouched.
-# The F3 range [3, 5000] at t = 1e7 and the F1 range [1, 100] at t = 1e4 are
-# cut into blocks narrower than a chunk.
+# single_sum values bit for bit, on the anchor grid of _grid_passes: a change
+# to the term builder or the plan shows here.  The F3 range [3, 5000] at
+# t = 1e7 and the F1 range [1, 100] at t = 1e4 are cut into blocks narrower
+# than a chunk.  Off oracle_recompute (F1, F2) or mpmath's Hurwitz zeta (F3):
+# 7.9e-12, 1.3e-11, 2.9e-13, 1.3e-11, 1.6e-13, 1.8e-9 (5000 unit terms),
+# 3.2e-13 and 7.7e-15.
 PINNED = [
     (SumSpec(PhaseKind.F1, 0.5, 1000000.0, 1, 70000),
      '-0x1.a6e4a13de24e9p+0', '-0x1.5b9a511dc6ed0p+1'),
     (SumSpec(PhaseKind.F1, 0.0, 10000000.0, 5000001, 5002000, conjugate=True),
-     '-0x1.4eaf61c159670p+0', '0x1.c759f51f32980p-5'),
+     '-0x1.4eaf61c163ec0p+0', '0x1.c759f520382a0p-5'),
     (SumSpec(PhaseKind.F2, 0.5, 1000000.0, 1, 300000),
-     '-0x1.912f7179e1d41p-3', '0x1.0baf032886375p+0'),
+     '-0x1.912f7179dfdd2p-3', '0x1.0baf0328865b9p+0'),
     (SumSpec(PhaseKind.F2, 0.0, 100000.0, 17, 9000, conjugate=True),
-     '-0x1.962df38959778p-4', '-0x1.4c762ebb80486p-6'),
+     '-0x1.962df38934248p-4', '-0x1.4c762ebe176a0p-6'),
     (SumSpec(PhaseKind.F3, 0.5, 100000.0, 1, 100000, conjugate=True),
      '0x1.129630f8f6564p+0', '0x1.722f001a0a4dfp+2'),
     (SumSpec(PhaseKind.F3, 0.0, 10000000.0, 3, 5000),
-     '0x1.534ff03f2e1c2p+7', '0x1.a384b8214d33bp+6'),
+     '0x1.534ff03f33625p+7', '0x1.a384b82143402p+6'),
     (SumSpec(PhaseKind.F3, 0.5, 464158.8833612772, 464159, 600000),
-     '0x1.858a34604acf2p-10', '0x1.6dfb18acd433ep-9'),
+     '0x1.858a3461b18bbp-10', '0x1.6dfb18acb65f8p-9'),
     (SumSpec(PhaseKind.F1, 0.5, 10000.0, 1, 100, conjugate=True),
      '0x1.ee3072ab234afp+0', '0x1.bf201a647a410p+0'),
 ]

@@ -168,17 +168,17 @@ def test_bound_5gh_peak_allocation():
 # SHA-256 of each suite's JSON artifact at threads=2 (NumPy 2.4, x86-64): a
 # change to the runners that moves one bit of one record shows here
 _ARTIFACT_SHA256 = {
-    "appendix-a": "07b7acb611bfee36ec128ff119704a8b1e4fcfaaf674ecacdab53d38ebc256aa",
+    "appendix-a": "2a36e4eb0b608f94c14055ce7276d91bfcad80090f01399530af887fa0b7a978",
     "bound-5gh": "bbe177e66f35be2183346c67be9858e354b620e0fa63a477d0ffd5dd06e5209c",
     "chi-checks": "4f144225dc69f6fee57012df79919a6b6ea8926ac686806f52b12c89f44370de",
     "decomp-5.3": "b790ffa4dc99451da58145b63f037b860b91689b8111ff83186562e11c7f9fdf",
     "determinism": "b3d5ca16f47a446c42fea4caa46db2932daad52397c30e2dbd6bf82f50f07d76",
-    "est-2.13": "b065e575c247f6fd1d1e18b7c150ea80d69ceb3828f47671fa93cfaf6fd93b34",
-    "est-2.5": "472968527c76176e322dc0468488f533a785f2487fb8a05ca642978c8136af61",
-    "identity-2.6": "f6f35ac5d36dc90e87a8bbdaf953ce202f60b1de7b5da2010daecd127016894d",
-    "identity-2.7": "6db08b0e8d26288a65c0a0d0d910e02ef29bc7ae9db52fe02f76bcee1189000c",
+    "est-2.13": "ff19d58aaae3c7bef5dc2a75131f772f9d61cd6988db7d211e4118cbc6abb934",
+    "est-2.5": "799ef71d75000cc81f93fb3e92241e183be26b9d71d71162900e27df27d72233",
+    "identity-2.6": "b99734282269b15d9969737a3eddda475179890e7990405532a3582edd498e9d",
+    "identity-2.7": "7ee8d5ba7132ef230e857c16e1cb3b82e973aad13804f30c7e725d95ddd5d3f8",
     "identity-3.12": "39edb5cb426d170775ee25c3a9adedb0f1bccc0ea4e1435c22b4ad4d57581af9",
-    "lemma-2.3": "5765b70e49c6b9f78c97b0f789602b552b26506969e2c93071535a0f8e65913a",
+    "lemma-2.3": "f25f013bb7399b3a4315b40e7ad8141fa816ac2c9d07a68b47703b34440d23b8",
     "lemma-4.1": "567420bff0aec6d026c651e0f6a3ad4c35c7cb86559d588f3d2aa9cd64cd59be",
     "lemma-4.2": "33eb647ca454865bc7b544e055f4f3fd0505f46de852dcc437c65af948583817",
     "lemma-5.2": "213c73abe10cb9605387b12bb5f925dc4b68144021580897f13513f029211f00",
