@@ -109,7 +109,7 @@ def _window_sum(exponent: complex, m_lo: int, m_hi: int, bounds: Callable,
     term is generated once, over the n-range the windows touch, with prefixes
     from its start.  If every lo-end precedes every hi-end each end reads its
     own cursor and the stretch between enters as one carry times sum w;
-    otherwise one cursor serves both, keeping the blocks between them.  Each
+    otherwise one cursor serves both, its tape spanning the two ends.  Each
     cursor, and the outer weights over [m_lo, m_hi], reduce their anchors once.
     """
     ends = np.array([m_lo, m_hi], dtype=np.int64)
@@ -134,7 +134,8 @@ def _window_sum(exponent: complex, m_lo: int, m_hi: int, bounds: Callable,
         p_hi, _ = hi_cur.read(hi_k, hi[-1] if split else lo[-1])
         w = np.conj(x_lo) if outer is None else _power_terms(outer, a, b, w_anchors)[keep]
         partials.append(complex(np.sum(w * (p_hi - p_lo))))
-        weights.append(complex(w.sum()))
+        if split:  # the weights feed only the gap between the two cursors
+            weights.append(complex(w.sum()))
     if split and weights:
         gap = lo_cur.read(np.array([lo_last]), lo_last)[0][0]
         partials.append(gap * reduce_deterministic(weights))
@@ -267,10 +268,10 @@ def s4_b_sum(sigma1: float, sigma2: float, sigma3: float, t: float,
     since the third factor prevents prefix factorization.  m1 and m2 are cut
     into at most 16 blocks of W = max(4 STREAM_CHUNK, ceil([t]/16)) indices,
     each factor's blocks into 2W-point spectra by one batched FFT.  Output
-    block k (m1 + m2 in [kW + 2, (k+2)W + 1]) is one inverse FFT of
-    sum_{i+j=k} A_i B_j, dotted with the two W-long blocks of the n-factor it
-    overlaps, made one block ahead.  Memory: the spectra, 64 bytes per unit
-    of t, plus O(W).
+    block k (m1 + m2 in [kW + 2, (k+2)W + 1]) is the inverse FFT of
+    sum_{i+j=k} A_i B_j (_block_products), dotted with the two W-long blocks
+    of the n-factor it overlaps.  Memory: the spectra, 64 bytes per unit of
+    t, which the products overwrite, plus one tile buffer and O(W).
     """
     if not (sigma1 < 0.0 and 0.0 < sigma2 < 1.0 and sigma3 >= 1.0):
         raise ValueError("requires sigma1 < 0, sigma2 in (0,1), sigma3 >= 1")
@@ -295,16 +296,12 @@ def s4_b_sum(sigma1: float, sigma2: float, sigma3: float, t: float,
     def c1(j):  # n**(-sigma1-it) for n in [j*W + 2, (j+1)*W + 1], n <= 2[t]
         return _power_terms(e1, j * width + 2, min((j + 1) * width + 1, 2 * big_t), c1_anchors)
 
-    spec = np.empty(2 * width, dtype=np.complex128)
+    conv = _block_products(a3_hat, b2_hat)
     partials, c_next = [], c1(0)
     for k in range(2 * count - 1):
         c_cur, c_next = c_next, c1(k + 1)
-        first, last = max(0, k - count + 1), min(k, count - 1)
-        np.einsum("if,if->f", a3_hat[first : last + 1], b2_hat[k - last : k - first + 1][::-1],
-                  out=spec)
-        conv = np.fft.ifft(spec, out=spec)
-        partials.append(complex(np.sum(conv[:c_cur.size] * c_cur)))
-        partials.append(complex(np.sum(conv[width : width + c_next.size] * c_next)))
+        partials.append(complex(np.sum(conv[k][:c_cur.size] * c_cur)))
+        partials.append(complex(np.sum(conv[k][width : width + c_next.size] * c_next)))
     return SplitSumResult(total=reduce_deterministic(partials), part1=None, part2=None,
                           term_count=big_t * big_t, strategy=Strategy.PREFIX_FACTORIZED)
 
@@ -318,6 +315,38 @@ def _block_spectra(exponent: complex, big_t: int, width: int, count: int) -> np.
         terms = _power_terms(exponent, i * width + 1, min((i + 1) * width, big_t), anchors)
         rows[i, :terms.size] = terms
     return np.fft.fft(rows, axis=1, out=rows)
+
+
+# Spectrum columns s4_b_sum multiplies per pass: the tile of all 2K spectrum
+# rows (1 MiB at K = 16) stays in L2 across the 2K - 1 output blocks.
+_PRODUCT_TILE = 2048
+
+
+def _block_products(a_hat: np.ndarray, b_hat: np.ndarray) -> list:
+    """Rows k = 0, ..., 2K - 2: the inverse FFT of sum_{i+j=k} a_hat[i] b_hat[j],
+    for K spectra each, written over the spectra.
+
+    The products are formed _PRODUCT_TILE columns at a time into one
+    (2K - 1)-row buffer, whose tile goes back over the spectra columns the
+    tile no longer needs: output k < K to row k of a_hat, the rest to b_hat.
+    Per output and column the terms are those of one einsum over all
+    columns, in the same order, so the bits do not depend on the tile.
+    """
+    count, n = a_hat.shape
+    tile = np.empty((2 * count - 1, min(_PRODUCT_TILE, n)), dtype=np.complex128)
+    for f in range(0, n, _PRODUCT_TILE):
+        a, b = a_hat[:, f : f + _PRODUCT_TILE], b_hat[:, f : f + _PRODUCT_TILE]
+        out = tile[:, : a.shape[1]]
+        for k in range(2 * count - 1):
+            first, last = max(0, k - count + 1), min(k, count - 1)
+            np.einsum("if,if->f", a[first : last + 1], b[k - last : k - first + 1][::-1],
+                      out=out[k])
+        a[...] = out[:count]
+        b[: count - 1] = out[count:]
+    np.fft.ifft(a_hat, axis=1, out=a_hat)
+    if count > 1:
+        np.fft.ifft(b_hat[: count - 1], axis=1, out=b_hat[: count - 1])
+    return [*a_hat, *b_hat[: count - 1]]
 
 
 def _s4_b_term(sigma1: float, sigma2: float, sigma3: float, t: float) -> Callable:
@@ -356,25 +385,22 @@ def m_set_contains(m1: int, m2: int, t: float, delta2: float, delta3: float) -> 
     return m2 * ratio2 > m1 and m2 < m1 * ratio3
 
 
-def _row_split(m1: int, big_t: int, ratio2: float, ratio3: float):
-    """For fixed m1 return (k2, k1): the row {1..[t]} splits into
-    low-ratio block m2 <= k2, middle block k2 < m2 < k1 (the restricted set),
-    and high-ratio block m2 >= k1.  Uses the same comparisons as
-    m_set_contains, adjusted to be exact under float rounding.
+def _row_splits(m1: np.ndarray, big_t: int, ratio2: float, ratio3: float):
+    """For the rows m1 = 1..[t], (k2, k1) as int64 arrays: the row {1..[t]}
+    splits into the low-ratio block m2 <= k2, the middle block k2 < m2 < k1
+    (the restricted set) and the high-ratio block m2 >= k1.
+
+    k2 is the largest m2 <= [t] with m2 * ratio2 <= m1, and k1 the smallest
+    m2 >= 1 with m2 >= m1 * ratio3, capped at [t] + 1, under the float
+    comparisons of m_set_contains.  k1 is max(1, ceil(m1 * ratio3)); k2
+    starts at [m1 / ratio2] and steps by 1 while a comparison says it must.
     """
-    # largest m2 with m2 * ratio2 <= m1  (complement of the lower condition)
-    k2 = int(m1 / ratio2)
-    while (k2 + 1) * ratio2 <= m1:
-        k2 += 1
-    while k2 >= 1 and k2 * ratio2 > m1:
-        k2 -= 1
-    k2 = min(k2, big_t)
-    # smallest m2 with m2 >= m1 * ratio3  (complement of the upper condition)
-    k1 = int(m1 * ratio3) + 1
-    while k1 > 1 and (k1 - 1) >= m1 * ratio3:
-        k1 -= 1
-    while k1 < m1 * ratio3:
-        k1 += 1
+    k2 = np.minimum(m1 * (1.0 / ratio2), big_t).astype(np.int64)
+    while (up := (k2 < big_t) & ((k2 + 1) * ratio2 <= m1)).any():
+        k2 += up
+    while (down := (k2 >= 1) & (k2 * ratio2 > m1)).any():
+        k2 -= down
+    k1 = np.clip(np.ceil(m1 * ratio3), 1.0, big_t + 1.0).astype(np.int64)
     return k2, k1
 
 
@@ -409,40 +435,30 @@ def s5_decomposition_residual(sigma: float, t: float, delta2: float, delta3: flo
     if big_t < 1 or big_t > BRUTE_FORCE_BUDGET:
         raise ValueError("budget: need 1 <= [t] <= 3e4")
     ratio2, ratio3 = _ratio_thresholds(t, delta2, delta3)
-    # m2 cuts of row m1: S2 = (0, k2], M = (k2, k1c - 1], S1 = (k1c - 1, [t]]
+    m1 = _ar(1, big_t)
+    k2, k1 = _row_splits(m1, big_t, ratio2, ratio3)
+    # m2 cuts of row m1: S2 = (0, k2], M = (k2, k1 - 1], S1 = (k1 - 1, [t]]
     cuts = np.zeros((4, big_t + 1), dtype=np.int64)
-    m_count = s1_count = s2_count = 0
-    partition_exact = True
-    lit_s1 = lit_s2 = simp_s1 = simp_s2 = 0
+    cuts[1, 1:], cuts[2, 1:], cuts[3, 1:] = k2, k1 - 1, big_t
+    m_count = int(np.maximum(k1 - 1 - k2, 0).sum())
+    s2_count = int(k2.sum())
+    s1_count = int((big_t + 1 - k1).sum())
+    partition_exact = (bool(((0 <= k2) & (k2 < k1)).all())
+                       and m_count + s1_count + s2_count == big_t * big_t)
 
-    # published closed-form outer/inner bounds
-    lit_s1_outer = int(t / ratio3) - 1
-    lit_s2_outer_lo = int(t ** (1.0 - delta2))
-    simp_s1_outer = int(t**delta3)
-    t_pow_1m2 = t ** (1.0 - delta2)
+    # audit of the published closed-form outer/inner bounds against the exact sets
+    def mismatch(rows, k, default, exact):
+        return int(np.abs(np.where(rows, k, default) - exact).sum())
 
-    for m1 in range(1, big_t + 1):
-        k2, k1 = _row_split(m1, big_t, ratio2, ratio3)
-        k1c = min(k1, big_t + 1)
-        if not (0 <= k2 < k1c <= big_t + 1):
-            partition_exact = False
-        m_count += max(0, k1c - 1 - k2)
-        s2_count += k2
-        s1_count += big_t - k1c + 1
-        cuts[1:, m1] = k2, k1c - 1, big_t
-
-        # audit of the published ranges against the exact sets
-        lit_k1 = int(ratio3 * m1) + 1 if m1 <= lit_s1_outer else big_t + 1
-        lit_s1 += abs(min(lit_k1, big_t + 1) - k1c)
-        lit_k2 = int(m1 / ratio2) - 1 if m1 >= lit_s2_outer_lo else 0
-        lit_s2 += abs(max(lit_k2, 0) - k2)
-        simp_k1 = int(t ** (1.0 - delta3) * m1) + 1 if m1 <= simp_s1_outer else big_t + 1
-        simp_s1 += abs(min(simp_k1, big_t + 1) - k1c)
-        simp_k2 = int(m1 / t_pow_1m2) if m1 >= lit_s2_outer_lo else 0
-        simp_s2 += abs(max(simp_k2, 0) - k2)
-
-    if m_count + s1_count + s2_count != big_t * big_t:
-        partition_exact = False
+    lit_s2_rows = m1 >= int(t ** (1.0 - delta2))
+    lit_s1 = mismatch(m1 <= int(t / ratio3) - 1,
+                      np.minimum((ratio3 * m1).astype(np.int64) + 1, big_t + 1), big_t + 1, k1)
+    lit_k2 = np.minimum(m1 / ratio2, 2.0**62).astype(np.int64) - 1  # capped short of int64's end
+    lit_s2 = mismatch(lit_s2_rows, np.maximum(lit_k2, 0), 0, k2)
+    simp_s1 = mismatch(m1 <= int(t**delta3),
+                       np.minimum((t ** (1.0 - delta3) * m1).astype(np.int64) + 1, big_t + 1),
+                       big_t + 1, k1)
+    simp_s2 = mismatch(lit_s2_rows, (m1 / t ** (1.0 - delta2)).astype(np.int64), 0, k2)
 
     def part(i, j):  # m2 in (cuts[i, m1], cuts[j, m1]], inner index n = m1 + m2
         return _window_sum(complex(sigma, -t), 1, big_t,
@@ -523,7 +539,7 @@ def s5_2_sum(sigma: float, t: float, delta: float,
         raise ValueError("budget exceeded")
 
     def hi_of(m):
-        return (m.astype(np.float64) * (1.0 + tau)).astype(np.int64)
+        return (m * (1.0 + tau)).astype(np.int64)
     # m**(-s) is the conjugate of the inner term at n = m
     sa = _window_sum(complex(sigma, -t), m_lo, big_t, lambda m: (m, np.minimum(hi_of(m), big_t)))
     # overhang windows are empty below m = ([t] + 1) / (1 + tau)

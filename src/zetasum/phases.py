@@ -10,7 +10,6 @@ from __future__ import annotations
 import cmath
 import math
 import threading
-from collections import deque
 
 import numpy as np
 from mpmath import libmp
@@ -397,50 +396,115 @@ def prefix_blocks(exponent: complex, start: int, stop: int, width: int):
         a = b + 1
 
 
+# A read spanning at most this many prefix blocks, from the least position it
+# or a later read needs to its last, grows the tape to cover all of it.
+_TAPE_BLOCKS = 4
+_ZERO = np.zeros(1, dtype=np.complex128)  # every cursor's first tape
+_ZERO.flags.writeable = False
+
+
 class PrefixCursor:
     """Forward-only reader of R(k) = sum_{n=start}^{k} n**(-exponent), k <= stop.
 
-    Blocks of prefix_blocks are generated once, in order; a read keeps only
-    those reaching keep_from, the least position the caller reads next, and
-    forms a block's prefixes when a read first lands in it.
+    Blocks of prefix_blocks are generated once, in order.  The cursor keeps
+    one tape: the prefixes, and the terms if its first read asked for them,
+    in one contiguous array from the least position still needed to the last
+    one generated.  A read of consecutive positions returns a slice of the
+    tape, any other read one gather.  A tape is replaced, never written, so
+    an array a read returned keeps its values through later reads.  Callers
+    must not write to what a read returns, which may be a view of the tape.
     """
 
     def __init__(self, exponent: complex, start: int, stop: int, width: int):
         self._blocks = prefix_blocks(exponent, start, stop, width)
-        self._kept: deque = deque()  # [a, terms, carry, prefixes or None]
-        self._end = start - 1
+        self._span = _TAPE_BLOCKS * width
+        self._lo = self._end = start - 1  # the tape holds R(_lo), ..., R(_end)
+        self._p = _ZERO
+        self._x = None  # the terms' tape, kept from a first read with_terms
+        self._first = True
 
     def read(self, q: np.ndarray, keep_from: int, with_terms: bool = False):
-        """(R(q), terms at q or None) for sorted q >= start - 1, where R(start - 1) = 0.
+        """(R(q), terms at q or None) for sorted q >= start - 1, where R(start - 1) = 0
+        and so is the term there; keep_from is the least position read later.
 
-        The terms are gathered only with_terms.
+        The terms are gathered only with_terms, which needs the first read to
+        ask for them.
         """
-        cum = np.zeros(q.size, dtype=np.complex128)
-        terms = np.zeros(q.size, dtype=np.complex128) if with_terms else None
-        kept = self._kept
-
-        def fill(block):
-            a, x, carry, c = block
-            i, j = np.searchsorted(q, (a, a + x.size))
-            if i == j:
-                return
-            if c is None:
-                c = block[3] = carry + np.cumsum(x)
-            at = q[i:j] - a
-            cum[i:j] = c[at]
+        if self._first:
+            self._first = False
             if with_terms:
-                terms[i:j] = x[at]
+                self._x = _ZERO
+        elif with_terms and self._x is None:
+            raise ValueError("terms are kept only if the first read asks for them")
+        done, pieces = self._grow(q, int(keep_from), with_terms) if q[-1] > self._end else (0, [])
+        rest = q[done:]
+        lo = self._lo
+        i = int(rest[0]) - lo
+        if int(rest[-1]) - lo - i == rest.size - 1 and (rest[1:] != rest[:-1]).all():
+            at = slice(i, i + rest.size)  # consecutive
+        else:
+            at = rest - lo
+        p, x = self._p[at], self._x[at] if with_terms else None
+        if pieces:
+            p = np.concatenate([pp for pp, _ in pieces] + [p])
+            if with_terms:
+                x = np.concatenate([xx for _, xx in pieces] + [x])
+        return p, x
 
-        for block in kept:
-            fill(block)
-        while True:
-            while kept and kept[0][0] + kept[0][1].size <= keep_from:
-                kept.popleft()
-            if self._end >= q[-1]:
-                return cum, terms
-            kept.append([*next(self._blocks), None])
-            fill(kept[-1])
-            self._end = kept[-1][0] + kept[-1][1].size - 1
+    def _grow(self, q, keep_from: int, with_terms: bool):
+        """Generate blocks through q[-1] and replace the tape; return how many
+        of q were answered from parts before the new tape, and those answers
+        as (prefixes, terms or None) pieces.
+
+        The tape runs from the least position this read or a later one needs
+        if that spans at most _TAPE_BLOCKS blocks.  Otherwise it runs from
+        keep_from (at most q[-1]), and the reads before it are answered part
+        by part, forming the prefixes of only the blocks they land in.
+        """
+        last = int(q[-1])
+        need = min(int(q[0]), keep_from)
+        tape_from = need if last - need <= self._span else min(keep_from, last)
+        done, pieces = 0, []
+        run = []  # (a, prefixes or None, terms, carry): the parts of the new tape
+
+        def settle(a, p, x):  # answer the reads in [a, a + p.size) from one part
+            j = int(np.searchsorted(q, a + p.size))
+            at = q[done:j] - a
+            pieces.append((p[at], x[at] if with_terms else None))
+            return j
+
+        cut = max(need - self._lo, 0)
+        if cut < self._p.size:
+            x = None if self._x is None else self._x[cut:]
+            if self._end >= tape_from:
+                run.append((self._lo + cut, self._p[cut:], x, None))
+            elif q[0] <= self._end:
+                done = settle(self._lo + cut, self._p[cut:], x)
+        while self._end < last:
+            a, terms, carry = next(self._blocks)
+            self._end = a + terms.size - 1
+            if self._end >= tape_from:
+                run.append((a, None, terms, carry))
+            elif q[done] <= self._end:  # a read lands in the block
+                done = settle(a, carry + np.cumsum(terms), terms)
+        lo, p, x, carry = run[0]
+        self._lo = lo
+        if len(run) == 1:
+            self._p = carry + np.cumsum(x) if p is None else p
+        else:  # prefixes formed in place: carry + np.cumsum(terms), bit for bit
+            self._p = np.empty(self._end + 1 - lo, dtype=np.complex128)
+            for a, prefixes, terms, carry in run:
+                if prefixes is None:
+                    part = self._p[a - lo : a - lo + terms.size]
+                    np.cumsum(terms, out=part)
+                    part += carry
+                else:
+                    self._p[a - lo : a - lo + prefixes.size] = prefixes
+            if self._x is not None:
+                x = np.concatenate([terms for _, _, terms, _ in run])
+        if self._x is not None:
+            self._x = x
+        return done, pieces
 
 
 def power_prefix(exponent: complex, upper: int) -> np.ndarray:

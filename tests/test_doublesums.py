@@ -1,6 +1,7 @@
 """Double sums: grid/tail rearrangements, shifted sums, and the S1/S2 split."""
 
 import cmath
+import dataclasses
 import math
 import tracemalloc
 
@@ -175,6 +176,92 @@ class TestS5Decomposition:
     def test_residual_small_everywhere(self):
         rep = s5_decomposition_residual(0.5, 1000.0, 0.4, 0.25)
         assert rep.partition_exact and rep.relative_residual <= 1e-10
+
+    # the manifest's delta pairs at its t values and the budget's top, and
+    # (0.5, 0.5), whose ratios 9 and 49 at t = 100 and 2500 put pairs with
+    # m2 * ratio2 == m1 and m2 == m1 * ratio3 on both boundaries; at 2500,
+    # m1 * (1 / 49) falls just short of k2 on 29 rows, which the search corrects
+    @pytest.mark.parametrize("t,d2,d3", [
+        *[(t, d2, d3) for t in (50.0, 200.0, 1000.0, 3e4) for d2, d3 in ((0.3, 0.3), (0.4, 0.25))],
+        (100.0, 0.5, 0.5), (2500.0, 0.5, 0.5),
+    ])
+    def test_matches_row_loop(self, t, d2, d3):
+        if d2 == 0.5:
+            assert doublesums._ratio_thresholds(t, d2, d3)[0] == round(math.sqrt(t)) - 1
+        got, ref = s5_decomposition_residual(0.5, t, d2, d3), _decomposition_by_rows(0.5, t, d2, d3)
+        for field in dataclasses.fields(ref):
+            assert _bits(getattr(got, field.name)) == _bits(getattr(ref, field.name)), field.name
+
+
+def _bits(v):
+    if isinstance(v, complex):
+        return v.real.hex(), v.imag.hex()
+    return v.hex() if isinstance(v, float) else v
+
+
+def _row_split(m1, big_t, ratio2, ratio3):
+    """(k2, k1) of row m1 by two monotone integer searches: the per-row
+    reference for doublesums._row_splits."""
+    k2 = int(m1 / ratio2)
+    while (k2 + 1) * ratio2 <= m1:
+        k2 += 1
+    while k2 >= 1 and k2 * ratio2 > m1:
+        k2 -= 1
+    k2 = min(k2, big_t)
+    k1 = int(m1 * ratio3) + 1
+    while k1 > 1 and (k1 - 1) >= m1 * ratio3:
+        k1 -= 1
+    while k1 < m1 * ratio3:
+        k1 += 1
+    return k2, k1
+
+
+def _decomposition_by_rows(sigma, t, delta2, delta3):
+    """s5_decomposition_residual with its cuts and audit counts made row by row."""
+    big_t = int(t)
+    ratio2, ratio3 = doublesums._ratio_thresholds(t, delta2, delta3)
+    cuts = np.zeros((4, big_t + 1), dtype=np.int64)
+    m_count = s1_count = s2_count = 0
+    partition_exact = True
+    lit_s1 = lit_s2 = simp_s1 = simp_s2 = 0
+    lit_s1_outer = int(t / ratio3) - 1
+    lit_s2_outer_lo = int(t ** (1.0 - delta2))
+    simp_s1_outer = int(t**delta3)
+    t_pow_1m2 = t ** (1.0 - delta2)
+    for m1 in range(1, big_t + 1):
+        k2, k1 = _row_split(m1, big_t, ratio2, ratio3)
+        k1c = min(k1, big_t + 1)
+        if not (0 <= k2 < k1c <= big_t + 1):
+            partition_exact = False
+        m_count += max(0, k1c - 1 - k2)
+        s2_count += k2
+        s1_count += big_t - k1c + 1
+        cuts[1:, m1] = k2, k1c - 1, big_t
+        lit_k1 = int(ratio3 * m1) + 1 if m1 <= lit_s1_outer else big_t + 1
+        lit_s1 += abs(min(lit_k1, big_t + 1) - k1c)
+        lit_k2 = int(m1 / ratio2) - 1 if m1 >= lit_s2_outer_lo else 0
+        lit_s2 += abs(max(lit_k2, 0) - k2)
+        simp_k1 = int(t ** (1.0 - delta3) * m1) + 1 if m1 <= simp_s1_outer else big_t + 1
+        simp_s1 += abs(min(simp_k1, big_t + 1) - k1c)
+        simp_k2 = int(m1 / t_pow_1m2) if m1 >= lit_s2_outer_lo else 0
+        simp_s2 += abs(max(simp_k2, 0) - k2)
+    if m_count + s1_count + s2_count != big_t * big_t:
+        partition_exact = False
+
+    def part(i, j):
+        return _window_sum(complex(sigma, -t), 1, big_t,
+                           lambda m: (m + cuts[i, m], m + cuts[j, m]), complex(sigma, t))
+
+    lhs, rhs = part(0, 3), part(1, 2) + part(2, 3) + part(0, 1)
+    resid = lhs - rhs
+    return doublesums.DecompositionReport(
+        lhs=lhs, rhs=rhs, residual=resid,
+        relative_residual=abs(resid) / max(abs(lhs), abs(rhs), 1.0),
+        partition_exact=partition_exact,
+        m_count=m_count, s1_count=s1_count, s2_count=s2_count,
+        literal_s1_mismatch=lit_s1, literal_s2_mismatch=lit_s2,
+        simplified_s1_mismatch=simp_s1, simplified_s2_mismatch=simp_s2,
+    )
 
 
 class TestS5Sums:
@@ -450,6 +537,18 @@ class TestBlockedConvolution:
         assert abs(fast - slow) <= 1e-9 * abs(slow)
         direct = _s4_b_convolve(-0.7, 0.3, 1.0, 2000.0)
         assert abs(fast - direct) <= 1e-12 * abs(direct)
+
+    @pytest.mark.parametrize("chunk", [3, 7])
+    def test_tile_width_keeps_bits(self, monkeypatch, chunk):
+        # t = 700 gives 16 blocks of 44, so 88-point spectra: tiles of 1, 5 and 64
+        # columns cut them unevenly, and the default takes all 88 at once
+        monkeypatch.setattr(doublesums, "STREAM_CHUNK", chunk)
+        totals = set()
+        for tile in (1, 5, 64, doublesums._PRODUCT_TILE):
+            monkeypatch.setattr(doublesums, "_PRODUCT_TILE", tile)
+            total = s4_b_sum(-0.7, 0.3, 1.0, 700.0).total
+            totals.add((total.real.hex(), total.imag.hex()))
+        assert len(totals) == 1
 
     def test_non_finite_term_raises(self):
         # (m1 + m2)**400 overflows a double from m1 + m2 = 6 on

@@ -418,6 +418,63 @@ class TestPrefix:
             got, _ = cursor.read(q, q[0])
             assert got.tobytes() == full[q].tobytes()
 
+    def test_read_returns_view_that_later_reads_keep(self):
+        # a window read on one cursor: lo = m, then hi = [m (1 + tau)], which
+        # grows the tape past the blocks the lo read returned a view of
+        e = complex(0.5, 1e4)
+        full, terms = power_prefix(e, 40_000), _power_terms(e, 1, 40_000)
+        cursor = PrefixCursor(e, 1, 40_000, CHUNK_SIZE)
+        m = np.arange(5000, 9000)
+        hi = (m * 1.5).astype(np.int64)
+        p_lo, x_lo = cursor.read(m, hi[0], with_terms=True)
+        assert not p_lo.flags.owndata and not x_lo.flags.owndata
+        before = p_lo.tobytes(), x_lo.tobytes()
+        p_hi, _ = cursor.read(hi, m[-1])
+        assert (p_lo.tobytes(), x_lo.tobytes()) == before
+        assert before == (full[m].tobytes(), terms[m - 1].tobytes())
+        assert p_hi.tobytes() == full[hi].tobytes()
+
+    def test_repeated_positions_and_start_minus_one(self):
+        # [m (1 + tau)] repeats no position but skips some; constant and
+        # repeated reads (one spanning as many positions as it holds), and
+        # reads of start - 1, where R and the term are 0
+        e = complex(0.5, 1e4)
+        full, terms = power_prefix(e, 30_000), _power_terms(e, 1, 30_000)
+        cursor = PrefixCursor(e, 1, 30_000, CHUNK_SIZE)
+        m = np.arange(1, 20_000)
+        for q in (np.zeros(7, dtype=np.int64), np.concatenate([[0, 0, 1, 1], m // 3]),
+                  (m * 1.3).astype(np.int64), np.array([29_997, 29_997, 29_999]),
+                  np.array([29_999, 29_999, 30_000])):
+            got, x = cursor.read(q, q[0], with_terms=True)
+            assert got.tobytes() == full[q].tobytes()
+            assert x.tobytes() == np.where(q > 0, terms[q - 1], 0).tobytes()
+
+    def test_terms_only_from_a_first_read_that_asks(self):
+        cursor = PrefixCursor(complex(0.5, 40.0), 1, 200, 16)
+        cursor.read(np.array([3]), 3)
+        with pytest.raises(ValueError, match="first read"):
+            cursor.read(np.array([5]), 5, with_terms=True)
+
+    def test_sparse_read_forms_only_the_blocks_it_lands_in(self, monkeypatch):
+        # about 50 blocks, 4 of them read: the others give only their totals
+        e = complex(0.5, 1e4)
+        full = power_prefix(e, 50 * CHUNK_SIZE)
+        calls, cumsum = [], np.cumsum
+
+        def counted(x, *args, **kwargs):
+            calls.append(x.size)
+            return cumsum(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "cumsum", counted)
+        cursor = PrefixCursor(e, 1, 50 * CHUNK_SIZE, CHUNK_SIZE)
+        q = np.array([10, 11, 50_000, 120_000, 50 * CHUNK_SIZE - 3, 50 * CHUNK_SIZE])
+        got, _ = cursor.read(q, q[-1])
+        assert calls == [CHUNK_SIZE] * 4
+        assert got.tobytes() == full[q].tobytes()
+        calls.clear()
+        assert cursor.read(q[-1:], q[-1])[0].tobytes() == full[q[-1:]].tobytes()
+        assert calls == []
+
     def test_overflowing_weights_raise(self):
         # n**400 overflows from n = 6 on, in the second block of 4
         e = complex(-400.0, 3.0)
