@@ -11,12 +11,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import List
 
 from mpmath import libmp
 
 from .config import ETA_DIST_EPS
 from .kernel import _log_sin_safe, log_gamma_complex
-from .phases import _LIBMP_LOCK, _mod_2pi, nsum_power
+from .phases import _LIBMP_LOCK, _mod_2pi, nsum_power, single_sum
+from .specs import PhaseKind, SumSpec
 
 _LN_2PI = math.log(2.0 * math.pi)
 
@@ -134,9 +136,10 @@ def _log_phase(t: float, eta: float) -> float:
         return _mod_2pi(libmp.mpf_mul(libmp.from_float(t), ln_x, prec), prec, libmp.round_nearest)
 
 
-def fl_identity_residual(sigma: float, t: float, eta: float) -> IdentityResidual:
-    """Residual of: sum_{n=[t]+1}^{[eta/2pi]} n**(-s) = (eta/2pi)**(1-s)/(1-s) + O(t**-sigma)."""
-    if not 0.0 <= sigma < 1.0:
+def fl_identity_residuals(sigmas, t: float, eta: float) -> List[IdentityResidual]:
+    """[fl_identity_residual(s, t, eta) for s in sigmas], from one sum over the
+    phases shared by every s and one phase t ln(eta / 2 pi)."""
+    if not all(0.0 <= sigma < 1.0 for sigma in sigmas):
         raise ValueError("sigma must lie in [0, 1)")
     lo = int(t) + 1
     hi = int(eta / (2.0 * math.pi))
@@ -144,10 +147,20 @@ def fl_identity_residual(sigma: float, t: float, eta: float) -> IdentityResidual
         raise ValueError("empty sum: need eta/2pi > t")
     if eta / (2.0 * math.pi) <= 1.0001 * t:
         raise ValueError("requires eta/2pi > (1+eps) t")
-    s = complex(sigma, t)
-    lhs = nsum_power(sigma, t, lo, hi, minus_it=True)
-    rhs = cmath.rect((eta / (2.0 * math.pi)) ** (1.0 - sigma), -_log_phase(t, eta)) / (1.0 - s)
-    return IdentityResidual(lhs=lhs, rhs=rhs, residual=lhs - rhs, envelope=t ** (-sigma))
+    lhs = single_sum(SumSpec(PhaseKind.F3, 0.0, t, lo, hi, conjugate=True), sigmas)
+    phase = _log_phase(t, eta)
+    rows = []
+    for sigma, left in zip(sigmas, lhs):
+        s = complex(sigma, t)
+        rhs = cmath.rect((eta / (2.0 * math.pi)) ** (1.0 - sigma), -phase) / (1.0 - s)
+        rows.append(IdentityResidual(lhs=left, rhs=rhs, residual=left - rhs,
+                                     envelope=t ** (-sigma)))
+    return rows
+
+
+def fl_identity_residual(sigma: float, t: float, eta: float) -> IdentityResidual:
+    """Residual of: sum_{n=[t]+1}^{[eta/2pi]} n**(-s) = (eta/2pi)**(1-s)/(1-s) + O(t**-sigma)."""
+    return fl_identity_residuals([sigma], t, eta)[0]
 
 
 def fr_identity_residual(sigma: float, t: float, eta1: float, eta2: float) -> IdentityResidual:

@@ -109,14 +109,17 @@ def _window_sum(exponent: complex, m_lo: int, m_hi: int, bounds: Callable,
     term is generated once, over the n-range the windows touch, with prefixes
     from its start.  If every lo-end precedes every hi-end each end reads its
     own cursor and the stretch between enters as one carry times sum w;
-    otherwise one cursor serves both, its tape spanning the two ends.  Each
-    cursor, and the outer weights over [m_lo, m_hi], reduce their anchors once.
+    otherwise one cursor serves both, its tape spanning the two ends.  A
+    constant lo-end with outer weights has no lo cursor: P(lo) is 0 there,
+    and so is the carry.  Each cursor, and the outer weights over
+    [m_lo, m_hi], reduce their anchors once.
     """
     ends = np.array([m_lo, m_hi], dtype=np.int64)
     (lo_first, lo_last), (hi_first, hi_last) = np.broadcast_arrays(*bounds(ends), ends)[:2]
     start = lo_first if outer is None else lo_first + 1
     split = lo_last <= hi_first
-    lo_cur = PrefixCursor(exponent, start, lo_last if split else hi_last, STREAM_CHUNK)
+    lo_cur = (None if split and start > lo_last
+              else PrefixCursor(exponent, start, lo_last if split else hi_last, STREAM_CHUNK))
     hi_cur = PrefixCursor(exponent, lo_last + 1, hi_last, STREAM_CHUNK) if split else lo_cur
     w_anchors = None if outer is None else _grid_anchors(outer, m_lo, m_hi)
     partials, weights = [], []
@@ -130,13 +133,14 @@ def _window_sum(exponent: complex, m_lo: int, m_hi: int, bounds: Callable,
         elif not keep.any():
             continue
         lo_k, hi_k = lo[keep], hi[keep]
-        p_lo, x_lo = lo_cur.read(lo_k, min(lo[-1], hi_k[0]), outer is None)
+        p_lo, x_lo = (0.0, None) if lo_cur is None else lo_cur.read(
+            lo_k, min(lo[-1], hi_k[0]), outer is None)
         p_hi, _ = hi_cur.read(hi_k, hi[-1] if split else lo[-1])
         w = np.conj(x_lo) if outer is None else _power_terms(outer, a, b, w_anchors)[keep]
         partials.append(complex(np.sum(w * (p_hi - p_lo))))
-        if split:  # the weights feed only the gap between the two cursors
+        if split and lo_cur is not None:  # the weights feed only the gap between the cursors
             weights.append(complex(w.sum()))
-    if split and weights:
+    if weights:
         gap = lo_cur.read(np.array([lo_last]), lo_last)[0][0]
         partials.append(gap * reduce_deterministic(weights))
     return reduce_deterministic(partials)

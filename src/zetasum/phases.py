@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 import threading
+from dataclasses import replace
 
 import numpy as np
 from mpmath import libmp
@@ -212,9 +213,10 @@ def _anchors(kind: PhaseKind, t: float, runs) -> list:
 _OFFSETS = np.arange(STREAM_CHUNK, dtype=np.float64)
 
 
-def _panel_terms(kind: PhaseKind, sigma: float, t: float, a: int, blocks, cut, anchors):
-    """Real parts and halved imaginary parts of m**(-sigma) e^{i f(m)} for
-    m = a, a + 1, ...: one pass (a, blocks, cut) of _grid_passes.
+def _panel_phases(kind: PhaseKind, t: float, a: int, blocks, cut, anchors, weighted: bool):
+    """The sigma-free part of the terms e^{i f(m)} for m = a, a + 1, ...: one
+    pass (a, blocks, cut) of _grid_passes, as (m0, log1p(k/m0), u, 1 - u**2,
+    1 + u**2) with u = tan(f(m)/2); _weigh turns them into terms for a sigma.
 
     blocks [(m0, w), ...] cut the pass, in order, into runs of w terms; a run
     is anchored at m0, the start of its block, and anchors holds the runs'
@@ -225,11 +227,9 @@ def _panel_terms(kind: PhaseKind, sigma: float, t: float, a: int, blocks, cut, a
       F2: f(m) = f(m0) + t log1p(k/(t+m0))
       F1: f(m) = f(m0) + t [log1p(k/(t+m0)) - log1p(k/m0)]
     and m**(-sigma) = m0**(-sigma) exp(-sigma log1p(k/m0)).  The terms come
-    from u = tan(f/2), which numpy vectorizes (unlike cos and sin):
-    e^{if} = (1 - u**2 + 2iu) / (1 + u**2).  Any real sigma and t are taken.
-
-    A pass not cut is one block weighted by Python's pow, a cut one by
-    numpy's, which differs in the last bit for about 5% of m0.
+    from u, which numpy vectorizes (unlike cos and sin):
+    e^{if} = (1 - u**2 + 2iu) / (1 + u**2).  An F2 pass forms log1p(k/m0)
+    only if weighted.  Any real t is taken.
     """
     if not cut:
         (m0, n), = blocks
@@ -239,7 +239,7 @@ def _panel_terms(kind: PhaseKind, sigma: float, t: float, a: int, blocks, cut, a
         m0 = np.repeat(np.array(starts, dtype=np.float64), widths)
         anchor = np.repeat(anchors, widths)
         k = np.arange(a, a + m0.size, dtype=np.float64) - m0
-    log_ratio = np.log1p(k / m0) if kind is not PhaseKind.F2 or sigma else None
+    log_ratio = np.log1p(k / m0) if kind is not PhaseKind.F2 or weighted else None
     if kind is PhaseKind.F3:
         half = log_ratio * (0.5 * t)
     else:
@@ -250,16 +250,31 @@ def _panel_terms(kind: PhaseKind, sigma: float, t: float, a: int, blocks, cut, a
     half += 0.5 * anchor
     u = np.tan(half)
     u2 = u * u
-    scale = 1.0 + u2
+    plus = 1.0 + u2
+    np.subtract(1.0, u2, out=u2)
+    return m0, log_ratio, u, u2, plus
+
+
+def _weigh(phases, sigma: float, last: bool):
+    """Real parts and halved imaginary parts of m**(-sigma) e^{i f(m)} from
+    the _panel_phases of a pass.  Any real sigma is taken.
+
+    The last weighting of a pass writes over its phases; the others leave
+    them for the next sigma.  A pass not cut is weighted by Python's pow, a
+    cut one by numpy's, which differs in the last bit for about 5% of m0.
+    """
+    m0, log_ratio, u, minus, plus = phases
     if sigma:
-        np.divide(np.exp(-sigma * log_ratio), scale, out=scale)
+        w = np.exp(-sigma * log_ratio)
+        scale = np.divide(w, plus, out=plus if last else w)
         scale *= m0 ** (-sigma)
     else:
-        np.reciprocal(scale, out=scale)
-    np.subtract(1.0, u2, out=u2)
-    u2 *= scale
+        scale = np.reciprocal(plus, out=plus if last else None)
+    if not last:
+        return minus * scale, np.multiply(u, scale, out=scale)
+    minus *= scale
     u *= scale
-    return u2, u
+    return minus, u
 
 
 def _runs(passes):
@@ -272,37 +287,51 @@ def _runs(passes):
     return runs
 
 
-def _anchored_terms(kind: PhaseKind, sigma: float, t: float, passes, anchors=None):
-    """(a, _panel_terms of the pass) for each pass (a, blocks, cut).
+def _anchored_terms(kind: PhaseKind, sigmas, t: float, passes, anchors=None):
+    """(a, _weigh of the pass at s for s in sigmas) for each pass (a, blocks, cut).
 
-    anchors holds the runs' anchors in order; without it every anchor of the
-    passes is reduced first in one _anchors call.
+    Each pass forms its phases once for all of sigmas.  The weightings are
+    lazy, so a caller that consumes each before asking for the next holds
+    the terms of one sigma at a time.  anchors holds the runs' anchors in
+    order; without it every anchor of the passes is reduced first in one
+    _anchors call.
     """
     passes = list(passes)
     if anchors is None:
         anchors = _anchors(kind, t, _runs(passes))
+    weighted = any(sigmas)
     i = 0
     for a, blocks, cut in passes:
-        yield a, _panel_terms(kind, sigma, t, a, blocks, cut, anchors[i : i + len(blocks)])
+        phases = _panel_phases(kind, t, a, blocks, cut, anchors[i : i + len(blocks)], weighted)
+        yield a, (_weigh(phases, s, j == len(sigmas) - 1) for j, s in enumerate(sigmas))
         i += len(blocks)
 
 
-def single_sum(spec: SumSpec) -> complex:
+def single_sum(spec: SumSpec, sigmas=None):
     """sum_{m=lo}^{hi} m**(-sigma) e^{±i f(m)}, block-anchored and compensated.
 
-    Chunk partials are combined by reduce_deterministic, which also rejects
-    non-finite ones: a NaN or inf term always makes its partial non-finite.
+    With sigmas, the list of those sums at each s of sigmas in place of
+    spec.sigma, each bit for bit single_sum(replace(spec, sigma=s)): the
+    phases are formed once for all of them.  The term budget and every
+    sigma's window are checked before any work.  Chunk partials are combined
+    by reduce_deterministic, which also rejects non-finite ones: a NaN or inf
+    term always makes its partial non-finite.
     """
     if spec.term_count > SINGLE_SUM_BUDGET:
         raise ValueError(f"budget exceeded: {spec.term_count} terms")
-    partials = []
+    batch = [spec.sigma] if sigmas is None else [replace(spec, sigma=s).sigma for s in sigmas]
+    if not batch:
+        return []
+    partials = [[] for _ in batch]
     passes = _grid_passes(spec.phase, spec.t, spec.lo, spec.hi)
-    for _, (re, im) in _anchored_terms(spec.phase, spec.sigma, spec.t, passes):
-        starts = np.arange(0, re.size, CHUNK_SIZE)
-        im = np.add.reduceat(im, starts)
-        im *= -2.0 if spec.conjugate else 2.0
-        partials.extend((np.add.reduceat(re, starts) + 1j * im).tolist())
-    return reduce_deterministic(partials)
+    for _, terms in _anchored_terms(spec.phase, batch, spec.t, passes):
+        for out, (re, im) in zip(partials, terms):
+            starts = np.arange(0, re.size, CHUNK_SIZE)
+            im = np.add.reduceat(im, starts)
+            im *= -2.0 if spec.conjugate else 2.0
+            out.extend((np.add.reduceat(re, starts) + 1j * im).tolist())
+    sums = [reduce_deterministic(p) for p in partials]
+    return sums[0] if sigmas is None else sums
 
 
 def _grid_anchors(exponent: complex, lo: int, hi: int) -> dict:
@@ -334,7 +363,7 @@ def _power_terms(exponent: complex, lo: int, hi: int, anchors=None) -> np.ndarra
               for a, blocks, _ in _grid_passes(PhaseKind.F3, t, lo, hi)]
     if anchors is not None:
         anchors = [anchors[m0] for _, blocks, _ in passes for m0, _ in blocks]
-    for a, (re, im) in _anchored_terms(PhaseKind.F3, sigma, t, passes, anchors):
+    for a, ((re, im),) in _anchored_terms(PhaseKind.F3, [sigma], t, passes, anchors):
         part = out[a - lo : a - lo + re.size]
         part.real = re
         np.multiply(im, -2.0, out=part.imag)

@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from . import golden
-from .asymptotics import (chi_asymptotic, chi_exact, fl_identity_residual,
+from .asymptotics import (chi_asymptotic, chi_exact, fl_identity_residuals,
                           fr_identity_residual, functional_equation_residual)
 from .doublesums import (Strategy, grid_double_sum, lemma32_identity_residual,
                          relation_36_check, s4_a_sum, s4_b_sum,
@@ -31,7 +31,7 @@ from .doublesums import (Strategy, grid_double_sum, lemma32_identity_residual,
                          tail_double_sum)
 from .estlab import (SampleSeries, Verdict, fit_growth_exponent,
                      gh_bound_check, j2_integral, log_grid)
-from .phases import nsum_power, single_sum
+from .phases import single_sum
 from .specs import PhaseKind, SumSpec
 
 NAN = math.nan
@@ -165,8 +165,19 @@ def _exact(meta, rel, tol, ok=True, **fields) -> ClaimRecord:
     return _record(meta, ok and rel <= tol, ratio=rel / tol, **fields)
 
 
+def _sweep(config, d, evaluate) -> List[tuple]:
+    """Per s in sigma_list, the values at (s, t) over the t grid.
+
+    evaluate(sigmas, t) gives the values at one t for every sigma in order,
+    so each pool job is one t point with all its sigmas.
+    """
+    rows = _pmap(lambda t: evaluate(d["sigma_list"], t), _t_grid(d), config.threads)
+    return list(zip(*rows))
+
+
 def _growth(config, meta, d, evaluate, params=(NAN, NAN)) -> List[ClaimRecord]:
-    """Growth exponent of |evaluate(s, t)| over the t grid, per s in sigma_list.
+    """Growth exponent of |value| over the t grid, per s in sigma_list, with
+    the values from _sweep(config, d, evaluate).
 
     With alpha, tol, k the claimed_exponent, tolerance and ln_power, a sigma's
     rows share the verdict slope <= alpha + tol and report the envelope
@@ -175,8 +186,7 @@ def _growth(config, meta, d, evaluate, params=(NAN, NAN)) -> List[ClaimRecord]:
     ts = _t_grid(d)
     alpha, tol, k = d["claimed_exponent"], d["tolerance"], d["ln_power"]
     records = []
-    for s in d["sigma_list"]:
-        vals = _pmap(lambda t: evaluate(s, t), ts, config.threads)
+    for s, vals in zip(d["sigma_list"], _sweep(config, d, evaluate)):
         mags = [abs(v) for v in vals]
         fit = fit_growth_exponent(SampleSeries(meta["claim_id"], list(zip(ts, mags)),
                                                ln_power=k),
@@ -264,9 +274,8 @@ def _run_identity_26(config, meta) -> List[ClaimRecord]:
     d = _resolve_defaults(config, meta)
     ts = _t_grid(d)
     records = []
-    for s in d["sigma_list"]:
-        rows = _pmap(lambda t: fl_identity_residual(s, t, 9.0 * math.pi * t),
-                     ts, config.threads)
+    sweep = _sweep(config, d, lambda ss, t: fl_identity_residuals(ss, t, 9.0 * math.pi * t))
+    for s, rows in zip(d["sigma_list"], sweep):
         mags = [abs(r.residual) for r in rows]
         fit = fit_growth_exponent(SampleSeries(meta["claim_id"], list(zip(ts, mags)),
                                                ln_power=0),
@@ -309,9 +318,9 @@ def _run_lemma_23(config, meta) -> List[ClaimRecord]:
     d = _resolve_defaults(config, meta)
     ts = _t_grid(d)
     records = []
-    for s in d["sigma_list"]:
-        vals = _pmap(lambda t: single_sum(SumSpec(PhaseKind.F2, s, t, 1, int(t))),
-                     ts, config.threads)
+    sweep = _sweep(config, d,
+                   lambda ss, t: single_sum(SumSpec(PhaseKind.F2, 0.0, t, 1, int(t)), ss))
+    for s, vals in zip(d["sigma_list"], sweep):
         context = {"suite": meta["claim_id"], "sigma": s, "t_grid": ts}
         records += _frozen_bound(meta, d, ts, vals, 0, f"{meta['claim_id']}-sigma-{s:g}",
                                  context, sigma=s)
@@ -320,12 +329,12 @@ def _run_lemma_23(config, meta) -> List[ClaimRecord]:
 
 def _run_est_213(config, meta) -> List[ClaimRecord]:
     return _growth(config, meta, _resolve_defaults(config, meta),
-                   lambda s, t: single_sum(SumSpec(PhaseKind.F1, s, t, 1, int(t))))
+                   lambda ss, t: single_sum(SumSpec(PhaseKind.F1, 0.0, t, 1, int(t)), ss))
 
 
 def _run_est_25(config, meta) -> List[ClaimRecord]:
     return _growth(config, meta, _resolve_defaults(config, meta),
-                   lambda s, t: nsum_power(s, t, 1, int(t), minus_it=False))
+                   lambda ss, t: single_sum(SumSpec(PhaseKind.F3, 0.0, t, 1, int(t)), ss))
 
 
 def _run_chi_checks(config, meta) -> List[ClaimRecord]:
@@ -366,12 +375,15 @@ def _run_appendix_a(config, meta) -> List[ClaimRecord]:
                  tolerance=d["slope_tolerance"], ln_power=0)
     return records + _growth(
         config, meta, slope,
-        lambda s, t: nsum_power(s - 1.0, t, 1, int(t), minus_it=True), (sg - 1.0, NAN))
+        lambda ss, t: single_sum(SumSpec(PhaseKind.F3, 0.0, t, 1, int(t), conjugate=True),
+                                 [s - 1.0 for s in ss]),
+        (sg - 1.0, NAN))
 
 
 def _run_thm_51(config, meta) -> List[ClaimRecord]:
     d = _resolve_defaults(config, meta)
-    return _growth(config, meta, d, lambda s, t: s5_1_sum(s, t, d["delta"]).total)
+    return _growth(config, meta, d,
+                   lambda ss, t: [s5_1_sum(s, t, d["delta"]).total for s in ss])
 
 
 def _run_thm_53(config, meta) -> List[ClaimRecord]:
@@ -496,14 +508,16 @@ def _run_bound_5gh(config, meta) -> List[ClaimRecord]:
 def _run_lemma_41(config, meta) -> List[ClaimRecord]:
     d = _resolve_defaults(config, meta)
     return _growth(config, meta, dict(d, sigma_list=[d["sigma1"]]),
-                   lambda s, t: s4_a_sum(s, d["sigma2"], t).value, (d["sigma2"], NAN))
+                   lambda ss, t: [s4_a_sum(s, d["sigma2"], t).value for s in ss],
+                   (d["sigma2"], NAN))
 
 
 def _run_lemma_42(config, meta) -> List[ClaimRecord]:
     d = _resolve_defaults(config, meta)
     sg = d["sigma"]
     return _growth(config, meta, dict(d, sigma_list=[sg]),
-                   lambda s, t: s4_b_sum(s - 1.0, s, 1.0, t).total, (sg - 1.0, 1.0))
+                   lambda ss, t: [s4_b_sum(s - 1.0, s, 1.0, t).total for s in ss],
+                   (sg - 1.0, 1.0))
 
 
 def _run_determinism(config, meta) -> List[ClaimRecord]:

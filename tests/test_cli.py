@@ -214,6 +214,19 @@ class TestOverrides:
         record, = json.loads(capsys.readouterr().out)
         assert record["sigma"] == 0.5
 
+    def test_sigma_batch_is_the_one_sigma_runs_in_order(self, capsys):
+        def records(*sigmas):
+            argv = ["run", "--suite", "est-2.13", "--t-min", "1e5", "--t-max", "1e6",
+                    "--points", "5", "--format", "json"]
+            for s in sigmas:
+                argv += ["--sigma", s]
+            assert main(argv) == 0
+            return json.loads(capsys.readouterr().out)
+
+        both = records("0.25", "0.5")
+        assert len(both) == 10
+        assert both == records("0.25") + records("0.5")
+
     def test_delta2_with_delta3_replace_the_pairs(self):
         records = run_suite(ExperimentConfig(suite="decomp-5.3", delta2=0.35, delta3=0.3))
         assert {(r.param1, r.param2) for r in records} == {(0.35, 0.3)}

@@ -618,6 +618,47 @@ class TestStreamAnchors:
         assert calls == [(0.0, 1, 10**6), (-1e6, 1, 10**6), (1e6, 2, 2 * 10**6)]
 
 
+class TestConstantLoEnd:
+    """A window sum whose lo-end is one position, with outer weights, reads no
+    lo cursor: P is 0 there.  (start, stop) of each cursor made, and each read's
+    cursor; the values are float.hex as taken with the lo cursor read."""
+
+    @staticmethod
+    def _cursors(monkeypatch, fn):
+        made, reads = [], []
+
+        class Counted(phases.PrefixCursor):
+            def __init__(self, exponent, start, stop, width):
+                super().__init__(exponent, start, stop, width)
+                self.range = (int(start), int(stop))
+                made.append(self.range)
+
+            def read(self, q, keep_from, with_terms=False):
+                reads.append(self.range)
+                return super().read(q, keep_from, with_terms)
+
+        monkeypatch.setattr(doublesums, "PrefixCursor", Counted)
+        return fn(), made, reads
+
+    def test_tail_double_sum(self, monkeypatch):
+        # g_sum's lo-end is [t] = 500: only the hi cursor over [501, 1000]
+        value, made, reads = self._cursors(monkeypatch, lambda: tail_double_sum(0.4, 500))
+        assert made == [(501, 1000)] and reads == [(501, 1000)]
+        assert (value.real.hex(), value.imag.hex()) == ("-0x1.091fcb2205d80p-2",
+                                                        "0x1.abb161beec2ecp-4")
+
+    def test_s5_1_overhang(self, monkeypatch):
+        # sa reads its lo cursor over [1585, 9509] twice (window and carry) and
+        # its hi cursor once; the overhang sb only its hi cursor over [10001, 10006]
+        res, made, reads = self._cursors(monkeypatch, lambda: s5_1_sum(0.5, 1e4, 0.2))
+        assert made == [(1585, 9509), (9510, 10000), (10001, 10006)]
+        assert sorted(reads) == [(1585, 9509)] * 2 + [(9510, 10000), (10001, 10006)]
+        got = [(z.real.hex(), z.imag.hex()) for z in (res.total, res.sa, res.sb)]
+        assert got == [("0x1.4a6cd46ac0b71p-1", "-0x1.d92a27ac3f21ep-6"),
+                       ("0x1.4d75752c5aa90p-1", "0x1.1935c49d396c0p-7"),
+                       ("-0x1.845060ccf8f88p-8", "-0x1.32e284fd6debfp-5")]
+
+
 class TestKernelSplit:
     def test_fast_paths_take_no_raw_powers(self, monkeypatch):
         # _powers is the brute-force references' own exp; every power a fast

@@ -1,5 +1,6 @@
 """Phase evaluation, weighted single sums, prefix tables, and C(x,t;k)."""
 
+import dataclasses
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -272,6 +273,46 @@ class TestSingleSumBits:
         assert (got.real.hex(), got.imag.hex()) == (re, im)
 
 
+def _hex(z):
+    return z.real.hex(), z.imag.hex()
+
+
+# [5000, 9000] starts inside the grid chunk [4097, 8192], which F3 and F1 cut
+# at t >= 1e5, as they cut [1, 300]; [3, 2] is empty
+_BATCH_RANGES = [(1, 300), (5000, 9000), (70000, 90000), (3, 2)]
+_BATCH_SIGMAS = [[0.25, 0.5, 0.75], [0.0, 0.5], [-0.5, 0.0, 1.5, 0.5, 0.5, 2.0]]
+
+
+class TestBatchedSigmas:
+    """single_sum(spec, sigmas) forms each phase once and weights it per sigma."""
+
+    @pytest.mark.parametrize("conjugate", [False, True])
+    @pytest.mark.parametrize("t", [50.0, 1e3, 1e5, 1e7])
+    @pytest.mark.parametrize("kind", list(PhaseKind))
+    def test_equals_one_sigma_sums(self, kind, t, conjugate):
+        for lo, hi in _BATCH_RANGES:
+            spec = SumSpec(kind, 0.3, t, lo, hi, conjugate)
+            for sigmas in _BATCH_SIGMAS:
+                got = single_sum(spec, sigmas)
+                want = [single_sum(dataclasses.replace(spec, sigma=s)) for s in sigmas]
+                assert [_hex(z) for z in got] == [_hex(z) for z in want], (lo, hi, sigmas)
+
+    def test_empty_sigmas(self):
+        assert single_sum(SumSpec(PhaseKind.F3, 0.5, 1e5, 1, 1000), []) == []
+
+    @pytest.mark.parametrize("spec,sigmas,match", [
+        (SumSpec(PhaseKind.F1, 0.5, 1e5, 1, 1000), [0.5, 2.5], "exponent window"),
+        (SumSpec(PhaseKind.F3, 0.5, 1e5, 1, SINGLE_SUM_BUDGET + 1), [0.5], "budget exceeded"),
+    ])
+    def test_refused_before_any_work(self, monkeypatch, spec, sigmas, match):
+        def no_work(*args):
+            raise AssertionError("planned a sum it refuses")
+
+        monkeypatch.setattr(phases, "_grid_passes", no_work)
+        with pytest.raises(ValueError, match=match):
+            single_sum(spec, sigmas)
+
+
 class TestPowerTerms:
     """_power_terms against mpmath, term by term, for any real part and t."""
 
@@ -334,7 +375,7 @@ class TestPowerTerms:
 
     def test_short_low_phase_range_is_one_pass_one_anchor(self, monkeypatch):
         calls = {"anchor": 0, "pass": 0}
-        anchors, terms = phases._anchors, phases._panel_terms
+        anchors, terms = phases._anchors, phases._panel_phases
 
         def counted_anchors(kind, t, runs):
             calls["anchor"] += len(runs)
@@ -345,7 +386,7 @@ class TestPowerTerms:
             return terms(*args)
 
         monkeypatch.setattr(phases, "_anchors", counted_anchors)
-        monkeypatch.setattr(phases, "_panel_terms", counted_terms)
+        monkeypatch.setattr(phases, "_panel_phases", counted_terms)
         _power_terms(complex(0.3, 40.0), 11, 110)  # |f| <= 40 ln 110 < 200
         assert calls == {"anchor": 1, "pass": 1}
 

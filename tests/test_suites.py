@@ -194,5 +194,12 @@ def test_artifact_pinned(suite):
     assert hashlib.sha256(text.encode()).hexdigest() == _ARTIFACT_SHA256[suite]
 
 
+@pytest.mark.parametrize("suite", ["identity-2.6", "lemma-2.3"])
+def test_sigma_batched_artifact_thread_independent(suite):
+    # one pool job per t point with all its sigmas, at either thread count
+    text = records_to_json(run_suite(ExperimentConfig(suite=suite, threads=1)))
+    assert hashlib.sha256(text.encode()).hexdigest() == _ARTIFACT_SHA256[suite]
+
+
 def test_every_suite_pinned():
     assert sorted(_ARTIFACT_SHA256) == registered_suites()
