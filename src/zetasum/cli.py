@@ -117,6 +117,10 @@ def _cmd_run(args) -> int:
               "sum in extended precision with `zetasum oracle --spec ...`",
               file=sys.stderr)
         return 2
+    if args.threads < 1:
+        print(f"error: --threads must be at least 1, got {args.threads}",
+              file=sys.stderr)
+        return 2
     config = ExperimentConfig(
         suite=args.suite, sigma_list=args.sigma, t_min=args.t_min,
         t_max=args.t_max, points=args.points, delta=args.delta,
@@ -126,6 +130,10 @@ def _cmd_run(args) -> int:
         records = run_suite(config)
     except (UnknownSuiteError, RefusedOptionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:  # an option value the suite cannot run with
+        print(f"error: suite {args.suite!r} cannot run with these options: {exc}",
+              file=sys.stderr)
         return 2
     text = emit(records, args.format, args.out)
     if not args.out:

@@ -416,21 +416,14 @@ def _run_lemma_52(config, meta) -> List[ClaimRecord]:
     return records
 
 
-# bound-5gh draws its instances in chunks and checks each chunk as stacks of
-# instances whose rows and columns round up to the same multiple of _GH_ROUND
+# bound-5gh draws the five parameters of all its instances first, then each
+# chunk's phases in one call into a reused buffer, and checks each chunk as
+# stacks of instances whose rows and columns round up to the same multiple of
+# _GH_ROUND.  A double takes one 64-bit output of the bit generator and every
+# integer is drawn before it, so the instances do not depend on the chunking.
 _GH_CHUNK = 512
 _GH_STACK = 32
 _GH_ROUND = 10
-
-
-def _gh_draw(rng, sigmas, max_side):
-    """One instance's (sigma, rows, cols, m_lo, n_lo, phases x), in rng order."""
-    sg = sigmas[int(rng.integers(len(sigmas)))]
-    rows = int(rng.integers(2, max_side + 1))
-    cols = int(rng.integers(2, max_side + 1))
-    m_lo = int(rng.integers(1, 101))
-    n_lo = int(rng.integers(1, 101))
-    return sg, rows, cols, m_lo, n_lo, rng.random((rows, cols))
 
 
 def _unimodular(x):
@@ -475,15 +468,27 @@ def _gh_stack(draws, rows, cols):
 def _run_bound_5gh(config, meta) -> List[ClaimRecord]:
     d = _resolve_defaults(config, meta)
     rng = np.random.default_rng(d["seed"])
-    n_inst = d["instances"]
+    n_inst, side = d["instances"], d["max_side"] + 1
+    sigmas = [d["sigma_list"][i]
+              for i in rng.integers(len(d["sigma_list"]), size=n_inst).tolist()]
+    rows, cols = rng.integers(2, side, size=n_inst), rng.integers(2, side, size=n_inst)
+    m_lo, n_lo = rng.integers(1, 101, size=n_inst), rng.integers(1, 101, size=n_inst)
+    # instance k's phases are cells off[k]:off[k + 1] of the phase stream
+    off = np.concatenate(([0], np.cumsum(rows * cols)))
+    starts = range(0, n_inst, _GH_CHUNK)
+    buf = np.empty(max(off[min(s + _GH_CHUNK, n_inst)] - off[s] for s in starts))
     failures = 0   # instances breaking the bound or its sign conditions
     worst = (0.0, None)   # (stacked ratio, draw); ties keep the earliest draw
-    for start in range(0, n_inst, _GH_CHUNK):
-        draws = [_gh_draw(rng, d["sigma_list"], d["max_side"])
-                 for _ in range(min(_GH_CHUNK, n_inst - start))]
+    for start in starts:
+        stop, base = min(start + _GH_CHUNK, n_inst), off[start]
+        rng.random(out=buf[:off[stop] - base])
+        chunk = zip(sigmas[start:stop],
+                    *(v[start:stop].tolist() for v in (off, rows, cols, m_lo, n_lo)))
+        draws = [(sg, r, c, ml, nl, buf[o - base:o - base + r * c].reshape(r, c))
+                 for sg, o, r, c, ml, nl in chunk]
         buckets: Dict[tuple, List[int]] = {}
-        for k, (_, rows, cols, *_rest) in enumerate(draws):
-            shape = (-(-rows // _GH_ROUND) * _GH_ROUND, -(-cols // _GH_ROUND) * _GH_ROUND)
+        for k, (_, r, c, *_rest) in enumerate(draws):
+            shape = (-(-r // _GH_ROUND) * _GH_ROUND, -(-c // _GH_ROUND) * _GH_ROUND)
             buckets.setdefault(shape, []).append(k)
         ratios = np.empty(len(draws))
         for shape, members in buckets.items():
@@ -494,13 +499,14 @@ def _run_bound_5gh(config, meta) -> List[ClaimRecord]:
                 ratios[idx] = chk.lhs / chk.bound
         k = int(np.argmax(ratios))
         if ratios[k] > worst[0]:
-            worst = (ratios[k], draws[k])
+            # copied out, as the next chunk's phases overwrite the buffer
+            worst = (ratios[k], (*draws[k][:5], draws[k][5].copy()))
     # padding may move lhs in its last bit, so the record comes from the
     # worst instance checked on its own
-    sg, rows, cols, *_rest = draw = worst[1]
+    sg, r, c, *_rest = draw = worst[1]
     chk = gh_bound_check(*_gh_instance(*draw))
     return [_record(meta, failures == 0, sigma=sg,
-                    t=float(n_inst), param1=float(rows), param2=float(cols),
+                    t=float(n_inst), param1=float(r), param2=float(c),
                     value=complex(chk.lhs), magnitude=chk.lhs, envelope=chk.bound,
                     ratio=chk.lhs / chk.bound)]
 

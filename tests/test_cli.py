@@ -122,6 +122,21 @@ class TestDispatch:
         assert "zetasum oracle" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("option,message", [
+        (["--suite", "est-2.13", "--points", "4"], "need at least 5 grid points"),
+        (["--suite", "est-2.13", "--sigma", "2.5"], "exponent window"),
+        (["--suite", "bound-5gh", "--seed", "-1"], "non-negative"),
+        (["--suite", "relation-3.4", "--threads", "0"], "--threads must be at least 1"),
+    ])
+    def test_bad_option_value_exit_2_without_artifact(self, tmp_path, capsys,
+                                                      option, message):
+        # exit 1 is kept for a failed claim
+        out = tmp_path / "never.json"
+        assert main(["run", *option, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert not out.exists()
+
     def test_standard_precision_run_accepted(self, capsys):
         assert main(["run", "--suite", "relation-3.4", "--precision", "standard"]) == 0
         capsys.readouterr()

@@ -55,10 +55,10 @@ def test_lemma_52_records_identical_across_threads():
 # bound-5gh's record as the one-by-one checker wrote it: float.hex of sigma,
 # rows (param1), cols (param2), lhs (value and magnitude), 5GH (envelope), ratio
 _BOUND_5GH_RECORDS = {
-    None: ("0x1.0000000000000p-2", "0x1.0000000000000p+1", "0x1.4000000000000p+2",
-           "0x1.af1d081ec0ddcp-3", "0x1.0f59ea07b4b2ep+0", "0x1.96b952109cbd4p-3"),
-    7: ("0x1.0000000000000p-2", "0x1.0000000000000p+1", "0x1.0000000000000p+2",
-        "0x1.46140f4a4bf86p-2", "0x1.9a3a091b70abep+0", "0x1.96f9aacb3cd70p-3"),
+    None: ("0x1.0000000000000p-2", "0x1.8000000000000p+1", "0x1.0000000000000p+2",
+           "0x1.ba84e6307ff09p-2", "0x1.166059e8dfed5p+1", "0x1.96f2dd2ee7803p-3"),
+    7: ("0x1.0000000000000p-2", "0x1.8000000000000p+1", "0x1.0000000000000p+1",
+        "0x1.45ac92cb84604p-2", "0x1.99b85381f0b8cp+0", "0x1.96f93006faeffp-3"),
 }
 
 
@@ -84,16 +84,21 @@ def test_bound_5gh_record_pinned_seed_7():
     _assert_pinned(_bound_5gh(seed=7)[0], 7)
 
 
+def _draw_params(rng, d):
+    """All instances' (sigma, rows, cols, m_lo, n_lo), one array draw per parameter."""
+    n, side = d["instances"], d["max_side"] + 1
+    sg = [d["sigma_list"][i] for i in rng.integers(len(d["sigma_list"]), size=n).tolist()]
+    rows, cols = rng.integers(2, side, size=n).tolist(), rng.integers(2, side, size=n).tolist()
+    m_lo, n_lo = rng.integers(1, 101, size=n).tolist(), rng.integers(1, 101, size=n).tolist()
+    return list(zip(sg, rows, cols, m_lo, n_lo))
+
+
 def _one_by_one_5gh(seed, meta):
-    """The instances checked one gh_bound_check call at a time, in draw order."""
-    d = meta["defaults"]
+    """The instances checked one gh_bound_check call at a time, in draw order:
+    every instance's parameters first, then each instance's phases."""
     rng = np.random.default_rng(seed)
     failures, worst, worst_case = 0, 0.0, None
-    for _ in range(d["instances"]):
-        sg = d["sigma_list"][int(rng.integers(len(d["sigma_list"])))]
-        rows = int(rng.integers(2, d["max_side"] + 1))
-        cols = int(rng.integers(2, d["max_side"] + 1))
-        m_lo, n_lo = int(rng.integers(1, 101)), int(rng.integers(1, 101))
+    for sg, rows, cols, m_lo, n_lo in _draw_params(rng, meta["defaults"]):
         a = suites._unimodular(rng.random((rows, cols)))
         m = np.arange(m_lo, m_lo + rows, dtype=np.float64) ** (-sg)
         n = np.arange(n_lo, n_lo + cols, dtype=np.float64) ** (-sg)
@@ -102,6 +107,21 @@ def _one_by_one_5gh(seed, meta):
         if chk.lhs / chk.bound > worst:
             worst, worst_case = chk.lhs / chk.bound, (sg, rows, cols, chk)
     return failures, worst, worst_case
+
+
+def test_bound_5gh_phases_one_call_equal_per_instance_calls():
+    # a double takes one 64-bit output whatever the integer draws before it
+    # left over, so one call into a buffer gives each instance's phases in turn
+    d = dict(load_manifest()["bound-5gh"]["defaults"], instances=700)
+    one, each = np.random.default_rng(11), np.random.default_rng(11)
+    params = _draw_params(one, d)
+    assert params == _draw_params(each, d)
+    n = sum(rows * cols for _, rows, cols, _, _ in params)
+    buf = np.full(n + 5, -1.0)
+    one.random(out=buf[:n])
+    per = [each.random((rows, cols)).ravel() for _, rows, cols, _, _ in params]
+    assert np.array_equal(buf[:n], np.concatenate(per)) and (buf[n:] == -1.0).all()
+    assert one.random() == each.random()
 
 
 @pytest.mark.parametrize("chunk,stack", [(512, 32), (37, 5), (1, 1)])
@@ -154,22 +174,48 @@ def test_unimodular_matches_expjpi():
     assert np.count_nonzero(sa) == 41 and math.isfinite(abs(sa).sum())
 
 
+class _CountingGenerator:
+    """A Generator that counts the calls made to each of its methods."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self._calls[name] = self._calls.get(name, 0) + 1
+            return method(*args, **kwargs)
+        return counted
+
+
+def test_bound_5gh_generator_calls(monkeypatch):
+    # five array draws of the parameters, then one draw of each chunk's phases
+    calls = {}
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: _CountingGenerator(default_rng(seed), calls))
+    assert _bound_5gh()[0].verdict == "pass"
+    assert calls == {"integers": 5, "random": 20}   # ceil(10^4 / _GH_CHUNK) chunks
+
+
 def test_bound_5gh_peak_allocation():
-    # drawing all 10^4 instances before checking them holds about 54 MB of phases
+    # one chunk's phases (a reused buffer of about 3 MB) and its stacks; drawing
+    # all 10^4 instances before checking them would hold about 54 MB of phases
     tracemalloc.start()
     try:
         _bound_5gh()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    assert peak <= 12 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 # SHA-256 of each suite's JSON artifact at threads=2 (NumPy 2.4, x86-64): a
 # change to the runners that moves one bit of one record shows here
 _ARTIFACT_SHA256 = {
     "appendix-a": "2a36e4eb0b608f94c14055ce7276d91bfcad80090f01399530af887fa0b7a978",
-    "bound-5gh": "bbe177e66f35be2183346c67be9858e354b620e0fa63a477d0ffd5dd06e5209c",
+    "bound-5gh": "d9c0e6bcf050a83b13e742deb59ef0441f751bd989e964b3030b1eb6bf23d954",
     "chi-checks": "4f144225dc69f6fee57012df79919a6b6ea8926ac686806f52b12c89f44370de",
     "decomp-5.3": "b790ffa4dc99451da58145b63f037b860b91689b8111ff83186562e11c7f9fdf",
     "determinism": "b3d5ca16f47a446c42fea4caa46db2932daad52397c30e2dbd6bf82f50f07d76",
