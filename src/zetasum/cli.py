@@ -111,6 +111,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_VALUE_OPTIONS = ("sigma", "t_min", "t_max", "points", "delta", "delta2", "delta3", "seed")
+
+
+def _given_values(args) -> str:
+    """The value options given to `run`, as ``--name value`` words."""
+    words = []
+    for name in _VALUE_OPTIONS:
+        value = getattr(args, name)
+        for v in value if isinstance(value, list) else [value]:
+            if v is not None:
+                words.append(f"--{name.replace('_', '-')} {v}")
+    return " ".join(words) or "its manifest defaults"
+
+
 def _cmd_run(args) -> int:
     if args.precision == "extended":
         print("error: suites run in standard precision only; certify a single "
@@ -132,7 +146,7 @@ def _cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:  # an option value the suite cannot run with
-        print(f"error: suite {args.suite!r} cannot run with these options: {exc}",
+        print(f"error: suite {args.suite!r} cannot run with {_given_values(args)}: {exc}",
               file=sys.stderr)
         return 2
     text = emit(records, args.format, args.out)

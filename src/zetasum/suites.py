@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Callable, Dict, List, Optional, Sequence
@@ -128,18 +128,87 @@ def _t_grid(d: dict) -> List[float]:
     return log_grid(d["t_min"], d["t_max"], d["points"])
 
 
-def _pmap(fn: Callable, items: Sequence, threads: int) -> list:
-    """Order-preserving map, optionally across a thread pool.
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
-    Sweeps list their grid points in ascending t, so the pool takes them
-    last first: the costliest point starts at once instead of setting the
-    wall time by starting last.
+
+def _pmap(fn: Callable, items: Sequence, threads: int) -> list:
+    """Order-preserving map, optionally across forked worker processes.
+
+    With threads > 1 and more than one item it runs on up to ``threads``
+    processes, no more than the items or the usable CPUs: the caller and
+    forked workers, which inherit ``fn`` and ``items`` at fork, so closures
+    need no pickling; only the results travel back.  Two threads cannot do
+    this job: the GIL changes hands between the kernel's NumPy calls of
+    about 15 us each.  Sweeps list their grid points in ascending t, so the
+    processes take them last first, one at a time: the costliest point
+    starts at once instead of setting the wall time by starting last.  The
+    caller works too, in its warm heap, so a map of a few small items costs
+    about one fork.  Every value is computed by the same code in whichever
+    process, so results keep their bits.  With one usable CPU, or without
+    fork, the map runs serially.  Forking is safe only from a process with
+    one thread, so a library caller should pass threads > 1 from its main
+    thread alone.  An exception raised for any item reaches the caller, and
+    every worker is reaped before this returns or raises.
     """
     if threads <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(fn, x) for x in reversed(items)]
-        return [f.result() for f in reversed(futures)]
+    import multiprocessing
+    from multiprocessing.connection import wait
+    workers = min(threads, len(items), _usable_cpus()) - 1
+    if workers < 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return [fn(x) for x in items]
+    ctx = multiprocessing.get_context("fork")
+    left = ctx.Value("q", len(items))  # items not yet taken
+
+    def take() -> int:
+        with left.get_lock():
+            left.value -= 1
+            return left.value
+
+    def work(conn) -> None:
+        while (i := take()) >= 0:
+            try:
+                conn.send((i, True, fn(items[i])))
+            except Exception as exc:  # sent to the caller, which raises it
+                conn.send((i, False, exc))
+                return
+
+    out, done, conns, procs = [None] * len(items), 0, [], []
+    try:
+        for _ in range(workers):
+            reader, writer = ctx.Pipe(duplex=False)
+            conns.append(reader)
+            proc = ctx.Process(target=work, args=(writer,))
+            proc.start()
+            procs.append(proc)
+            writer.close()
+        while (i := take()) >= 0:
+            out[i], done = fn(items[i]), done + 1
+        while conns:
+            for conn in wait(conns):
+                try:
+                    i, ok, value = conn.recv()
+                except EOFError:  # the worker has exited
+                    conns.remove(conn)
+                    conn.close()
+                    continue
+                if not ok:
+                    raise value
+                out[i], done = value, done + 1
+        if done != len(items):
+            raise RuntimeError("a worker process died before sending all its results")
+    finally:
+        for conn in conns:
+            conn.close()
+        for p in procs:
+            p.terminate()
+        for p in procs:
+            p.join()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +608,8 @@ def _run_determinism(config, meta) -> List[ClaimRecord]:
         records.append(_exact(meta, abs(fast - slow) / max(abs(slow), 1e-300),
                               d["tolerance"], sigma=sg, t=t, param1=float(i),
                               value=fast - slow))
-    # same sub-suite run on one thread and eight must agree exactly
+    # the same sub-suite run serially and on up to eight processes (no more
+    # than the usable CPUs) must agree exactly
     probe = ExperimentConfig(suite="relation-3.4")
     sub = dict(load_manifest()["relation-3.4"], claim_id="relation-3.4")
     one_thread = _run_relation_34(probe, sub)
@@ -572,6 +642,8 @@ _RUNNERS: Dict[str, Callable] = {
 
 
 def run_suite(config: ExperimentConfig) -> List[ClaimRecord]:
+    if config.threads < 1:
+        raise ValueError(f"threads must be at least 1, got {config.threads}")
     manifest = load_manifest()
     if config.suite not in manifest:
         raise UnknownSuiteError(

@@ -123,11 +123,19 @@ class TestDispatch:
         assert not out.exists()
 
     @pytest.mark.parametrize("option,message", [
-        (["--suite", "est-2.13", "--points", "4"], "need at least 5 grid points"),
-        (["--suite", "est-2.13", "--sigma", "2.5"], "exponent window"),
-        (["--suite", "bound-5gh", "--seed", "-1"], "non-negative"),
-        (["--suite", "relation-3.4", "--threads", "0"], "--threads must be at least 1"),
-    ])
+        (["--suite", "est-2.13", "--points", "4"],
+         "cannot run with --points 4: need at least 5 grid points"),
+        (["--suite", "est-2.13", "--sigma", "2.5"],
+         "cannot run with --sigma 2.5: exponent window"),
+        (["--suite", "bound-5gh", "--seed", "-1"],
+         "cannot run with --seed -1: expected non-negative"),
+        (["--suite", "relation-3.4", "--threads", "0"], "--threads must be at least 1, got 0"),
+        # the costliest point is over the term budget: the map raises and reaps its worker
+        (["--suite", "est-2.13", "--t-max", "1e9", "--threads", "2"],
+         "cannot run with --t-max 1000000000.0: budget exceeded"),
+    ], ids=["option0-need at least 5 grid points", "option1-exponent window",
+            "option2-non-negative", "option3---threads must be at least 1",
+            "option4-budget exceeded"])
     def test_bad_option_value_exit_2_without_artifact(self, tmp_path, capsys,
                                                       option, message):
         # exit 1 is kept for a failed claim

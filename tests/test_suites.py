@@ -1,9 +1,10 @@
-"""Suite plumbing: the thread-pool map behind every sweep, bound-5gh's stacked checks
+"""Suite plumbing: the worker-process map behind every sweep, bound-5gh's stacked checks
 and the pinned artifacts of every suite."""
 
 import hashlib
 import math
-import threading
+import multiprocessing
+import os
 import time
 import tracemalloc
 
@@ -18,33 +19,75 @@ from zetasum.suites import (ExperimentConfig, _pmap, load_manifest, registered_s
                             run_suite)
 
 
+@pytest.mark.skipif(suites._usable_cpus() < 2, reason="one usable CPU runs serially")
 def test_pmap_keeps_input_order_with_uneven_costs():
     # ascending costs, as in a sweep over ascending t
-    costs = [0.0, 0.01, 0.02, 0.04, 0.08]
-    started = []
-    lock = threading.Lock()
+    costs = [0.0, 0.02, 0.05, 0.1, 0.2]
 
     def work(cost):
-        with lock:
-            started.append(cost)
+        started = time.monotonic()
         time.sleep(cost)
-        return cost, threading.get_ident()
+        return cost, os.getpid(), started
 
     out = _pmap(work, costs, threads=2)
-    assert [cost for cost, _ in out] == costs
-    assert len({ident for _, ident in out}) == 2
+    assert [cost for cost, _, _ in out] == costs
+    pids = {pid for _, pid, _ in out}
+    assert len(pids) == 2 and os.getpid() in pids  # the caller works too
     # the two costliest points are taken first
-    assert set(started[:2]) == {0.04, 0.08}
+    assert {cost for cost, _, _ in sorted(out, key=lambda r: r[2])[:2]} == {0.1, 0.2}
+    assert multiprocessing.active_children() == []
+
+
+def test_pmap_worker_error_reaches_caller():
+    def work(x):
+        if x == 2:
+            raise ValueError(f"no value at item {x}")
+        return x
+
+    with pytest.raises(ValueError, match="no value at item 2"):
+        _pmap(work, [0, 1, 2, 3], threads=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_pmap_takes_each_item_once():
+    # many tiny items contend for the shared counter; an index taken twice
+    # or skipped leaves the count of results wrong, which _pmap raises on
+    out = _pmap(lambda x: (x, os.getpid()), range(2000), threads=8)
+    assert [x for x, _ in out] == list(range(2000))
+    assert len({pid for _, pid in out}) <= suites._usable_cpus()
+
+
+@pytest.mark.skipif(suites._usable_cpus() < 2, reason="one usable CPU runs serially")
+def test_pmap_worker_death_raises():
+    caller = os.getpid()
+
+    def work(x):
+        if os.getpid() != caller:
+            os._exit(3)
+        time.sleep(0.02)
+        return x
+
+    with pytest.raises(RuntimeError, match="worker process died"):
+        _pmap(work, list(range(6)), threads=2)
+    assert multiprocessing.active_children() == []
 
 
 def test_pmap_serial_path():
     assert _pmap(lambda x: x * x, [3, 1, 2], threads=1) == [9, 1, 4]
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_run_suite_rejects_threads_below_one(threads, monkeypatch):
+    # refused before the runner starts
+    monkeypatch.setitem(suites._RUNNERS, "relation-3.4", None)
+    with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+        run_suite(ExperimentConfig(suite="relation-3.4", threads=threads))
+
+
 def test_lemma_52_records_identical_across_threads():
-    # the J2 quadrature keeps no shared state, so pool threads cannot perturb
-    # it; with mpmath.quad, whose shared context the first threaded run races
-    # on, the artifacts differ in about half of the runs
+    # the J2 quadrature keeps no shared state, so no worker can perturb it;
+    # with mpmath.quad, whose shared context the first run on a thread pool
+    # raced on, the artifacts differed in about half of the runs
     def artifact(threads):
         return records_to_json(run_suite(ExperimentConfig(suite="lemma-5.2", threads=threads)))
 
