@@ -12,14 +12,12 @@ from .doublesums import (Strategy, f_sum, g_sum, grid_double_sum,
                          lemma32_identity_residual, m_set_contains,
                          relation_36_check, s4_a_sum, s4_b_sum, s5_1_sum,
                          s5_2_sum, s5_decomposition_residual, tail_double_sum)
-from .estlab import (FitReport, SampleSeries, Verdict, box_sum_check,
-                     fit_growth_exponent, gh_bound_check, j2_integral,
-                     j_integral, j_integral_bound, log_grid)
+from .estlab import (FitReport, SampleSeries, Verdict, fit_growth_exponent,
+                     gh_bound_check, j2_integral, j_integral, log_grid)
 from .kernel import (log_gamma_complex, oracle_recompute, reduce_deterministic,
                      sum_array_deterministic)
-from .phases import (c_ratio, d_delta_sum, nsum_power, phase_eval, power_prefix,
-                     single_sum)
-from .specs import ComplexScalar, PhaseKind, PrecisionMode, SumSpec
+from .phases import nsum_power, phase_eval, power_prefix, single_sum
+from .specs import ComplexScalar, PhaseKind, SumSpec
 from .suites import (ClaimRecord, ExperimentConfig, RefusedOptionError,
                      UnknownSuiteError, registered_suites, run_suite)
 

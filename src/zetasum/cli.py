@@ -94,8 +94,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--delta2", type=float, default=None)
     run.add_argument("--delta3", type=float, default=None)
     run.add_argument("--threads", type=int, default=1)
-    run.add_argument("--precision", choices=["standard", "extended"],
-                     default="standard")
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--out", default=None)
     run.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -126,11 +124,6 @@ def _given_values(args) -> str:
 
 
 def _cmd_run(args) -> int:
-    if args.precision == "extended":
-        print("error: suites run in standard precision only; certify a single "
-              "sum in extended precision with `zetasum oracle --spec ...`",
-              file=sys.stderr)
-        return 2
     if args.threads < 1:
         print(f"error: --threads must be at least 1, got {args.threads}",
               file=sys.stderr)
@@ -185,7 +178,6 @@ def _cmd_oracle(args) -> int:
     with mp.workdps(EXTENDED_DPS):
         abs_err = abs(mp.mpc(fast) - mp.mpc(result.re, result.im))
     print(json.dumps({"re": float(result.re), "im": float(result.im),
-                      "precision_mode": result.precision_mode.value,
                       "flag": result.flag, "fast_re": fast.real,
                       "fast_im": fast.imag, "abs_err": float(abs_err)}))
     return 0

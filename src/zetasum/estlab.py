@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .config import SLOPE_TOL_CLEAN
-from .phases import nsum_power
 
 
 class Verdict(enum.Enum):
@@ -107,12 +106,6 @@ def j_integral(m1: int, t: float, sigma1: float, sigma2: float) -> float:
     return _log_quad(lambda x: (m1 + x) ** (-sigma1) * x ** (-sigma2), m1 + 1.0, t)
 
 
-def j_integral_bound(m1: int, t: float, sigma1: float, sigma2: float) -> float:
-    """Closed-form majorant from (m1+x)**(-sigma1) < (2x)**(-sigma1) for sigma1 < 0."""
-    p = 1.0 - sigma1 - sigma2
-    return 2.0 ** (-sigma1) * (t**p - (m1 + 1.0) ** p) / p
-
-
 def j2_integral(sigma: float, t: float, delta: float) -> Tuple[float, float]:
     """Rectangle integral over x in [t^{1-d}, t], y in [1, x t^{d-1}] of x^-sigma (x+y)^-sigma.
 
@@ -192,46 +185,6 @@ def gh_bound_check(a: np.ndarray, b: np.ndarray) -> PartialSummationBound:
                                      holds=bool(holds[0]))
     return PartialSummationBound(lhs=lhs, g_constant=g, h_constant=h, bound=bound,
                                  sign_conditions_ok=sign_ok, holds=holds)
-
-
-@dataclass(frozen=True)
-class BoxSumResult:
-    value: complex
-    bound: float
-    ratio: float
-    # second-derivative scales of the box phase, recorded for the report
-    lambda1: float = field(default=math.nan)
-    lambda2: float = field(default=math.nan)
-
-
-def box_sum_check(m_lo: int, m_hi: int, n_lo: int, n_hi: int, t: float) -> BoxSumResult:
-    """Factorized box sum sum_m m**(it) * sum_n n**(-it) against the t*ln(t) scale.
-
-    Requires n > m on the whole box so the two indices decouple.
-    """
-    if n_lo <= m_hi:
-        raise ValueError(
-            "box must satisfy n>m identically; triangle-overlapping boxes unsupported"
-        )
-    if m_lo < 1:
-        raise ValueError("indices must be positive")
-    if t <= 1.0:
-        raise ValueError("t must exceed 1")
-    left = nsum_power(0.0, t, m_lo, m_hi, minus_it=False)   # m**(+it)
-    right = nsum_power(0.0, t, n_lo, n_hi, minus_it=True)   # n**(-it)
-    value = left * right
-    bound = t * math.log(t)
-    return BoxSumResult(value=value, bound=bound, ratio=abs(value) / bound,
-                        lambda1=t / m_lo**2, lambda2=t / n_lo**2)
-
-
-def box_sum_brute(m_lo: int, m_hi: int, n_lo: int, n_hi: int, t: float) -> complex:
-    """Pair-by-pair evaluation of the box sum (equivalence reference)."""
-    total = 0j
-    for m in range(m_lo, m_hi + 1):
-        for n in range(n_lo, n_hi + 1):
-            total += complex(math.cos(t * math.log(m / n)), math.sin(t * math.log(m / n)))
-    return total
 
 
 def log_grid(t_min: float, t_max: float, points: int) -> List[float]:

@@ -41,12 +41,6 @@ def _two_prod(a, b):
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
-def _as_complex(z) -> complex:
-    if isinstance(z, ComplexScalar):
-        return z.as_complex()
-    return complex(z)
-
-
 def reduce_deterministic(chunks: Sequence) -> complex:
     """Combine ordered chunk partial sums by a fixed binary-tree reduction.
 
@@ -56,7 +50,7 @@ def reduce_deterministic(chunks: Sequence) -> complex:
     """
     nodes = []
     for z in chunks:
-        z = _as_complex(z)
+        z = complex(z)
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             raise ValueError("non-finite input")
         nodes.append((z.real, 0.0, z.imag, 0.0))
@@ -133,7 +127,7 @@ def log_gamma_complex(z) -> complex:
     reflected half-plane with |Im z| > 20 the imaginary part is only
     determined modulo 2*pi (consumers exponentiate).
     """
-    z = _as_complex(z)
+    z = complex(z)
     if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
         raise ValueError("gamma pole")
     if z.real < 0.5:
@@ -164,7 +158,7 @@ def oracle_recompute(spec: SumSpec, dps: int = EXTENDED_DPS) -> ComplexScalar:
     if spec.term_count > ORACLE_BUDGET:
         raise ValueError(f"oracle budget exceeded: {spec.term_count} terms")
     if spec.term_count == 0:
-        return ComplexScalar.extended(mp.mpf(0), mp.mpf(0), flag="empty set")
+        return ComplexScalar(mp.mpf(0), mp.mpf(0), "empty set")
     sign = -1 if spec.conjugate else 1
     with mp.workdps(dps):
         t = mp.mpf(spec.t)
@@ -173,11 +167,4 @@ def oracle_recompute(spec: SumSpec, dps: int = EXTENDED_DPS) -> ComplexScalar:
         for m in range(spec.lo, spec.hi + 1):
             phase = _oracle_phase(spec.phase, t, m)
             total += mp.power(m, -sigma) * mp.exp(mp.mpc(0, sign * phase))
-        return ComplexScalar.extended(total.real, total.imag)
-
-
-def oracle_log_gamma(z: complex, dps: int = EXTENDED_DPS) -> ComplexScalar:
-    """Extended-precision log Gamma (certification reference)."""
-    with mp.workdps(dps):
-        v = mp.loggamma(mp.mpc(z))
-        return ComplexScalar.extended(v.real, v.imag)
+        return ComplexScalar(total.real, total.imag)

@@ -1,4 +1,4 @@
-"""Weighted single exponential sums, prefix tables, and the derivative-ratio bound.
+"""Weighted single exponential sums and prefix tables.
 
 The fast paths are numpy-vectorized in fixed chunks and combined with the
 deterministic compensated reduction from :mod:`zetasum.kernel`, so a given
@@ -353,14 +353,12 @@ def _power_terms(exponent: complex, lo: int, hi: int, anchors=None) -> np.ndarra
     These are the F3 terms with t = Im(exponent), conjugated, weighted by
     n**(-Re(exponent)) for any real part, on the passes of _grid_passes,
     written into one array.  anchors, from _grid_anchors over a range holding
-    [lo, hi], spares the reduction.  Unlike single_sum, a pass of one block
-    in a cut chunk is weighted as if not cut, as the coupled artifacts pinned.
+    [lo, hi], spares the reduction.
     """
     sigma, t = float(exponent.real), float(exponent.imag)
     lo, hi = int(lo), int(hi)  # numpy integers make the scalar work of each pass slower
     out = np.empty(max(hi - lo + 1, 0), dtype=np.complex128)
-    passes = [(a, blocks, len(blocks) > 1)
-              for a, blocks, _ in _grid_passes(PhaseKind.F3, t, lo, hi)]
+    passes = list(_grid_passes(PhaseKind.F3, t, lo, hi))
     if anchors is not None:
         anchors = [anchors[m0] for _, blocks, _ in passes for m0, _ in blocks]
     for a, ((re, im),) in _anchored_terms(PhaseKind.F3, [sigma], t, passes, anchors):
@@ -373,18 +371,6 @@ def _power_terms(exponent: complex, lo: int, hi: int, anchors=None) -> np.ndarra
 def nsum_power(sigma: float, t: float, lo: int, hi: int, minus_it: bool) -> complex:
     """sum n**(-sigma - it) (minus_it=True) or n**(-sigma + it) over [lo, hi]."""
     return single_sum(SumSpec(PhaseKind.F3, sigma, t, lo, hi, conjugate=minus_it))
-
-
-def d_delta_sum(sigma: float, t: float, delta: float) -> complex:
-    """Initial-segment F1 sum over m <= t**delta."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    if t <= 1.0:
-        raise ValueError("t must exceed 1")
-    upper = int(t**delta)
-    if upper < 1:
-        return 0j
-    return single_sum(SumSpec(PhaseKind.F1, sigma, t, 1, upper))
 
 
 def check_prefix_budget(upper: int) -> None:
@@ -543,17 +529,3 @@ def power_prefix(exponent: complex, upper: int) -> np.ndarray:
     for a, terms, carry in prefix_blocks(exponent, 1, upper, CHUNK_SIZE):
         cum[a : a + terms.size] = carry + np.cumsum(terms)
     return cum
-
-
-def c_ratio(x: float, t: float, k: int) -> float:
-    """Binomial ratio controlling |f1^(k)|; strictly inside (1 - 2**-k, 1)."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if not x < t:
-        raise ValueError("ratio bound requires x < t")
-    if x <= 1.0:
-        raise ValueError("ratio bound requires x > 1")
-    r = x / t
-    num = 1.0 + sum(math.comb(k, n) * r**n for n in range(1, k))
-    den = 1.0 + sum(math.comb(k, n) * r**n for n in range(1, k + 1))
-    return num / den

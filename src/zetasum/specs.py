@@ -10,36 +10,22 @@ from typing import Optional
 from .config import SIGMA_WINDOW
 
 
-class PrecisionMode(enum.Enum):
-    STANDARD = "standard"
-    EXTENDED = "extended"
-
-
 @dataclass(frozen=True)
 class ComplexScalar:
-    """A complex value tagged with the precision it was computed at.
+    """An extended-precision complex value from the oracle.
 
-    ``re``/``im`` are floats in standard mode and ``mpmath.mpf`` in extended
-    mode (>= 31 significant digits).  Non-finite components are rejected at
-    construction so NaN/Inf never escape an operation silently.
+    ``re``/``im`` are ``mpmath.mpf`` (>= 31 significant digits).  Non-finite
+    components are rejected at construction so NaN/Inf never escape an
+    operation silently.
     """
 
     re: object
     im: object
-    precision_mode: PrecisionMode = PrecisionMode.STANDARD
     flag: Optional[str] = None
 
     def __post_init__(self):
         if not (math.isfinite(float(self.re)) and math.isfinite(float(self.im))):
             raise ValueError("non-finite input")
-
-    @classmethod
-    def standard(cls, z: complex) -> "ComplexScalar":
-        return cls(float(z.real), float(z.imag), PrecisionMode.STANDARD)
-
-    @classmethod
-    def extended(cls, re, im, flag: Optional[str] = None) -> "ComplexScalar":
-        return cls(re, im, PrecisionMode.EXTENDED, flag)
 
     def as_complex(self) -> complex:
         return complex(float(self.re), float(self.im))

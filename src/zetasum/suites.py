@@ -25,6 +25,7 @@ import numpy as np
 from . import golden
 from .asymptotics import (chi_asymptotic, chi_exact, fl_identity_residuals,
                           fr_identity_residual, functional_equation_residual)
+from .config import ETA_DIST_EPS
 from .doublesums import (Strategy, grid_double_sum, lemma32_identity_residual,
                          relation_36_check, s4_a_sum, s4_b_sum,
                          s5_1_sum, s5_2_sum, s5_decomposition_residual,
@@ -356,12 +357,13 @@ def _run_identity_26(config, meta) -> List[ClaimRecord]:
     return records
 
 
-def nudge_eta(eta: float, clearance: float = 0.1) -> float:
-    """Push eta away from the nearest multiple of 2 pi if it sits too close."""
+def nudge_eta(eta: float) -> float:
+    """Move eta to 2 ETA_DIST_EPS from the nearest multiple of 2 pi if it lies
+    within ETA_DIST_EPS of it, where e_term refuses it."""
     k = round(eta / (2.0 * math.pi))
     dist = eta - 2.0 * math.pi * k
-    if abs(dist) < clearance:
-        return 2.0 * math.pi * k + (clearance if dist >= 0 else -clearance)
+    if abs(dist) <= ETA_DIST_EPS:
+        return 2.0 * math.pi * k + (2.0 * ETA_DIST_EPS if dist >= 0 else -2.0 * ETA_DIST_EPS)
     return eta
 
 

@@ -96,7 +96,7 @@ class TestDispatch:
         assert main(["oracle", "--spec", spec]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["re"] == pytest.approx(2.7670987105620792, rel=1e-12)
-        assert out["precision_mode"] == "extended"
+        assert set(out) == {"re", "im", "flag", "fast_re", "fast_im", "abs_err"}
         # the fast path audited against the oracle
         fast = complex(out["fast_re"], out["fast_im"])
         assert fast == pytest.approx(complex(out["re"], out["im"]), rel=1e-12)
@@ -115,12 +115,15 @@ class TestDispatch:
         assert "oracle budget exceeded" in capsys.readouterr().err
 
     def test_extended_precision_run_exit_2(self, tmp_path, capsys):
+        # run takes no --precision: suites run in double precision, and
+        # `zetasum oracle` certifies one sum in extended precision
         out = tmp_path / "never.csv"
-        code = main(["run", "--suite", "relation-3.4", "--precision", "extended",
-                     "--out", str(out)])
-        assert code == 2
-        assert "zetasum oracle" in capsys.readouterr().err
-        assert not out.exists()
+        for precision in ("standard", "extended"):
+            code = main(["run", "--suite", "relation-3.4", "--precision", precision,
+                         "--out", str(out)])
+            assert code == 2
+            assert "--precision" in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize("option,message", [
         (["--suite", "est-2.13", "--points", "4"],
@@ -144,10 +147,6 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err
         assert not out.exists()
-
-    def test_standard_precision_run_accepted(self, capsys):
-        assert main(["run", "--suite", "relation-3.4", "--precision", "standard"]) == 0
-        capsys.readouterr()
 
     def test_missing_subcommand_exit_2(self):
         assert main([]) == 2

@@ -1,4 +1,4 @@
-"""Growth-exponent fitting, the J integrals, 5GH, and box sums."""
+"""Growth-exponent fitting, the J integrals, and 5GH."""
 
 import math
 
@@ -6,10 +6,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from zetasum.estlab import (SampleSeries, Verdict, box_sum_brute,
-                            box_sum_check, fit_growth_exponent, gh_bound_check,
-                            j2_integral, j_integral, j_integral_bound,
-                            log_grid)
+from zetasum.estlab import (SampleSeries, Verdict, fit_growth_exponent,
+                            gh_bound_check, j2_integral, j_integral, log_grid)
 
 
 def _series(ts, mags, k=0):
@@ -62,17 +60,6 @@ class TestJIntegrals:
         ref = float(mp.quad(lambda x: (10 + x) ** mp.mpf("0.5")
                             * x ** mp.mpf("-0.3"), [11, 1000]))
         assert ours == pytest.approx(ref, rel=1e-10)
-
-    def test_closed_form_bound(self):
-        rng = np.random.default_rng(9)
-        for _ in range(50):
-            m1 = int(rng.integers(1, 50))
-            t = float(rng.uniform(m1 + 10.0, 1e4))
-            s1 = float(rng.uniform(-1.0, -0.01))
-            s2 = float(rng.uniform(0.0, 0.9))
-            if s1 + s2 >= 1.0:
-                continue
-            assert j_integral(m1, t, s1, s2) <= j_integral_bound(m1, t, s1, s2) * (1 + 1e-9)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -238,28 +225,6 @@ class TestGHBoundStack:
     def test_mismatched_or_wrong_rank_raises(self, shape_a, shape_b):
         with pytest.raises(ValueError, match="equal shape"):
             gh_bound_check(np.ones(shape_a), np.ones(shape_b))
-
-
-class TestBoxSum:
-    def test_one_element_box(self):
-        out = box_sum_check(7, 7, 9, 9, 500.0)
-        assert abs(out.value) == pytest.approx(1.0, abs=1e-14)
-
-    def test_overlap_rejected(self):
-        with pytest.raises(ValueError, match="n>m identically"):
-            box_sum_check(5, 20, 15, 30, 500.0)
-
-    def test_factorization_matches_brute(self):
-        out = box_sum_check(10, 29, 40, 59, 1e3)
-        ref = box_sum_brute(10, 29, 40, 59, 1e3)
-        assert abs(out.value - ref) <= 1e-10 * max(abs(ref), 1.0)
-
-    def test_dyadic_window_within_scale(self):
-        t = 1e5
-        m = 2 * math.isqrt(int(t))
-        out = box_sum_check(m, 2 * m, 4 * m, 8 * m, t)
-        assert out.ratio <= 1.0
-        assert out.lambda1 == pytest.approx(t / m**2)
 
 
 class TestLogGrid:

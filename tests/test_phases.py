@@ -1,4 +1,4 @@
-"""Phase evaluation, weighted single sums, prefix tables, and C(x,t;k)."""
+"""Phase evaluation, weighted single sums, and prefix tables."""
 
 import dataclasses
 import math
@@ -8,14 +8,12 @@ from concurrent.futures import ThreadPoolExecutor
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from zetasum.config import CHUNK_SIZE, SINGLE_SUM_BUDGET
 from zetasum.kernel import oracle_recompute
 from zetasum import ddtables, kernel, phases
-from zetasum.phases import (PrefixCursor, _grid_anchors, _power_terms, c_ratio,
-                            d_delta_sum, nsum_power, phase_eval, power_prefix, single_sum)
+from zetasum.phases import (PrefixCursor, _grid_anchors, _power_terms, nsum_power,
+                            phase_eval, power_prefix, single_sum)
 from zetasum.specs import PhaseKind, SumSpec
 
 
@@ -48,6 +46,14 @@ class TestSingleSum:
         got = single_sum(spec)
         assert got.real == pytest.approx(2.7670987105620792, rel=1e-12)
         assert got.imag == pytest.approx(-0.09369732797829902, rel=1e-12)
+        # the F1 initial segments: extended-precision reference for
+        # sum_{m<=4} e^{i f1(m)} at t = 16, and the one term m = 1 at t = 1e6
+        got = single_sum(SumSpec(PhaseKind.F1, 0.0, 16.0, 1, 4))
+        assert got.real == pytest.approx(-0.09853817752943221, abs=1e-12)
+        assert got.imag == pytest.approx(0.040348821856432376, abs=1e-11)
+        t = 1e6
+        got = single_sum(SumSpec(PhaseKind.F1, 1.0, t, 1, 1))
+        assert got == pytest.approx(complex(np.exp(1j * t * np.log1p(t))), abs=1e-9)
 
     def test_matches_oracle_f2_and_bounded(self):
         spec = SumSpec(PhaseKind.F2, 0.0, 1000.0, 1, 1000)
@@ -344,8 +350,8 @@ class TestPowerTerms:
         # the anchor grid is fixed by t, so every range gives n the same bits
         e = complex(0.5, t)
         whole = _power_terms(e, 1, 300_000)
-        for lo, hi in [(1, 1), (2, 2), (4_000, 4_200), (12_345, 70_000),
-                       (262_140, 262_150), (299_999, 300_000)]:
+        for lo, hi in [(1, 1), (2, 2), (4_000, 4_200), (5_893, 6_260), (12_345, 70_000),
+                       (17_409, 18_496), (262_140, 262_150), (299_999, 300_000)]:
             assert np.array_equal(_power_terms(e, lo, hi), whole[lo - 1 : hi])
 
     @pytest.mark.parametrize("t", [50.0, 1e6, -3e4])
@@ -389,24 +395,6 @@ class TestPowerTerms:
         monkeypatch.setattr(phases, "_panel_phases", counted_terms)
         _power_terms(complex(0.3, 40.0), 11, 110)  # |f| <= 40 ln 110 < 200
         assert calls == {"anchor": 1, "pass": 1}
-
-
-class TestDDeltaSum:
-    def test_matches_oracle(self):
-        got = d_delta_sum(0.0, 16.0, 0.5)
-        # extended-precision reference for sum_{m<=4} e^{i f1(m)} at t=16
-        assert got.real == pytest.approx(-0.09853817752943221, abs=1e-12)
-        assert got.imag == pytest.approx(0.040348821856432376, abs=1e-11)
-
-    def test_single_term(self):
-        t = 1e6
-        got = d_delta_sum(1.0, t, 1e-9)  # [t^delta] = 1
-        expected = complex(np.exp(1j * t * np.log1p(t)))
-        assert got == pytest.approx(expected, abs=1e-9)
-
-    def test_small_t_rejected(self):
-        with pytest.raises(ValueError, match="t must exceed 1"):
-            d_delta_sum(0.5, 0.5, 0.5)
 
 
 class TestPrefix:
@@ -526,32 +514,3 @@ class TestPrefix:
             assert math.isfinite(abs(cursor.read(np.array([2]), 2)[0][0]))
             with pytest.raises(ValueError, match="non-finite input"):
                 cursor.read(np.array([50]), 50)
-
-
-class TestCRatio:
-    def test_interior_point(self):
-        assert 0.75 < c_ratio(50.0, 100.0, 2) < 1.0
-
-    def test_near_t_boundary(self):
-        # as x -> t the ratio approaches 1 - 2^{-k} from above
-        assert c_ratio(99.999999, 100.0, 3) == pytest.approx(1 - 2**-3, abs=1e-6)
-
-    def test_small_x_limit(self):
-        assert c_ratio(1.0000001, 1e12, 3) == pytest.approx(1.0, abs=1e-6)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError, match="requires x < t"):
-            c_ratio(100.0, 100.0, 2)
-        with pytest.raises(ValueError):
-            c_ratio(0.5, 100.0, 2)
-        with pytest.raises(ValueError):
-            c_ratio(50.0, 100.0, 1)
-
-    @given(st.floats(min_value=1.001, max_value=999.0),
-           st.integers(min_value=2, max_value=8))
-    @settings(max_examples=300, deadline=None)
-    def test_strict_bounds(self, x, k):
-        # the upper bound is strict in exact arithmetic, but for tiny x/t the
-        # missing top binomial term falls below one ulp and the float rounds
-        # to exactly 1.0, so equality is allowed there
-        assert 1 - 2.0**-k < c_ratio(x, 1000.0, k) <= 1.0

@@ -13,10 +13,12 @@ import numpy as np
 import pytest
 
 from zetasum import suites
+from zetasum.asymptotics import _dist_to_2pi_grid, e_term
 from zetasum.cli import records_to_json
+from zetasum.config import ETA_DIST_EPS
 from zetasum.estlab import gh_bound_check
-from zetasum.suites import (ExperimentConfig, _pmap, load_manifest, registered_suites,
-                            run_suite)
+from zetasum.suites import (ExperimentConfig, _pmap, load_manifest, nudge_eta,
+                            registered_suites, run_suite)
 
 
 @pytest.mark.skipif(suites._usable_cpus() < 2, reason="one usable CPU runs serially")
@@ -254,6 +256,17 @@ def test_bound_5gh_peak_allocation():
     assert peak <= 12 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
+def test_nudged_eta_is_taken_by_e_term():
+    # identity-2.7's eta2 = sqrt(t)/2 at 2 pi k + off: the nudged eta lies
+    # farther than ETA_DIST_EPS from 2 pi Z, where e_term takes it
+    for off in (0.0, 0.05, -0.05, 0.09, -0.09, 0.1, -0.1):
+        for k in range(8, 80):
+            t = (2.0 * (2.0 * math.pi * k + off)) ** 2
+            eta = nudge_eta(math.sqrt(t) / 2.0)
+            assert _dist_to_2pi_grid(eta) > ETA_DIST_EPS, (k, off)
+            e_term(0.5, t, eta)
+
+
 # SHA-256 of each suite's JSON artifact at threads=2 (NumPy 2.4, x86-64): a
 # change to the runners that moves one bit of one record shows here
 _ARTIFACT_SHA256 = {
@@ -269,11 +282,11 @@ _ARTIFACT_SHA256 = {
     "identity-3.12": "39edb5cb426d170775ee25c3a9adedb0f1bccc0ea4e1435c22b4ad4d57581af9",
     "lemma-2.3": "f25f013bb7399b3a4315b40e7ad8141fa816ac2c9d07a68b47703b34440d23b8",
     "lemma-4.1": "567420bff0aec6d026c651e0f6a3ad4c35c7cb86559d588f3d2aa9cd64cd59be",
-    "lemma-4.2": "33eb647ca454865bc7b544e055f4f3fd0505f46de852dcc437c65af948583817",
+    "lemma-4.2": "df4515a3b33f40f178bd0a5546d094971022a74b19a69878810cbda1ec745f30",
     "lemma-5.2": "213c73abe10cb9605387b12bb5f925dc4b68144021580897f13513f029211f00",
     "relation-3.4": "52e5645c15c57d0de49e89816f023f0018bb1162e93bb1a3869ccb86d025b22f",
-    "thm-5.1": "ccfce528e90025242e337fad81825806543fa57ce33f89c738bbd13058d11f95",
-    "thm-5.3": "1658d0e9d34b66fa2de526ea1839a957990d0f8c4a995222c1d185b9d0be15ea",
+    "thm-5.1": "0ba65e8dcf705f373d15604c8efd859f9461383753e342659a75dafcc6945c90",
+    "thm-5.3": "185d1d15f8a5e69dac834cec0dc77784c5d628bb87c53285f81fd320d1fca652",
 }
 
 
