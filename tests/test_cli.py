@@ -148,6 +148,13 @@ class TestDispatch:
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err
         assert not out.exists()
 
+    def test_standard_precision_run_accepted(self, tmp_path, capsys):
+        # a run without --precision is the double-precision run
+        out = tmp_path / "relation.csv"
+        assert main(["run", "--suite", "relation-3.4", "--out", str(out)]) == 0
+        assert out.exists()
+        capsys.readouterr()
+
     def test_missing_subcommand_exit_2(self):
         assert main([]) == 2
 

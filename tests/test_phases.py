@@ -46,14 +46,6 @@ class TestSingleSum:
         got = single_sum(spec)
         assert got.real == pytest.approx(2.7670987105620792, rel=1e-12)
         assert got.imag == pytest.approx(-0.09369732797829902, rel=1e-12)
-        # the F1 initial segments: extended-precision reference for
-        # sum_{m<=4} e^{i f1(m)} at t = 16, and the one term m = 1 at t = 1e6
-        got = single_sum(SumSpec(PhaseKind.F1, 0.0, 16.0, 1, 4))
-        assert got.real == pytest.approx(-0.09853817752943221, abs=1e-12)
-        assert got.imag == pytest.approx(0.040348821856432376, abs=1e-11)
-        t = 1e6
-        got = single_sum(SumSpec(PhaseKind.F1, 1.0, t, 1, 1))
-        assert got == pytest.approx(complex(np.exp(1j * t * np.log1p(t))), abs=1e-9)
 
     def test_matches_oracle_f2_and_bounded(self):
         spec = SumSpec(PhaseKind.F2, 0.0, 1000.0, 1, 1000)
@@ -395,6 +387,22 @@ class TestPowerTerms:
         monkeypatch.setattr(phases, "_panel_phases", counted_terms)
         _power_terms(complex(0.3, 40.0), 11, 110)  # |f| <= 40 ln 110 < 200
         assert calls == {"anchor": 1, "pass": 1}
+
+
+class TestDDeltaSum:
+    """The F1 initial segments d_delta = sum_{m <= [t^delta]} m^-sigma e^{i f1(m)}."""
+
+    def test_matches_oracle(self):
+        got = single_sum(SumSpec(PhaseKind.F1, 0.0, 16.0, 1, 4))  # [16^0.5] = 4
+        # extended-precision reference for sum_{m<=4} e^{i f1(m)} at t=16
+        assert got.real == pytest.approx(-0.09853817752943221, abs=1e-12)
+        assert got.imag == pytest.approx(0.040348821856432376, abs=1e-11)
+
+    def test_single_term(self):
+        t = 1e6
+        got = single_sum(SumSpec(PhaseKind.F1, 1.0, t, 1, 1))  # [t^1e-9] = 1
+        expected = complex(np.exp(1j * t * np.log1p(t)))
+        assert got == pytest.approx(expected, abs=1e-9)
 
 
 class TestPrefix:
