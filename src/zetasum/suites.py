@@ -144,16 +144,20 @@ def _pmap(fn: Callable, items: Sequence, threads: int) -> list:
     forked workers, which inherit ``fn`` and ``items`` at fork, so closures
     need no pickling; only the results travel back.  Two threads cannot do
     this job: the GIL changes hands between the kernel's NumPy calls of
-    about 15 us each.  Sweeps list their grid points in ascending t, so the
-    processes take them last first, one at a time: the costliest point
-    starts at once instead of setting the wall time by starting last.  The
-    caller works too, in its warm heap, so a map of a few small items costs
-    about one fork.  Every value is computed by the same code in whichever
-    process, so results keep their bits.  With one usable CPU, or without
-    fork, the map runs serially.  Forking is safe only from a process with
-    one thread, so a library caller should pass threads > 1 from its main
-    thread alone.  An exception raised for any item reaches the caller, and
-    every worker is reaped before this returns or raises.
+    about 15 us each.  Sweeps list their grid points in ascending t, and
+    identity-3.12 its draws in ascending N, so the processes take them last
+    first, one at a time: the costliest point starts at once instead of
+    setting the wall time by starting last.  The caller works too, in its
+    warm heap, so a map of a few small items costs about one fork.  Every
+    value is computed by the same code in whichever process, so results keep
+    their bits; random draws are made in the caller before the map, or, for
+    bound-5gh's chunks, from a generator jumped ahead to the chunk's place in
+    the stream, so no item depends on the order in which items run.  With
+    one usable CPU, or without fork, the map runs serially.  Forking is safe
+    only from a process with one thread, so a library caller should pass
+    threads > 1 from its main thread alone.  An exception raised for any
+    item reaches the caller, and every worker is reaped before this returns
+    or raises.
     """
     if threads <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
@@ -298,19 +302,22 @@ def _frozen_bound(meta, d, ts, vals, k, key, context, **fields) -> List[ClaimRec
 def _run_identity_312(config, meta) -> List[ClaimRecord]:
     d = _resolve_defaults(config, meta)
     rng = np.random.default_rng(d["seed"])
-    records = []
-    for n_max in d["n_values"]:
-        for _ in range(d["draws"]):
-            u = complex(rng.uniform(-2, 2), rng.uniform(-50, 50))
-            v = complex(rng.uniform(-2, 2), rng.uniform(-50, 50))
-            res = lemma32_identity_residual(u, v, n_max)
-            # scale by the product side so the residual is relative
-            m = np.arange(1, n_max + 1, dtype=np.float64)
-            scale = abs(np.exp(-u * np.log(m)).sum() * np.exp(-v * np.log(m)).sum())
-            records.append(_exact(meta, abs(res) / max(scale, 1.0), d["tolerance"],
-                                  sigma=u.real, t=float(n_max), param1=u.imag,
-                                  param2=v.imag, value=res))
-    return records
+    # every (n_max, u, v) is drawn first, in n_max order, so the largest
+    # n_max comes last and _pmap starts it first
+    draws = [(n_max, complex(rng.uniform(-2, 2), rng.uniform(-50, 50)),
+              complex(rng.uniform(-2, 2), rng.uniform(-50, 50)))
+             for n_max in d["n_values"] for _ in range(d["draws"])]
+
+    def one(draw):
+        n_max, u, v = draw
+        res = lemma32_identity_residual(u, v, n_max)
+        # scale by the product side so the residual is relative
+        m = np.arange(1, n_max + 1, dtype=np.float64)
+        scale = abs(np.exp(-u * np.log(m)).sum() * np.exp(-v * np.log(m)).sum())
+        return _exact(meta, abs(res) / max(scale, 1.0), d["tolerance"], sigma=u.real,
+                      t=float(n_max), param1=u.imag, param2=v.imag, value=res)
+
+    return _pmap(one, draws, config.threads)
 
 
 def _run_relation_34(config, meta) -> List[ClaimRecord]:
@@ -469,14 +476,20 @@ def _run_thm_53(config, meta) -> List[ClaimRecord]:
 def _run_lemma_52(config, meta) -> List[ClaimRecord]:
     d = _resolve_defaults(config, meta)
     ts = _t_grid(d)
+
+    def one(job):
+        sg, delta, t = job
+        num, asym = j2_integral(sg, t, delta)
+        rel = abs(num / asym - 1.0)
+        decay = max(t ** (-2.0 * delta * (1.0 - sg)), t ** (-delta))
+        return num, asym, rel, decay
+
+    # one map over every (pair, t), then each pair's constant in pair order
+    jobs = [(sg, delta, t) for sg, delta in d["pairs"] for t in ts]
+    all_rows = _pmap(one, jobs, config.threads)
     records = []
-    for sg, delta in d["pairs"]:
-        def one(t):
-            num, asym = j2_integral(sg, t, delta)
-            rel = abs(num / asym - 1.0)
-            decay = max(t ** (-2.0 * delta * (1.0 - sg)), t ** (-delta))
-            return num, asym, rel, decay
-        rows = _pmap(one, ts, config.threads)
+    for p, (sg, delta) in enumerate(d["pairs"]):
+        rows = all_rows[p * len(ts):(p + 1) * len(ts)]
         context = {"suite": meta["claim_id"], "sigma": sg, "delta": delta, "t_grid": ts}
         c = golden.freeze(f"{meta['claim_id']}-s{sg:g}-d{delta:g}",
                           max(rel / decay for _, _, rel, decay in rows) * d["headroom"],
@@ -487,11 +500,14 @@ def _run_lemma_52(config, meta) -> List[ClaimRecord]:
     return records
 
 
-# bound-5gh draws the five parameters of all its instances first, then each
-# chunk's phases in one call into a reused buffer, and checks each chunk as
-# stacks of instances whose rows and columns round up to the same multiple of
-# _GH_ROUND.  A double takes one 64-bit output of the bit generator and every
-# integer is drawn before it, so the instances do not depend on the chunking.
+# bound-5gh draws the five parameters of all its instances first.  Each
+# _GH_CHUNK chunk of instances then draws its phases in one call, from a
+# generator set to the state after those draws and jumped ahead past the
+# earlier chunks' phases, and checks them as stacks of instances whose rows
+# and columns round up to the same multiple of _GH_ROUND.  A double takes one
+# 64-bit output of the bit generator and every integer is drawn before it, so
+# the instances do not depend on the chunking, and each chunk can run in any
+# process.
 _GH_CHUNK = 512
 _GH_STACK = 32
 _GH_ROUND = 10
@@ -545,23 +561,25 @@ def _run_bound_5gh(config, meta) -> List[ClaimRecord]:
     rows, cols = rng.integers(2, side, size=n_inst), rng.integers(2, side, size=n_inst)
     m_lo, n_lo = rng.integers(1, 101, size=n_inst), rng.integers(1, 101, size=n_inst)
     # instance k's phases are cells off[k]:off[k + 1] of the phase stream
+    # that follows the integer draws
+    state = rng.bit_generator.state
     off = np.concatenate(([0], np.cumsum(rows * cols)))
-    starts = range(0, n_inst, _GH_CHUNK)
-    buf = np.empty(max(off[min(s + _GH_CHUNK, n_inst)] - off[s] for s in starts))
-    failures = 0   # instances breaking the bound or its sign conditions
-    worst = (0.0, None)   # (stacked ratio, draw); ties keep the earliest draw
-    for start in starts:
-        stop, base = min(start + _GH_CHUNK, n_inst), off[start]
-        rng.random(out=buf[:off[stop] - base])
-        chunk = zip(sigmas[start:stop],
-                    *(v[start:stop].tolist() for v in (off, rows, cols, m_lo, n_lo)))
-        draws = [(sg, r, c, ml, nl, buf[o - base:o - base + r * c].reshape(r, c))
-                 for sg, o, r, c, ml, nl in chunk]
+
+    def chunk(start):
+        """(failures, largest stacked ratio, its draw) of the chunk from ``start``."""
+        stop, base = min(start + _GH_CHUNK, n_inst), int(off[start])
+        bits = np.random.PCG64()
+        bits.state = state
+        phases = np.random.default_rng(bits.advance(base)).random(int(off[stop]) - base)
+        params = zip(sigmas[start:stop],
+                     *(v[start:stop].tolist() for v in (off, rows, cols, m_lo, n_lo)))
+        draws = [(sg, r, c, ml, nl, phases[o - base:o - base + r * c].reshape(r, c))
+                 for sg, o, r, c, ml, nl in params]
         buckets: Dict[tuple, List[int]] = {}
         for k, (_, r, c, *_rest) in enumerate(draws):
             shape = (-(-r // _GH_ROUND) * _GH_ROUND, -(-c // _GH_ROUND) * _GH_ROUND)
             buckets.setdefault(shape, []).append(k)
-        ratios = np.empty(len(draws))
+        failures, ratios = 0, np.empty(len(draws))
         for shape, members in buckets.items():
             for s in range(0, len(members), _GH_STACK):
                 idx = members[s:s + _GH_STACK]
@@ -569,9 +587,15 @@ def _run_bound_5gh(config, meta) -> List[ClaimRecord]:
                 failures += int(np.count_nonzero(~(chk.holds & chk.sign_conditions_ok)))
                 ratios[idx] = chk.lhs / chk.bound
         k = int(np.argmax(ratios))
-        if ratios[k] > worst[0]:
-            # copied out, as the next chunk's phases overwrite the buffer
-            worst = (ratios[k], (*draws[k][:5], draws[k][5].copy()))
+        # copied out, so the chunk's phases need not outlive it
+        return failures, ratios[k], (*draws[k][:5], draws[k][5].copy())
+
+    failures = 0   # instances breaking the bound or its sign conditions
+    worst = (0.0, None)   # (stacked ratio, draw); ties keep the earliest draw
+    for fails, ratio, draw in _pmap(chunk, range(0, n_inst, _GH_CHUNK), config.threads):
+        failures += fails
+        if ratio > worst[0]:
+            worst = (ratio, draw)
     # padding may move lhs in its last bit, so the record comes from the
     # worst instance checked on its own
     sg, r, c, *_rest = draw = worst[1]
@@ -600,16 +624,18 @@ def _run_lemma_42(config, meta) -> List[ClaimRecord]:
 def _run_determinism(config, meta) -> List[ClaimRecord]:
     d = _resolve_defaults(config, meta)
     rng = np.random.default_rng(d["seed"])
-    records = []
-    for i in range(d["draws"]):
-        t = float(rng.uniform(50.0, d["t_max_draw"]))
-        sg = float(rng.uniform(0.1, 0.9))
+    draws = [(float(rng.uniform(50.0, d["t_max_draw"])), float(rng.uniform(0.1, 0.9)))
+             for _ in range(d["draws"])]
+
+    def one(i):
+        t, sg = draws[i]
         fast = grid_double_sum(sg, t).value + tail_double_sum(sg, t)
         slow = (grid_double_sum(sg, t, Strategy.BRUTE_FORCE).value
                 + tail_double_sum(sg, t, Strategy.BRUTE_FORCE))
-        records.append(_exact(meta, abs(fast - slow) / max(abs(slow), 1e-300),
-                              d["tolerance"], sigma=sg, t=t, param1=float(i),
-                              value=fast - slow))
+        return _exact(meta, abs(fast - slow) / max(abs(slow), 1e-300), d["tolerance"],
+                      sigma=sg, t=t, param1=float(i), value=fast - slow)
+
+    records = _pmap(one, range(len(draws)), config.threads)
     # the same sub-suite run serially and on up to eight processes (no more
     # than the usable CPUs) must agree exactly
     probe = ExperimentConfig(suite="relation-3.4")

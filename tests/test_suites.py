@@ -156,17 +156,31 @@ def _one_by_one_5gh(seed, meta):
 
 def test_bound_5gh_phases_one_call_equal_per_instance_calls():
     # a double takes one 64-bit output whatever the integer draws before it
-    # left over, so one call into a buffer gives each instance's phases in turn
-    d = dict(load_manifest()["bound-5gh"]["defaults"], instances=700)
-    one, each = np.random.default_rng(11), np.random.default_rng(11)
-    params = _draw_params(one, d)
-    assert params == _draw_params(each, d)
-    n = sum(rows * cols for _, rows, cols, _, _ in params)
-    buf = np.full(n + 5, -1.0)
-    one.random(out=buf[:n])
-    per = [each.random((rows, cols)).ravel() for _, rows, cols, _, _ in params]
-    assert np.array_equal(buf[:n], np.concatenate(per)) and (buf[n:] == -1.0).all()
-    assert one.random() == each.random()
+    # left over, so one call into a buffer gives each instance's phases in
+    # turn; an odd count of 32-bit integer draws (5 * 701) leaves half an
+    # output cached, an even one (5 * 700) none
+    for instances, cached in ((700, 0), (701, 1)):
+        d = dict(load_manifest()["bound-5gh"]["defaults"], instances=instances)
+        one, each = np.random.default_rng(11), np.random.default_rng(11)
+        params = _draw_params(one, d)
+        assert params == _draw_params(each, d)
+        state = one.bit_generator.state
+        assert state["has_uint32"] == cached
+        sizes = [rows * cols for _, rows, cols, _, _ in params]
+        n = sum(sizes)
+        buf = np.full(n + 5, -1.0)
+        one.random(out=buf[:n])
+        per = [each.random((rows, cols)).ravel() for _, rows, cols, _, _ in params]
+        assert np.array_equal(buf[:n], np.concatenate(per)) and (buf[n:] == -1.0).all()
+        assert one.random() == each.random()
+        # so a generator set to the state after the integer draws and jumped
+        # ahead by off[k] draws instance k's phases, as a bound-5gh chunk does
+        off = np.concatenate(([0], np.cumsum(sizes)))
+        for k in (0, 1, 333, instances - 1):
+            bits = np.random.PCG64()
+            bits.state = state
+            jumped = np.random.default_rng(bits.advance(int(off[k])))
+            assert np.array_equal(jumped.random(sizes[k]), buf[off[k]:off[k + 1]])
 
 
 @pytest.mark.parametrize("chunk,stack", [(512, 32), (37, 5), (1, 1)])
@@ -227,6 +241,8 @@ class _CountingGenerator:
 
     def __getattr__(self, name):
         method = getattr(self._rng, name)
+        if not callable(method):   # bit_generator
+            return method
 
         def counted(*args, **kwargs):
             self._calls[name] = self._calls.get(name, 0) + 1
@@ -235,17 +251,25 @@ class _CountingGenerator:
 
 
 def test_bound_5gh_generator_calls(monkeypatch):
-    # five array draws of the parameters, then one draw of each chunk's phases
-    calls = {}
+    # five array draws of the parameters on the seeded generator, then one
+    # draw of each chunk's phases on a generator jumped ahead for that chunk
+    seeded, chunks = {}, []
     default_rng = np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng",
-                        lambda seed: _CountingGenerator(default_rng(seed), calls))
+
+    def counting(seed):
+        if isinstance(seed, np.random.BitGenerator):
+            chunks.append({})
+            return _CountingGenerator(default_rng(seed), chunks[-1])
+        return _CountingGenerator(default_rng(seed), seeded)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
     assert _bound_5gh()[0].verdict == "pass"
-    assert calls == {"integers": 5, "random": 20}   # ceil(10^4 / _GH_CHUNK) chunks
+    assert seeded == {"integers": 5}
+    assert chunks == [{"random": 1}] * 20   # ceil(10^4 / _GH_CHUNK) chunks
 
 
 def test_bound_5gh_peak_allocation():
-    # one chunk's phases (a reused buffer of about 3 MB) and its stacks; drawing
+    # one chunk's phases (about 3 MB, freed with the chunk) and its stacks; drawing
     # all 10^4 instances before checking them would hold about 54 MB of phases
     tracemalloc.start()
     try:
@@ -296,9 +320,11 @@ def test_artifact_pinned(suite):
     assert hashlib.sha256(text.encode()).hexdigest() == _ARTIFACT_SHA256[suite]
 
 
-@pytest.mark.parametrize("suite", ["identity-2.6", "lemma-2.3"])
+@pytest.mark.parametrize("suite", ["identity-2.6", "lemma-2.3", "determinism",
+                                   "identity-3.12"])
 def test_sigma_batched_artifact_thread_independent(suite):
-    # one pool job per t point with all its sigmas, at either thread count
+    # one pool job per t point with all its sigmas, or per drawn point of
+    # determinism and identity-3.12, at either thread count
     text = records_to_json(run_suite(ExperimentConfig(suite=suite, threads=1)))
     assert hashlib.sha256(text.encode()).hexdigest() == _ARTIFACT_SHA256[suite]
 
