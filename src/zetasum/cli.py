@@ -142,7 +142,11 @@ def _cmd_run(args) -> int:
         print(f"error: suite {args.suite!r} cannot run with {_given_values(args)}: {exc}",
               file=sys.stderr)
         return 2
-    text = emit(records, args.format, args.out)
+    try:
+        text = emit(records, args.format, args.out)
+    except OSError as exc:  # an --out path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if not args.out:
         sys.stdout.write(text)
     else:
@@ -159,14 +163,25 @@ def _cmd_list_suites() -> int:
     return 0
 
 
+def _parse_spec(text: str) -> SumSpec:
+    """The sum an oracle --spec describes.  lo and hi must be JSON integers and
+    conjugate, if given, a JSON boolean: no value is rounded or coerced."""
+    payload = json.loads(text)
+    for key in ("lo", "hi"):
+        if type(payload[key]) is not int:  # a bool is an int to isinstance
+            raise ValueError(f"{key} must be an integer, got {json.dumps(payload[key])}")
+    conjugate = payload.get("conjugate", False)
+    if type(conjugate) is not bool:
+        raise ValueError(f"conjugate must be true or false, got {json.dumps(conjugate)}")
+    return SumSpec(phase=PhaseKind[payload["phase"]], sigma=float(payload["sigma"]),
+                   t=float(payload["t"]), lo=payload["lo"], hi=payload["hi"],
+                   conjugate=conjugate)
+
+
 def _cmd_oracle(args) -> int:
     try:
-        payload = json.loads(args.spec)
-        spec = SumSpec(phase=PhaseKind[payload["phase"]],
-                       sigma=float(payload["sigma"]), t=float(payload["t"]),
-                       lo=int(payload["lo"]), hi=int(payload["hi"]),
-                       conjugate=bool(payload.get("conjugate", False)))
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+        spec = _parse_spec(args.spec)
+    except (KeyError, TypeError, ValueError) as exc:
         print(f"error: bad --spec: {exc}", file=sys.stderr)
         return 2
     try:

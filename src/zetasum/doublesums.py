@@ -43,6 +43,14 @@ class SplitSumResult:
     strategy: Strategy
 
 
+@dataclass(frozen=True)
+class RelationCheck:
+    lhs: complex
+    rhs: complex
+    residual: complex
+    relative_residual: float
+
+
 def _powers(exponent: complex, n) -> np.ndarray:
     """n**(-exponent) for an array of positive indices n, by a plain complex exp.
 
@@ -184,18 +192,23 @@ def g_sum(u: complex, v: complex, n_max: int, strategy: Strategy = Strategy.PREF
     return _window_sum(v, 1, n_max, lambda m: (n_max, n_max + m), u)
 
 
-def lemma32_identity_residual(u: complex, v: complex, n_max: int) -> complex:
+def lemma32_identity_residual(u: complex, v: complex, n_max: int) -> RelationCheck:
     """LHS - RHS of the exact square-grid rearrangement identity.
 
     f(u,v) + f(v,u) + sum m**-(u+v)
       = (sum m**-u)(sum n**-v) + g(u,v) + g(v,u)
+
+    Its relative residual is |residual| / max(|P|, 1), scaled by the product
+    P = (sum m**-u)(sum n**-v) of the two power sums.
     """
     lhs = f_sum(u, v, n_max) + f_sum(v, u, n_max)
     m = _ar(1, n_max)
     lhs += complex(_powers(u + v, m).sum())
-    rhs = complex(_powers(u, m).sum()) * complex(_powers(v, m).sum())
-    rhs += g_sum(u, v, n_max) + g_sum(v, u, n_max)
-    return lhs - rhs
+    product = complex(_powers(u, m).sum()) * complex(_powers(v, m).sum())
+    rhs = product + (g_sum(u, v, n_max) + g_sum(v, u, n_max))
+    resid = lhs - rhs
+    return RelationCheck(lhs=lhs, rhs=rhs, residual=resid,
+                         relative_residual=abs(resid) / max(abs(product), 1.0))
 
 
 def tail_double_sum(sigma: float, t: float, strategy: Strategy = Strategy.PREFIX_FACTORIZED) -> complex:
@@ -210,14 +223,6 @@ def tail_double_sum(sigma: float, t: float, strategy: Strategy = Strategy.PREFIX
         return _pair_sum(t, 1, big_t, lambda m: big_t + 1, lambda m: big_t + m,
                          _separable(complex(sigma, -t), complex(sigma, t)))
     return g_sum(complex(sigma, -t), complex(sigma, t), big_t)
-
-
-@dataclass(frozen=True)
-class RelationCheck:
-    lhs: complex
-    rhs: complex
-    residual: complex
-    relative_residual: float
 
 
 def relation_36_check(sigma: float, t: float) -> RelationCheck:

@@ -59,7 +59,7 @@ def _usable(series: SampleSeries):
     return pts, dropped
 
 
-def fit_growth_exponent(series: SampleSeries, claimed_exponent: float = math.nan,
+def fit_growth_exponent(series: SampleSeries, claimed_exponent: float,
                         tolerance: float = SLOPE_TOL_CLEAN) -> FitReport:
     """Least-squares line through (ln t, ln(magnitude / (ln t)**ln_power))."""
     pts, dropped = _usable(series)
@@ -67,15 +67,10 @@ def fit_growth_exponent(series: SampleSeries, claimed_exponent: float = math.nan
     y = np.array([math.log(m) - series.ln_power * math.log(math.log(t)) for t, m in pts])
     slope, intercept = np.polyfit(x, y, 1)
     rms = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    if math.isnan(claimed_exponent):
-        verdict = Verdict.PASS
-        constant = math.inf
-    else:
-        constant = max(
-            m / (t**claimed_exponent * math.log(t) ** series.ln_power) for t, m in pts
-        )
-        verdict = Verdict.PASS if (slope <= claimed_exponent + tolerance
-                                   and math.isfinite(constant)) else Verdict.FAIL
+    constant = max(m / (t**claimed_exponent * math.log(t) ** series.ln_power)
+                   for t, m in pts)
+    verdict = Verdict.PASS if (slope <= claimed_exponent + tolerance
+                               and math.isfinite(constant)) else Verdict.FAIL
     return FitReport(slope=float(slope), intercept=float(intercept), residual_rms=rms,
                      max_ratio_constant=float(constant), claimed_exponent=claimed_exponent,
                      tolerance=tolerance, verdict=verdict, dropped_points=dropped)

@@ -149,7 +149,7 @@ def _oracle_phase(kind: PhaseKind, t, m):
     return t * mp.log(m)
 
 
-def oracle_recompute(spec: SumSpec, dps: int = EXTENDED_DPS) -> ComplexScalar:
+def oracle_recompute(spec: SumSpec) -> ComplexScalar:
     """Term-by-term extended-precision evaluation of a sum description.
 
     This is the independent reference for every certified value: no prefix
@@ -160,7 +160,7 @@ def oracle_recompute(spec: SumSpec, dps: int = EXTENDED_DPS) -> ComplexScalar:
     if spec.term_count == 0:
         return ComplexScalar(mp.mpf(0), mp.mpf(0), "empty set")
     sign = -1 if spec.conjugate else 1
-    with mp.workdps(dps):
+    with mp.workdps(EXTENDED_DPS):
         t = mp.mpf(spec.t)
         sigma = mp.mpf(spec.sigma)
         total = mp.mpc(0)

@@ -1,14 +1,17 @@
 """Named experiment suites keyed to claim ids.
 
 The registry itself is data (claims.json); each entry carries an anchor
-string and the default parameters of its sweep.  A run first merges the
-configuration into those defaults (`_resolve_defaults`): a suite takes an
-override only where its manifest holds that default and refuses any other.
-Runners then turn the merged parameters into a flat list of ClaimRecord rows
-that the CLI serializes, mostly through a few shared shapes: a row checked
-against a fixed tolerance (`_exact`), a growth-exponent sweep (`_growth`)
-and a bound by one frozen constant (`_frozen_bound`).  Adding a sweep means
-adding a manifest entry plus a runner; the evaluators stay untouched.
+string and the default parameters of its sweep.  `run_suite` merges the
+configuration into those defaults once (`_resolve_defaults`): a suite takes
+an override only where its manifest holds that default and refuses any
+other.  It then calls the suite's runner as runner(meta, d, threads), with
+the manifest entry, the merged parameters and the worker count; no runner
+sees the configuration.  Runners turn the merged parameters into a flat list
+of ClaimRecord rows that the CLI serializes, mostly through a few shared
+shapes: a row checked against a fixed tolerance (`_exact`), a
+growth-exponent sweep (`_growth`) and a bound by one frozen constant
+(`_frozen_bound`).  Adding a sweep means adding a manifest entry plus a
+runner of that signature in `_RUNNERS`; the evaluators stay untouched.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -239,19 +242,19 @@ def _exact(meta, rel, tol, ok=True, **fields) -> ClaimRecord:
     return _record(meta, ok and rel <= tol, ratio=rel / tol, **fields)
 
 
-def _sweep(config, d, evaluate) -> List[tuple]:
+def _sweep(d, evaluate, threads) -> List[tuple]:
     """Per s in sigma_list, the values at (s, t) over the t grid.
 
     evaluate(sigmas, t) gives the values at one t for every sigma in order,
     so each pool job is one t point with all its sigmas.
     """
-    rows = _pmap(lambda t: evaluate(d["sigma_list"], t), _t_grid(d), config.threads)
+    rows = _pmap(lambda t: evaluate(d["sigma_list"], t), _t_grid(d), threads)
     return list(zip(*rows))
 
 
-def _growth(config, meta, d, evaluate, params=(NAN, NAN)) -> List[ClaimRecord]:
+def _growth(meta, d, threads, evaluate, params=(NAN, NAN)) -> List[ClaimRecord]:
     """Growth exponent of |value| over the t grid, per s in sigma_list, with
-    the values from _sweep(config, d, evaluate).
+    the values from _sweep(d, evaluate, threads).
 
     With alpha, tol, k the claimed_exponent, tolerance and ln_power, a sigma's
     rows share the verdict slope <= alpha + tol and report the envelope
@@ -260,7 +263,7 @@ def _growth(config, meta, d, evaluate, params=(NAN, NAN)) -> List[ClaimRecord]:
     ts = _t_grid(d)
     alpha, tol, k = d["claimed_exponent"], d["tolerance"], d["ln_power"]
     records = []
-    for s, vals in zip(d["sigma_list"], _sweep(config, d, evaluate)):
+    for s, vals in zip(d["sigma_list"], _sweep(d, evaluate, threads)):
         mags = [abs(v) for v in vals]
         fit = fit_growth_exponent(SampleSeries(meta["claim_id"], list(zip(ts, mags)),
                                                ln_power=k),
@@ -299,8 +302,7 @@ def _frozen_bound(meta, d, ts, vals, k, key, context, **fields) -> List[ClaimRec
 # ---------------------------------------------------------------------------
 
 
-def _run_identity_312(config, meta) -> List[ClaimRecord]:
-    d = _resolve_defaults(config, meta)
+def _run_identity_312(meta, d, threads) -> List[ClaimRecord]:
     rng = np.random.default_rng(d["seed"])
     # every (n_max, u, v) is drawn first, in n_max order, so the largest
     # n_max comes last and _pmap starts it first
@@ -310,19 +312,14 @@ def _run_identity_312(config, meta) -> List[ClaimRecord]:
 
     def one(draw):
         n_max, u, v = draw
-        res = lemma32_identity_residual(u, v, n_max)
-        # scale by the product side so the residual is relative
-        m = np.arange(1, n_max + 1, dtype=np.float64)
-        scale = abs(np.exp(-u * np.log(m)).sum() * np.exp(-v * np.log(m)).sum())
-        return _exact(meta, abs(res) / max(scale, 1.0), d["tolerance"], sigma=u.real,
-                      t=float(n_max), param1=u.imag, param2=v.imag, value=res)
+        rc = lemma32_identity_residual(u, v, n_max)
+        return _exact(meta, rc.relative_residual, d["tolerance"], sigma=u.real,
+                      t=float(n_max), param1=u.imag, param2=v.imag, value=rc.residual)
 
-    return _pmap(one, draws, config.threads)
+    return _pmap(one, draws, threads)
 
 
-def _run_relation_34(config, meta) -> List[ClaimRecord]:
-    d = _resolve_defaults(config, meta)
-
+def _run_relation_34(meta, d, threads) -> List[ClaimRecord]:
     def one(job):
         s, t = job
         rc = relation_36_check(s, t)
@@ -330,12 +327,10 @@ def _run_relation_34(config, meta) -> List[ClaimRecord]:
                       value=rc.residual, magnitude=abs(rc.residual))
 
     jobs = [(s, t) for s in d["sigma_list"] for t in d["t_values"]]
-    return _pmap(one, jobs, config.threads)
+    return _pmap(one, jobs, threads)
 
 
-def _run_decomp_53(config, meta) -> List[ClaimRecord]:
-    d = _resolve_defaults(config, meta)
-
+def _run_decomp_53(meta, d, threads) -> List[ClaimRecord]:
     def one(job):
         t, d2, d3 = job
         rep = s5_decomposition_residual(0.5, t, d2, d3)
@@ -344,14 +339,14 @@ def _run_decomp_53(config, meta) -> List[ClaimRecord]:
                       magnitude=abs(rep.residual))
 
     jobs = [(t, d2, d3) for t in d["t_values"] for d2, d3 in d["delta_pairs"]]
-    return _pmap(one, jobs, config.threads)
+    return _pmap(one, jobs, threads)
 
 
-def _run_identity_26(config, meta) -> List[ClaimRecord]:
-    d = _resolve_defaults(config, meta)
+def _run_identity_26(meta, d, threads) -> List[ClaimRecord]:
     ts = _t_grid(d)
     records = []
-    sweep = _sweep(config, d, lambda ss, t: fl_identity_residuals(ss, t, 9.0 * math.pi * t))
+    sweep = _sweep(d, lambda ss, t: fl_identity_residuals(ss, t, 9.0 * math.pi * t),
+                   threads)
     for s, rows in zip(d["sigma_list"], sweep):
         mags = [abs(r.residual) for r in rows]
         fit = fit_growth_exponent(SampleSeries(meta["claim_id"], list(zip(ts, mags)),
@@ -374,15 +369,14 @@ def nudge_eta(eta: float) -> float:
     return eta
 
 
-def _run_identity_27(config, meta) -> List[ClaimRecord]:
-    d = _resolve_defaults(config, meta)
+def _run_identity_27(meta, d, threads) -> List[ClaimRecord]:
     sigma = _one_sigma(meta, d)
     ts, empty_ts = _t_grid(d), d["empty_case_t"]
     # (t, eta1, eta2): the main case, then both etas inside (2pi, 4pi), where
     # the chi-side sum has an empty range
     cases = ([(t, math.e, nudge_eta(math.sqrt(t) / 2.0)) for t in ts]
              + [(t, 2.0 * math.pi + 0.5, 4.0 * math.pi - 0.5) for t in empty_ts])
-    rows = _pmap(lambda case: fr_identity_residual(sigma, *case), cases, config.threads)
+    rows = _pmap(lambda case: fr_identity_residual(sigma, *case), cases, threads)
     ratios = [abs(r.residual) / r.envelope for r in rows]
     context = {"suite": meta["claim_id"], "sigma": sigma, "t_grid": ts,
                "empty_case_t": empty_ts, "eta1": "e", "eta2": "sqrt(t)/2"}
@@ -392,12 +386,11 @@ def _run_identity_27(config, meta) -> List[ClaimRecord]:
             for (t, eta1, eta2), r, ratio in zip(cases, rows, ratios)]
 
 
-def _run_lemma_23(config, meta) -> List[ClaimRecord]:
-    d = _resolve_defaults(config, meta)
+def _run_lemma_23(meta, d, threads) -> List[ClaimRecord]:
     ts = _t_grid(d)
     records = []
-    sweep = _sweep(config, d,
-                   lambda ss, t: single_sum(SumSpec(PhaseKind.F2, 0.0, t, 1, int(t)), ss))
+    sweep = _sweep(d, lambda ss, t: single_sum(SumSpec(PhaseKind.F2, 0.0, t, 1, int(t)), ss),
+                   threads)
     for s, vals in zip(d["sigma_list"], sweep):
         context = {"suite": meta["claim_id"], "sigma": s, "t_grid": ts}
         records += _frozen_bound(meta, d, ts, vals, 0, f"{meta['claim_id']}-sigma-{s:g}",
@@ -405,18 +398,17 @@ def _run_lemma_23(config, meta) -> List[ClaimRecord]:
     return records
 
 
-def _run_est_213(config, meta) -> List[ClaimRecord]:
-    return _growth(config, meta, _resolve_defaults(config, meta),
+def _run_est_213(meta, d, threads) -> List[ClaimRecord]:
+    return _growth(meta, d, threads,
                    lambda ss, t: single_sum(SumSpec(PhaseKind.F1, 0.0, t, 1, int(t)), ss))
 
 
-def _run_est_25(config, meta) -> List[ClaimRecord]:
-    return _growth(config, meta, _resolve_defaults(config, meta),
+def _run_est_25(meta, d, threads) -> List[ClaimRecord]:
+    return _growth(meta, d, threads,
                    lambda ss, t: single_sum(SumSpec(PhaseKind.F3, 0.0, t, 1, int(t)), ss))
 
 
-def _run_chi_checks(config, meta) -> List[ClaimRecord]:
-    d = _resolve_defaults(config, meta)
+def _run_chi_checks(meta, d, threads) -> List[ClaimRecord]:
     tol = d["tolerance"]
     records = []
     for t in _t_grid(d):
@@ -437,8 +429,7 @@ def _run_chi_checks(config, meta) -> List[ClaimRecord]:
     return records
 
 
-def _run_appendix_a(config, meta) -> List[ClaimRecord]:
-    d = _resolve_defaults(config, meta)
+def _run_appendix_a(meta, d, threads) -> List[ClaimRecord]:
     tol = d["tolerance"]
     records = []
     for s in d["sigma_list"]:
@@ -452,29 +443,26 @@ def _run_appendix_a(config, meta) -> List[ClaimRecord]:
     slope = dict(d, sigma_list=[sg], claimed_exponent=1.5 - sg,
                  tolerance=d["slope_tolerance"], ln_power=0)
     return records + _growth(
-        config, meta, slope,
+        meta, slope, threads,
         lambda ss, t: single_sum(SumSpec(PhaseKind.F3, 0.0, t, 1, int(t), conjugate=True),
                                  [s - 1.0 for s in ss]),
         (sg - 1.0, NAN))
 
 
-def _run_thm_51(config, meta) -> List[ClaimRecord]:
-    d = _resolve_defaults(config, meta)
-    return _growth(config, meta, d,
+def _run_thm_51(meta, d, threads) -> List[ClaimRecord]:
+    return _growth(meta, d, threads,
                    lambda ss, t: [s5_1_sum(s, t, d["delta"]).total for s in ss])
 
 
-def _run_thm_53(config, meta) -> List[ClaimRecord]:
-    d = _resolve_defaults(config, meta)
+def _run_thm_53(meta, d, threads) -> List[ClaimRecord]:
     s, delta, ts = _one_sigma(meta, d), d["delta"], _t_grid(d)
-    vals = _pmap(lambda t: s5_2_sum(s, t, delta).total, ts, config.threads)
+    vals = _pmap(lambda t: s5_2_sum(s, t, delta).total, ts, threads)
     context = {"suite": meta["claim_id"], "sigma": s, "delta": delta, "t_grid": ts}
     return _frozen_bound(meta, d, ts, vals, d["ln_power"], meta["claim_id"], context,
                          sigma=s, param1=delta)
 
 
-def _run_lemma_52(config, meta) -> List[ClaimRecord]:
-    d = _resolve_defaults(config, meta)
+def _run_lemma_52(meta, d, threads) -> List[ClaimRecord]:
     ts = _t_grid(d)
 
     def one(job):
@@ -486,7 +474,7 @@ def _run_lemma_52(config, meta) -> List[ClaimRecord]:
 
     # one map over every (pair, t), then each pair's constant in pair order
     jobs = [(sg, delta, t) for sg, delta in d["pairs"] for t in ts]
-    all_rows = _pmap(one, jobs, config.threads)
+    all_rows = _pmap(one, jobs, threads)
     records = []
     for p, (sg, delta) in enumerate(d["pairs"]):
         rows = all_rows[p * len(ts):(p + 1) * len(ts)]
@@ -530,13 +518,6 @@ def _unimodular(x):
     return a
 
 
-def _gh_instance(sg, rows, cols, m_lo, n_lo, x):
-    """Unimodular a = e^{2 pi i x} and weights b = m**(-sg) n**(-sg) of one instance."""
-    m = np.arange(m_lo, m_lo + rows, dtype=np.float64) ** (-sg)
-    n = np.arange(n_lo, n_lo + cols, dtype=np.float64) ** (-sg)
-    return _unimodular(x), np.outer(m, n)
-
-
 def _gh_stack(draws, rows, cols):
     """The draws as one padded (k, rows, cols) stack for gh_bound_check."""
     sg, r, c, m_lo, n_lo = (np.array([d[i] for d in draws])[:, None] for i in range(5))
@@ -552,8 +533,7 @@ def _gh_stack(draws, rows, cols):
     return a, m[:, :, None] * n[:, None, :]
 
 
-def _run_bound_5gh(config, meta) -> List[ClaimRecord]:
-    d = _resolve_defaults(config, meta)
+def _run_bound_5gh(meta, d, threads) -> List[ClaimRecord]:
     rng = np.random.default_rng(d["seed"])
     n_inst, side = d["instances"], d["max_side"] + 1
     sigmas = [d["sigma_list"][i]
@@ -592,37 +572,34 @@ def _run_bound_5gh(config, meta) -> List[ClaimRecord]:
 
     failures = 0   # instances breaking the bound or its sign conditions
     worst = (0.0, None)   # (stacked ratio, draw); ties keep the earliest draw
-    for fails, ratio, draw in _pmap(chunk, range(0, n_inst, _GH_CHUNK), config.threads):
+    for fails, ratio, draw in _pmap(chunk, range(0, n_inst, _GH_CHUNK), threads):
         failures += fails
         if ratio > worst[0]:
             worst = (ratio, draw)
     # padding may move lhs in its last bit, so the record comes from the
-    # worst instance checked on its own
+    # worst instance checked again as a stack of one, which pads nothing
     sg, r, c, *_rest = draw = worst[1]
-    chk = gh_bound_check(*_gh_instance(*draw))
+    chk = gh_bound_check(*_gh_stack([draw], r, c))
+    lhs, bound = float(chk.lhs[0]), float(chk.bound[0])
     return [_record(meta, failures == 0, sigma=sg,
                     t=float(n_inst), param1=float(r), param2=float(c),
-                    value=complex(chk.lhs), magnitude=chk.lhs, envelope=chk.bound,
-                    ratio=chk.lhs / chk.bound)]
+                    value=complex(lhs), magnitude=lhs, envelope=bound, ratio=lhs / bound)]
 
 
-def _run_lemma_41(config, meta) -> List[ClaimRecord]:
-    d = _resolve_defaults(config, meta)
-    return _growth(config, meta, dict(d, sigma_list=[d["sigma1"]]),
+def _run_lemma_41(meta, d, threads) -> List[ClaimRecord]:
+    return _growth(meta, dict(d, sigma_list=[d["sigma1"]]), threads,
                    lambda ss, t: [s4_a_sum(s, d["sigma2"], t).value for s in ss],
                    (d["sigma2"], NAN))
 
 
-def _run_lemma_42(config, meta) -> List[ClaimRecord]:
-    d = _resolve_defaults(config, meta)
+def _run_lemma_42(meta, d, threads) -> List[ClaimRecord]:
     sg = d["sigma"]
-    return _growth(config, meta, dict(d, sigma_list=[sg]),
+    return _growth(meta, dict(d, sigma_list=[sg]), threads,
                    lambda ss, t: [s4_b_sum(s - 1.0, s, 1.0, t).total for s in ss],
                    (sg - 1.0, 1.0))
 
 
-def _run_determinism(config, meta) -> List[ClaimRecord]:
-    d = _resolve_defaults(config, meta)
+def _run_determinism(meta, d, threads) -> List[ClaimRecord]:
     rng = np.random.default_rng(d["seed"])
     draws = [(float(rng.uniform(50.0, d["t_max_draw"])), float(rng.uniform(0.1, 0.9)))
              for _ in range(d["draws"])]
@@ -635,13 +612,12 @@ def _run_determinism(config, meta) -> List[ClaimRecord]:
         return _exact(meta, abs(fast - slow) / max(abs(slow), 1e-300), d["tolerance"],
                       sigma=sg, t=t, param1=float(i), value=fast - slow)
 
-    records = _pmap(one, range(len(draws)), config.threads)
+    records = _pmap(one, range(len(draws)), threads)
     # the same sub-suite run serially and on up to eight processes (no more
     # than the usable CPUs) must agree exactly
-    probe = ExperimentConfig(suite="relation-3.4")
     sub = dict(load_manifest()["relation-3.4"], claim_id="relation-3.4")
-    one_thread = _run_relation_34(probe, sub)
-    identical = repr(one_thread) == repr(_run_relation_34(replace(probe, threads=8), sub))
+    one_thread = _run_relation_34(sub, dict(sub["defaults"]), 1)
+    identical = repr(one_thread) == repr(_run_relation_34(sub, dict(sub["defaults"]), 8))
     records.append(_record(meta, identical, param1=1.0, param2=8.0,
                            value=complex(len(one_thread)),
                            magnitude=0.0 if identical else 1.0, envelope=0.0))
@@ -678,4 +654,4 @@ def run_suite(config: ExperimentConfig) -> List[ClaimRecord]:
             f"unknown suite {config.suite!r}; registered suites: "
             + ", ".join(sorted(manifest)))
     meta = dict(manifest[config.suite], claim_id=config.suite)
-    return _RUNNERS[config.suite](config, meta)
+    return _RUNNERS[config.suite](meta, _resolve_defaults(config, meta), config.threads)

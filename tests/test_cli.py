@@ -1,9 +1,11 @@
 """CLI plumbing: suite dispatch, artifact formats, exit codes."""
 
+import argparse
 import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import zetasum
-from zetasum.cli import (CSV_COLUMNS, emit, main, records_from_json,
+from zetasum.cli import (CSV_COLUMNS, _build_parser, emit, main, records_from_json,
                          records_to_csv, records_to_json)
 from zetasum.suites import (ClaimRecord, ExperimentConfig, RefusedOptionError,
                             load_manifest, registered_suites, run_suite)
@@ -51,6 +53,21 @@ class TestEmit:
     def test_io_error_names_path(self):
         with pytest.raises(OSError, match="/no/such/dir"):
             emit([], "csv", "/no/such/dir/out.csv")
+
+
+def _long_options(parser) -> set:
+    return {o for a in parser._actions for o in a.option_strings
+            if o.startswith("--") and o != "--help"}
+
+
+def test_readme_cli_section_names_every_option():
+    # README's `## CLI` section names exactly the long options of `run` and `oracle`
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert named == _long_options(sub.choices["run"]) | _long_options(sub.choices["oracle"])
 
 
 def _package_env():
@@ -107,6 +124,31 @@ class TestDispatch:
     def test_oracle_bad_spec_exit_2(self, capsys):
         assert main(["oracle", "--spec", "{broken"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("field,message", [
+        ({"conjugate": "false"}, 'conjugate must be true or false, got "false"'),
+        ({"lo": 1.9}, "lo must be an integer, got 1.9"),
+        ({"hi": 100.7}, "hi must be an integer, got 100.7"),
+        ({"lo": True}, "lo must be an integer, got true"),
+        ({"sigma": None}, "float() argument must be a string or a real number"),
+    ], ids=["conjugate-string", "lo-float", "hi-float", "lo-bool", "sigma-null"])
+    def test_oracle_spec_value_of_wrong_type_exit_2(self, capsys, field, message):
+        # refused, not coerced: int() would round 1.9 down and take true as 1,
+        # and bool("false") is True
+        spec = dict({"phase": "F3", "sigma": 0.5, "t": 100, "lo": 1, "hi": 100}, **field)
+        assert main(["oracle", "--spec", json.dumps(spec)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: bad --spec: {message}")
+        assert err.count("\n") == 1
+
+    def test_run_out_path_not_writable_exit_2(self, tmp_path, capsys):
+        # exit 1 is kept for a failed claim; emit itself still raises
+        out = tmp_path / "no" / "dir" / "x.csv"
+        assert main(["run", "--suite", "chi-checks", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: cannot write artifact to {out}: ")
+        assert not out.parent.exists()
 
     def test_oracle_over_budget_exit_2(self, capsys):
         spec = json.dumps({"phase": "F3", "sigma": 0.0, "t": 1.0,

@@ -47,18 +47,21 @@ class TestFG:
 class TestLemma32Identity:
     def test_hand_countable(self):
         # u=v=0, N=2: LHS = 4+4+2 = 10, RHS = 4+3+3 = 10
-        assert lemma32_identity_residual(0j, 0j, 2) == 0j
+        assert lemma32_identity_residual(0j, 0j, 2).residual == 0j
 
     def test_single_index_closed_form(self):
         # N=1 both sides reduce to 1 + 2^{-u} + 2^{-v}
-        assert abs(lemma32_identity_residual(0.8 + 7j, -1.1 - 2j, 1)) <= 1e-15
+        assert abs(lemma32_identity_residual(0.8 + 7j, -1.1 - 2j, 1).residual) <= 1e-15
 
     def test_large_oscillatory(self):
         u, v = 0.7 + 50j, 0.2 - 11j
-        res = lemma32_identity_residual(u, v, 10**4)
+        rc = lemma32_identity_residual(u, v, 10**4)
         m = np.arange(1, 10**4 + 1, dtype=np.float64)
         lhs_scale = abs(np.exp(-u * np.log(m)).sum() * np.exp(-v * np.log(m)).sum())
-        assert abs(res) <= 1e-10 * (lhs_scale + 1.0)
+        assert abs(rc.residual) <= 1e-10 * (lhs_scale + 1.0)
+        # the relative residual is scaled by that same product
+        assert rc.relative_residual == pytest.approx(abs(rc.residual) / max(lhs_scale, 1.0),
+                                                     rel=1e-12)
 
 
 class TestGridAndTail:

@@ -34,6 +34,12 @@ class TestFit:
         rep = fit_growth_exponent(_series(ts, [t**0.9 for t in ts]), 0.5, 0.1)
         assert rep.verdict is Verdict.FAIL
 
+    def test_claimed_exponent_required(self):
+        # every verdict is against a claim: there is no claim-free fit
+        ts = log_grid(1e3, 1e6, 8)
+        with pytest.raises(TypeError):
+            fit_growth_exponent(_series(ts, [t**0.5 for t in ts]))
+
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             SampleSeries("short", [(10.0, 1.0)] * 4, ln_power=0)

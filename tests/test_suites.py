@@ -2,6 +2,7 @@
 and the pinned artifacts of every suite."""
 
 import hashlib
+import inspect
 import math
 import multiprocessing
 import os
@@ -78,6 +79,32 @@ def test_pmap_serial_path():
     assert _pmap(lambda x: x * x, [3, 1, 2], threads=1) == [9, 1, 4]
 
 
+def test_run_suite_merges_options_once_and_runners_take_no_config(monkeypatch):
+    # every runner takes (meta, merged defaults, threads), and run_suite is the
+    # one place that merges: determinism's relation-3.4 probe merges nothing
+    assert all(list(inspect.signature(r).parameters) == ["meta", "d", "threads"]
+               for r in suites._RUNNERS.values())
+    merges, calls = [], []
+    resolve = suites._resolve_defaults
+
+    def counted(config, meta):
+        merges.append(meta["claim_id"])
+        return resolve(config, meta)
+
+    monkeypatch.setattr(suites, "_resolve_defaults", counted)
+    for suite, runner in list(suites._RUNNERS.items()):
+        def checked(*args, suite=suite, runner=runner):
+            assert not any(isinstance(a, ExperimentConfig) for a in args)
+            calls.append(suite)
+            return runner(*args)
+        monkeypatch.setitem(suites._RUNNERS, suite, checked)
+        monkeypatch.setattr(suites, runner.__name__, checked)
+    records = run_suite(ExperimentConfig(suite="determinism"))
+    assert all(r.passed() for r in records)
+    assert merges == ["determinism"]
+    assert calls == ["determinism", "relation-3.4", "relation-3.4"]
+
+
 @pytest.mark.parametrize("threads", [0, -3])
 def test_run_suite_rejects_threads_below_one(threads, monkeypatch):
     # refused before the runner starts
@@ -138,16 +165,20 @@ def _draw_params(rng, d):
     return list(zip(sg, rows, cols, m_lo, n_lo))
 
 
+def _instance(sg, rows, cols, m_lo, n_lo, x):
+    """Unimodular a = e^{2 pi i x} and weights b = m**(-sg) n**(-sg) of one instance."""
+    m = np.arange(m_lo, m_lo + rows, dtype=np.float64) ** (-sg)
+    n = np.arange(n_lo, n_lo + cols, dtype=np.float64) ** (-sg)
+    return suites._unimodular(x), np.outer(m, n)
+
+
 def _one_by_one_5gh(seed, meta):
     """The instances checked one gh_bound_check call at a time, in draw order:
     every instance's parameters first, then each instance's phases."""
     rng = np.random.default_rng(seed)
     failures, worst, worst_case = 0, 0.0, None
     for sg, rows, cols, m_lo, n_lo in _draw_params(rng, meta["defaults"]):
-        a = suites._unimodular(rng.random((rows, cols)))
-        m = np.arange(m_lo, m_lo + rows, dtype=np.float64) ** (-sg)
-        n = np.arange(n_lo, n_lo + cols, dtype=np.float64) ** (-sg)
-        chk = gh_bound_check(a, np.outer(m, n))
+        chk = gh_bound_check(*_instance(sg, rows, cols, m_lo, n_lo, rng.random((rows, cols))))
         failures += (not chk.holds) + (not chk.sign_conditions_ok)
         if chk.lhs / chk.bound > worst:
             worst, worst_case = chk.lhs / chk.bound, (sg, rows, cols, chk)
@@ -190,7 +221,7 @@ def test_bound_5gh_stacks_match_one_by_one(monkeypatch, chunk, stack):
     meta = dict(load_manifest()["bound-5gh"], claim_id="bound-5gh")
     meta["defaults"] = dict(meta["defaults"], instances=1500)
     for seed in (1, 5):
-        rec, = suites._run_bound_5gh(ExperimentConfig(suite="bound-5gh", seed=seed), meta)
+        rec, = suites._run_bound_5gh(meta, dict(meta["defaults"], seed=seed), 1)
         failures, worst, (sg, rows, cols, chk) = _one_by_one_5gh(seed, meta)
         assert failures == 0 and rec.verdict == "pass"
         assert (rec.sigma, rec.param1, rec.param2) == (sg, rows, cols)
@@ -207,7 +238,7 @@ def test_bound_5gh_stack_keeps_instance_bits():
                       rng.random((rows, cols))))
     sa, sb = suites._gh_stack(draws, 20, 20)
     for k, draw in enumerate(draws):
-        a, b = suites._gh_instance(*draw)
+        a, b = _instance(*draw)
         rows, cols = draw[1], draw[2]
         assert np.array_equal(sa[k, :rows, :cols], a) and not sa[k, rows:].any()
         assert not sa[k, :, cols:].any()
