@@ -27,13 +27,10 @@ _LN_2PI = math.log(2.0 * math.pi)
 class EtaParams:
     """The (alpha, beta, gamma) ingredients of the eta-kernel at (sigma, t)."""
 
-    eta: float
     alpha: complex
     beta: complex
     gamma_phase: float
-    sigma: float
-    t: float
-    near_resonance: bool = False  # eta within ETA_DIST_EPS of 2*pi*Z
+    near_resonance: bool = False  # eta within 1e-6 of 2*pi*Z
 
 
 @dataclass(frozen=True)
@@ -84,15 +81,8 @@ def eta_params(sigma: float, t: float, eta: float) -> EtaParams:
     alpha = 1.0 - cmath.exp(-1j * eta)
     beta = complex(t - eta * floor_ratio, -(sigma - 1.0))
     gamma_phase = t - eta - eta * floor_ratio
-    return EtaParams(
-        eta=eta,
-        alpha=alpha,
-        beta=beta,
-        gamma_phase=gamma_phase,
-        sigma=sigma,
-        t=t,
-        near_resonance=_dist_to_2pi_grid(eta) <= 1e-6,
-    )
+    return EtaParams(alpha=alpha, beta=beta, gamma_phase=gamma_phase,
+                     near_resonance=_dist_to_2pi_grid(eta) <= 1e-6)
 
 
 def e_term(sigma: float, t: float, eta: float):

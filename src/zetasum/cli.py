@@ -7,7 +7,9 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import errno
 import json
+import os
 import sys
 from dataclasses import asdict
 from typing import List, Optional, Sequence
@@ -78,6 +80,18 @@ def emit(records: List[ClaimRecord], out_format: str, path: Optional[str]) -> st
     return text
 
 
+def _check_writable(path: str) -> None:
+    """Raise what open(path, "w") would, where that shows without creating or truncating."""
+    try:
+        os.close(os.open(path, os.O_WRONLY))
+    except FileNotFoundError:  # a new file: its directory must exist and take it
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            raise
+        if not os.access(parent, os.W_OK | os.X_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="zetasum",
                                      description=__doc__.splitlines()[0])
@@ -133,6 +147,12 @@ def _cmd_run(args) -> int:
         t_max=args.t_max, points=args.points, delta=args.delta,
         delta2=args.delta2, delta3=args.delta3, threads=args.threads,
         seed=args.seed)
+    if args.out:  # checked before the run, which may take seconds
+        try:
+            _check_writable(args.out)
+        except OSError as exc:
+            print(f"error: cannot write artifact to {args.out}: {exc}", file=sys.stderr)
+            return 2
     try:
         records = run_suite(config)
     except (UnknownSuiteError, RefusedOptionError) as exc:
@@ -164,11 +184,15 @@ def _cmd_list_suites() -> int:
 
 
 def _parse_spec(text: str) -> SumSpec:
-    """The sum an oracle --spec describes.  lo and hi must be JSON integers and
-    conjugate, if given, a JSON boolean: no value is rounded or coerced."""
+    """The sum an oracle --spec describes.  sigma and t must be JSON numbers,
+    lo and hi JSON integers and conjugate, if given, a JSON boolean: no value
+    is rounded or coerced."""
     payload = json.loads(text)
+    for key in ("sigma", "t"):
+        if type(payload[key]) not in (int, float):  # a bool is an int to isinstance
+            raise ValueError(f"{key} must be a number, got {json.dumps(payload[key])}")
     for key in ("lo", "hi"):
-        if type(payload[key]) is not int:  # a bool is an int to isinstance
+        if type(payload[key]) is not int:
             raise ValueError(f"{key} must be an integer, got {json.dumps(payload[key])}")
     conjugate = payload.get("conjugate", False)
     if type(conjugate) is not bool:
@@ -181,7 +205,7 @@ def _parse_spec(text: str) -> SumSpec:
 def _cmd_oracle(args) -> int:
     try:
         spec = _parse_spec(args.spec)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         print(f"error: bad --spec: {exc}", file=sys.stderr)
         return 2
     try:

@@ -34,6 +34,3 @@ SINGLE_SUM_BUDGET = 10**8
 ORACLE_BUDGET = 10**7
 PREFIX_BUDGET = 2 * 10**7 + 64
 BRUTE_FORCE_BUDGET = 3 * 10**4
-
-# Default slope tolerance for growth-exponent verdicts.
-SLOPE_TOL_CLEAN = 0.10

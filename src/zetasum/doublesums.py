@@ -163,8 +163,7 @@ def grid_double_sum(sigma: float, t: float, strategy: Strategy = Strategy.PREFIX
         if big_t > 10**7:
             raise ValueError("budget exceeded")
         p = nsum_power(sigma, t, 1, big_t, minus_it=True)
-        q = nsum_power(sigma, t, 1, big_t, minus_it=False)
-        value = p * q
+        value = p * p.conjugate()  # the minus_it=False sum is p's conjugate, bit for bit
     else:
         value = _pair_sum(t, 1, big_t, lambda m: 1, lambda m: big_t,
                           _separable(complex(sigma, t), complex(sigma, -t)))

@@ -15,8 +15,6 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .config import SLOPE_TOL_CLEAN
-
 
 class Verdict(enum.Enum):
     PASS = "pass"
@@ -27,7 +25,6 @@ class Verdict(enum.Enum):
 class SampleSeries:
     """Magnitudes |S(t)| sampled over a strictly increasing t-grid."""
 
-    label: str
     points: Sequence[Tuple[float, float]]
     ln_power: int = 0
 
@@ -45,8 +42,6 @@ class FitReport:
     intercept: float
     residual_rms: float
     max_ratio_constant: float
-    claimed_exponent: float
-    tolerance: float
     verdict: Verdict
     dropped_points: int = 0
 
@@ -60,7 +55,7 @@ def _usable(series: SampleSeries):
 
 
 def fit_growth_exponent(series: SampleSeries, claimed_exponent: float,
-                        tolerance: float = SLOPE_TOL_CLEAN) -> FitReport:
+                        tolerance: float) -> FitReport:
     """Least-squares line through (ln t, ln(magnitude / (ln t)**ln_power))."""
     pts, dropped = _usable(series)
     x = np.array([math.log(t) for t, _ in pts])
@@ -72,8 +67,7 @@ def fit_growth_exponent(series: SampleSeries, claimed_exponent: float,
     verdict = Verdict.PASS if (slope <= claimed_exponent + tolerance
                                and math.isfinite(constant)) else Verdict.FAIL
     return FitReport(slope=float(slope), intercept=float(intercept), residual_rms=rms,
-                     max_ratio_constant=float(constant), claimed_exponent=claimed_exponent,
-                     tolerance=tolerance, verdict=verdict, dropped_points=dropped)
+                     max_ratio_constant=float(constant), verdict=verdict, dropped_points=dropped)
 
 
 # 64-node Gauss-Legendre rule on [-1, 1], shared by the two comparison integrals
@@ -129,14 +123,14 @@ def j2_integral(sigma: float, t: float, delta: float) -> Tuple[float, float]:
 
 @dataclass(frozen=True)
 class PartialSummationBound:
-    """Result of gh_bound_check; each field is an array of k for a stack."""
+    """Result of gh_bound_check: each field is an array of k, one per instance."""
 
-    lhs: float
-    g_constant: float
-    h_constant: float
-    bound: float
-    sign_conditions_ok: bool
-    holds: bool
+    lhs: np.ndarray
+    g_constant: np.ndarray
+    h_constant: np.ndarray
+    bound: np.ndarray
+    sign_conditions_ok: np.ndarray
+    holds: np.ndarray
 
 
 def gh_bound_check(a: np.ndarray, b: np.ndarray) -> PartialSummationBound:
@@ -146,21 +140,18 @@ def gh_bound_check(a: np.ndarray, b: np.ndarray) -> PartialSummationBound:
     nonnegative real weights b, whose first differences and mixed second
     difference must each keep one sign across the grid.
 
-    a and b are one matrix (R, C), giving Python scalars, or a stack
-    (k, R, C) checked instance by instance, giving arrays of k.  A smaller
-    instance in a stack is padded with zeros in a and by repeating b's last
-    row and column: that leaves its G, H and sign conditions exactly as
-    they are unpadded, and its lhs up to the order of summation.
+    a and b are stacks (k, R, C), checked instance by instance; a single
+    matrix is a stack of one.  A smaller instance in a stack is padded with
+    zeros in a and by repeating b's last row and column: that leaves its G,
+    H and sign conditions exactly as they are unpadded, and its lhs up to
+    the order of summation.
     """
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim not in (2, 3):
-        raise ValueError("a and b must be matrices or stacks of equal shape")
+    if a.shape != b.shape or a.ndim != 3:
+        raise ValueError("a and b must be stacks (k, R, C) of equal shape")
     if (b < 0.0).any():
         raise ValueError("weights must be nonnegative")
-    single = a.ndim == 2
-    if single:
-        a, b = a[None], b[None]
     grid = (1, 2)
     h = b.max(axis=grid, initial=0.0)
     prefix = np.cumsum(np.cumsum(a, axis=1), axis=2)
@@ -172,14 +163,8 @@ def gh_bound_check(a: np.ndarray, b: np.ndarray) -> PartialSummationBound:
     for d in (d_row, np.diff(b, axis=2), np.diff(d_row, axis=2)):
         sign_ok &= (d >= 0.0).all(axis=grid) | (d <= 0.0).all(axis=grid)
     bound = 5.0 * g * h
-    holds = lhs <= bound + 1e-12
-    if single:
-        return PartialSummationBound(lhs=float(lhs[0]), g_constant=float(g[0]),
-                                     h_constant=float(h[0]), bound=float(bound[0]),
-                                     sign_conditions_ok=bool(sign_ok[0]),
-                                     holds=bool(holds[0]))
     return PartialSummationBound(lhs=lhs, g_constant=g, h_constant=h, bound=bound,
-                                 sign_conditions_ok=sign_ok, holds=holds)
+                                 sign_conditions_ok=sign_ok, holds=lhs <= bound + 1e-12)
 
 
 def log_grid(t_min: float, t_max: float, points: int) -> List[float]:

@@ -213,13 +213,13 @@ def _anchors(kind: PhaseKind, t: float, runs) -> list:
 _OFFSETS = np.arange(STREAM_CHUNK, dtype=np.float64)
 
 
-def _panel_phases(kind: PhaseKind, t: float, a: int, blocks, cut, anchors, weighted: bool):
+def _panel_phases(kind: PhaseKind, t: float, a: int, blocks, cut, anchors):
     """The sigma-free part of the terms e^{i f(m)} for m = a, a + 1, ...: one
     pass (a, blocks, cut) of _grid_passes, as (m0, log1p(k/m0), u, 1 - u**2,
     1 + u**2) with u = tan(f(m)/2); _weigh turns them into terms for a sigma.
 
     blocks [(m0, w), ...] cut the pass, in order, into runs of w terms; a run
-    is anchored at m0, the start of its block, and anchors holds the runs'
+    is anchored at m0, the start of its block, and anchors maps each m0 to
     f(m0) mod 2 pi.
     With m = m0 + k in the block anchored at m0, the phase is the anchor plus
     an offset built from log1p, so no rounded phase is ever as large as f:
@@ -228,18 +228,17 @@ def _panel_phases(kind: PhaseKind, t: float, a: int, blocks, cut, anchors, weigh
       F1: f(m) = f(m0) + t [log1p(k/(t+m0)) - log1p(k/m0)]
     and m**(-sigma) = m0**(-sigma) exp(-sigma log1p(k/m0)).  The terms come
     from u, which numpy vectorizes (unlike cos and sin):
-    e^{if} = (1 - u**2 + 2iu) / (1 + u**2).  An F2 pass forms log1p(k/m0)
-    only if weighted.  Any real t is taken.
+    e^{if} = (1 - u**2 + 2iu) / (1 + u**2).  Any real t is taken.
     """
     if not cut:
         (m0, n), = blocks
-        anchor, k = anchors[0], _OFFSETS[a - m0 : a - m0 + n]
+        anchor, k = anchors[m0], _OFFSETS[a - m0 : a - m0 + n]
     else:  # per-term anchors for the small blocks of a cut chunk
         starts, widths = zip(*blocks)
         m0 = np.repeat(np.array(starts, dtype=np.float64), widths)
-        anchor = np.repeat(anchors, widths)
+        anchor = np.repeat([anchors[m] for m in starts], widths)
         k = np.arange(a, a + m0.size, dtype=np.float64) - m0
-    log_ratio = np.log1p(k / m0) if kind is not PhaseKind.F2 or weighted else None
+    log_ratio = np.log1p(k / m0)
     if kind is PhaseKind.F3:
         half = log_ratio * (0.5 * t)
     else:
@@ -277,45 +276,26 @@ def _weigh(phases, sigma: float, last: bool):
     return minus, u
 
 
-def _runs(passes):
-    """The runs (m0, m1) of passes (a, blocks, cut): each block's anchor and last index."""
+def _pass_anchors(kind: PhaseKind, t: float, passes) -> dict:
+    """{m0: f(m0) mod 2 pi} for the runs of passes (a, blocks, cut), reduced in
+    one _anchors call; a run spans its block's part of the pass."""
     runs = []
     for a, blocks, _ in passes:
         for m0, w in blocks:
             a += w
             runs.append((m0, a - 1))
-    return runs
-
-
-def _anchored_terms(kind: PhaseKind, sigmas, t: float, passes, anchors=None):
-    """(a, _weigh of the pass at s for s in sigmas) for each pass (a, blocks, cut).
-
-    Each pass forms its phases once for all of sigmas.  The weightings are
-    lazy, so a caller that consumes each before asking for the next holds
-    the terms of one sigma at a time.  anchors holds the runs' anchors in
-    order; without it every anchor of the passes is reduced first in one
-    _anchors call.
-    """
-    passes = list(passes)
-    if anchors is None:
-        anchors = _anchors(kind, t, _runs(passes))
-    weighted = any(sigmas)
-    i = 0
-    for a, blocks, cut in passes:
-        phases = _panel_phases(kind, t, a, blocks, cut, anchors[i : i + len(blocks)], weighted)
-        yield a, (_weigh(phases, s, j == len(sigmas) - 1) for j, s in enumerate(sigmas))
-        i += len(blocks)
+    return dict(zip([m0 for m0, _ in runs], _anchors(kind, t, runs)))
 
 
 def single_sum(spec: SumSpec, sigmas=None):
     """sum_{m=lo}^{hi} m**(-sigma) e^{±i f(m)}, block-anchored and compensated.
 
     With sigmas, the list of those sums at each s of sigmas in place of
-    spec.sigma, each bit for bit single_sum(replace(spec, sigma=s)): the
-    phases are formed once for all of them.  The term budget and every
-    sigma's window are checked before any work.  Chunk partials are combined
-    by reduce_deterministic, which also rejects non-finite ones: a NaN or inf
-    term always makes its partial non-finite.
+    spec.sigma, each bit for bit single_sum(replace(spec, sigma=s)): a pass
+    forms its phases once and holds the terms of one sigma at a time.  The
+    term budget and every sigma's window are checked before any work.
+    Chunk partials are combined by reduce_deterministic, which also rejects
+    non-finite ones: a NaN or inf term always makes its partial non-finite.
     """
     if spec.term_count > SINGLE_SUM_BUDGET:
         raise ValueError(f"budget exceeded: {spec.term_count} terms")
@@ -323,9 +303,12 @@ def single_sum(spec: SumSpec, sigmas=None):
     if not batch:
         return []
     partials = [[] for _ in batch]
-    passes = _grid_passes(spec.phase, spec.t, spec.lo, spec.hi)
-    for _, terms in _anchored_terms(spec.phase, batch, spec.t, passes):
-        for out, (re, im) in zip(partials, terms):
+    passes = list(_grid_passes(spec.phase, spec.t, spec.lo, spec.hi))
+    anchors = _pass_anchors(spec.phase, spec.t, passes)
+    for a, blocks, cut in passes:
+        phases = _panel_phases(spec.phase, spec.t, a, blocks, cut, anchors)
+        for j, (out, s) in enumerate(zip(partials, batch)):
+            re, im = _weigh(phases, s, j == len(batch) - 1)
             starts = np.arange(0, re.size, CHUNK_SIZE)
             im = np.add.reduceat(im, starts)
             im *= -2.0 if spec.conjugate else 2.0
@@ -343,8 +326,7 @@ def _grid_anchors(exponent: complex, lo: int, hi: int) -> dict:
     term keeps its bits.  The caller holds it only while the stream lives.
     """
     t = float(exponent.imag)
-    runs = _runs(_grid_passes(PhaseKind.F3, t, int(lo), int(hi)))
-    return dict(zip([m0 for m0, _ in runs], _anchors(PhaseKind.F3, t, runs)))
+    return _pass_anchors(PhaseKind.F3, t, _grid_passes(PhaseKind.F3, t, int(lo), int(hi)))
 
 
 def _power_terms(exponent: complex, lo: int, hi: int, anchors=None) -> np.ndarray:
@@ -359,9 +341,10 @@ def _power_terms(exponent: complex, lo: int, hi: int, anchors=None) -> np.ndarra
     lo, hi = int(lo), int(hi)  # numpy integers make the scalar work of each pass slower
     out = np.empty(max(hi - lo + 1, 0), dtype=np.complex128)
     passes = list(_grid_passes(PhaseKind.F3, t, lo, hi))
-    if anchors is not None:
-        anchors = [anchors[m0] for _, blocks, _ in passes for m0, _ in blocks]
-    for a, ((re, im),) in _anchored_terms(PhaseKind.F3, [sigma], t, passes, anchors):
+    if anchors is None:
+        anchors = _pass_anchors(PhaseKind.F3, t, passes)
+    for a, blocks, cut in passes:
+        re, im = _weigh(_panel_phases(PhaseKind.F3, t, a, blocks, cut, anchors), sigma, True)
         part = out[a - lo : a - lo + re.size]
         part.real = re
         np.multiply(im, -2.0, out=part.imag)

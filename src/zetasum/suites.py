@@ -265,9 +265,7 @@ def _growth(meta, d, threads, evaluate, params=(NAN, NAN)) -> List[ClaimRecord]:
     records = []
     for s, vals in zip(d["sigma_list"], _sweep(d, evaluate, threads)):
         mags = [abs(v) for v in vals]
-        fit = fit_growth_exponent(SampleSeries(meta["claim_id"], list(zip(ts, mags)),
-                                               ln_power=k),
-                                  claimed_exponent=alpha, tolerance=tol)
+        fit = fit_growth_exponent(SampleSeries(list(zip(ts, mags)), ln_power=k), alpha, tol)
         for t, v, m in zip(ts, vals, mags):
             env = t ** (alpha + tol) * math.log(t) ** k * fit.max_ratio_constant
             records.append(_record(
@@ -285,9 +283,7 @@ def _frozen_bound(meta, d, ts, vals, k, key, context, **fields) -> List[ClaimRec
     """
     tol = d["slope_tolerance"]
     mags = [abs(v) for v in vals]
-    fit = fit_growth_exponent(SampleSeries(meta["claim_id"], list(zip(ts, mags)),
-                                           ln_power=k),
-                              claimed_exponent=0.0, tolerance=tol)
+    fit = fit_growth_exponent(SampleSeries(list(zip(ts, mags)), ln_power=k), 0.0, tol)
     logs = [math.log(t) ** k for t in ts]
     c = golden.freeze(key, max(m / g for m, g in zip(mags, logs)) * d["headroom"],
                       context)["constant"]
@@ -349,9 +345,7 @@ def _run_identity_26(meta, d, threads) -> List[ClaimRecord]:
                    threads)
     for s, rows in zip(d["sigma_list"], sweep):
         mags = [abs(r.residual) for r in rows]
-        fit = fit_growth_exponent(SampleSeries(meta["claim_id"], list(zip(ts, mags)),
-                                               ln_power=0),
-                                  claimed_exponent=-s, tolerance=d["tolerance"])
+        fit = fit_growth_exponent(SampleSeries(list(zip(ts, mags))), -s, d["tolerance"])
         records += [_record(meta, fit.verdict is Verdict.PASS, sigma=s, t=t,
                             param1=9.0 * math.pi * t, value=r.residual, magnitude=m,
                             envelope=r.envelope, ratio=m / r.envelope, slope=fit.slope)

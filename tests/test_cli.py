@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import zetasum
+from zetasum import cli
 from zetasum.cli import (CSV_COLUMNS, _build_parser, emit, main, records_from_json,
                          records_to_csv, records_to_json)
 from zetasum.suites import (ClaimRecord, ExperimentConfig, RefusedOptionError,
@@ -130,11 +131,16 @@ class TestDispatch:
         ({"lo": 1.9}, "lo must be an integer, got 1.9"),
         ({"hi": 100.7}, "hi must be an integer, got 100.7"),
         ({"lo": True}, "lo must be an integer, got true"),
-        ({"sigma": None}, "float() argument must be a string or a real number"),
-    ], ids=["conjugate-string", "lo-float", "hi-float", "lo-bool", "sigma-null"])
+        ({"sigma": None}, "sigma must be a number, got null"),
+        ({"sigma": True}, "sigma must be a number, got true"),
+        ({"t": "100"}, 't must be a number, got "100"'),
+        ({"t": None}, "t must be a number, got null"),
+        ({"sigma": 10**400}, "int too large to convert to float"),
+    ], ids=["conjugate-string", "lo-float", "hi-float", "lo-bool", "sigma-null",
+            "sigma-bool", "t-string", "t-null", "sigma-huge-int"])
     def test_oracle_spec_value_of_wrong_type_exit_2(self, capsys, field, message):
         # refused, not coerced: int() would round 1.9 down and take true as 1,
-        # and bool("false") is True
+        # float() takes true as 1.0 and "100" as 100.0, and bool("false") is True
         spec = dict({"phase": "F3", "sigma": 0.5, "t": 100, "lo": 1, "hi": 100}, **field)
         assert main(["oracle", "--spec", json.dumps(spec)]) == 2
         out, err = capsys.readouterr()
@@ -149,6 +155,32 @@ class TestDispatch:
         assert captured.out == "" and captured.err.count("\n") == 1
         assert captured.err.startswith(f"error: cannot write artifact to {out}: ")
         assert not out.parent.exists()
+
+    @pytest.mark.parametrize("where", ["missing-dir", "is-a-dir"])
+    def test_run_out_checked_before_the_suite(self, tmp_path, capsys, monkeypatch, where):
+        def no_run(config):
+            raise AssertionError("ran the suite before checking --out")
+
+        monkeypatch.setattr(cli, "run_suite", no_run)
+        out = tmp_path / "no" / "x.csv" if where == "missing-dir" else tmp_path
+        assert main(["run", "--suite", "thm-5.3", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: cannot write artifact to {out}: ")
+        assert sorted(tmp_path.iterdir()) == []
+
+    def test_run_out_untouched_until_the_suite_ran(self, tmp_path, capsys, monkeypatch):
+        old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+        old.write_text("kept\n")
+        for out, before in ((old, "kept\n"), (new, None)):
+            def checked_run(config, out=out, before=before):
+                assert (out.read_text() if out.exists() else None) == before
+                return [RECORD]
+
+            monkeypatch.setattr(cli, "run_suite", checked_run)
+            assert main(["run", "--suite", "thm-5.3", "--out", str(out)]) == 0
+            assert out.read_text() == records_to_csv([RECORD])
+        capsys.readouterr()
 
     def test_oracle_over_budget_exit_2(self, capsys):
         spec = json.dumps({"phase": "F3", "sigma": 0.0, "t": 1.0,

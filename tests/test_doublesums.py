@@ -17,7 +17,7 @@ from zetasum.doublesums import (Strategy, _window_sum, f_sum, g_sum, grid_double
                                 s4_b_part1_exchanged, s5_1_sum, s5_2_sum,
                                 s5_decomposition_residual, tail_double_sum)
 from zetasum.kernel import sum_array_deterministic
-from zetasum.phases import power_prefix
+from zetasum.phases import nsum_power, power_prefix
 
 
 class TestFG:
@@ -68,6 +68,16 @@ class TestGridAndTail:
     def test_conjugate_product_is_real(self):
         out = grid_double_sum(1.0, 2.0)
         assert abs(out.value.imag) <= 1e-15
+
+    @pytest.mark.parametrize("sigma,t", [(0.0, 17.5), (0.5, 1e3), (0.25, 50_000.3),
+                                         (0.75, 2e5), (-0.5, 123_456.0)])
+    def test_plus_it_sum_is_bitwise_conjugate(self, sigma, t):
+        # the fast path squares |sum n**(-s)| as p * conj(p), which is the
+        # product with the +it sum bit for bit
+        p = nsum_power(sigma, t, 1, int(t), minus_it=True)
+        q = nsum_power(sigma, t, 1, int(t), minus_it=False)
+        assert _bits(q) == _bits(p.conjugate())
+        assert _bits(grid_double_sum(sigma, t).value) == _bits(p * q)
 
     def test_grid_strategy_equivalence(self):
         fast = grid_double_sum(0.5, 1e3)

@@ -11,7 +11,7 @@ from zetasum.estlab import (SampleSeries, Verdict, fit_growth_exponent,
 
 
 def _series(ts, mags, k=0):
-    return SampleSeries("synthetic", list(zip(ts, mags)), ln_power=k)
+    return SampleSeries(list(zip(ts, mags)), ln_power=k)
 
 
 class TestFit:
@@ -42,11 +42,11 @@ class TestFit:
 
     def test_too_few_points(self):
         with pytest.raises(ValueError):
-            SampleSeries("short", [(10.0, 1.0)] * 4, ln_power=0)
+            SampleSeries([(10.0, 1.0)] * 4, ln_power=0)
 
     def test_envelope_constant_one(self):
         ts = log_grid(1e2, 1e5, 6)
-        rep = fit_growth_exponent(_series(ts, [t**0.7 for t in ts]), 0.7)
+        rep = fit_growth_exponent(_series(ts, [t**0.7 for t in ts]), 0.7, 0.1)
         assert rep.max_ratio_constant == pytest.approx(1.0, rel=1e-12)
 
     def test_elementary_power_sum_estimate(self):
@@ -116,20 +116,22 @@ class TestJIntegrals:
 
 
 class TestGHBound:
+    """One instance at a time, each a stack of one read at [0]."""
+
     def test_all_ones(self):
-        chk = gh_bound_check(np.ones((2, 2)), np.ones((2, 2)))
-        assert chk.lhs == pytest.approx(4.0)
-        assert chk.g_constant == pytest.approx(4.0)
-        assert chk.h_constant == pytest.approx(1.0)
-        assert chk.bound == pytest.approx(20.0)
-        assert chk.holds and chk.sign_conditions_ok
+        chk = gh_bound_check(np.ones((1, 2, 2)), np.ones((1, 2, 2)))
+        assert chk.lhs[0] == pytest.approx(4.0)
+        assert chk.g_constant[0] == pytest.approx(4.0)
+        assert chk.h_constant[0] == pytest.approx(1.0)
+        assert chk.bound[0] == pytest.approx(20.0)
+        assert chk.holds[0] and chk.sign_conditions_ok[0]
 
     def test_product_weights_keep_sign(self):
         for sg in (0.25, 0.5, 0.75):
             m = np.arange(3, 53, dtype=np.float64) ** -sg
             n = np.arange(7, 57, dtype=np.float64) ** -sg
-            chk = gh_bound_check(np.ones((50, 50)), np.outer(m, n))
-            assert chk.sign_conditions_ok
+            chk = gh_bound_check(np.ones((1, 50, 50)), np.outer(m, n)[None])
+            assert chk.sign_conditions_ok[0]
 
     def test_random_unimodular_instances(self):
         rng = np.random.default_rng(21)
@@ -137,12 +139,12 @@ class TestGHBound:
                      np.arange(1, 51, dtype=np.float64) ** -0.5)
         for _ in range(100):
             a = np.exp(2j * math.pi * rng.random((50, 50)))
-            chk = gh_bound_check(a, w)
-            assert chk.holds
+            chk = gh_bound_check(a[None], w[None])
+            assert chk.holds[0]
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
-            gh_bound_check(np.ones((2, 2)), -np.ones((2, 2)))
+            gh_bound_check(np.ones((1, 2, 2)), -np.ones((1, 2, 2)))
 
 
 def _instance(rng, rows, cols):
@@ -174,30 +176,22 @@ class TestGHBoundStack:
             chk = gh_bound_check(*_stack(pairs))
             assert chk.lhs.shape == (k,)
             for i, (a, b) in enumerate(pairs):
-                one = gh_bound_check(a, b)
-                assert chk.g_constant[i] == one.g_constant
-                assert chk.h_constant[i] == one.h_constant
-                assert chk.bound[i] == one.bound
-                assert chk.sign_conditions_ok[i] == one.sign_conditions_ok
-                assert chk.holds[i] == one.holds
+                one = gh_bound_check(a[None], b[None])  # a stack of one pads nothing
+                assert chk.g_constant[i] == one.g_constant[0]
+                assert chk.h_constant[i] == one.h_constant[0]
+                assert chk.bound[i] == one.bound[0]
+                assert chk.sign_conditions_ok[i] == one.sign_conditions_ok[0]
+                assert chk.holds[i] == one.holds[0]
                 # padding only regroups the summation, whose error scales with
                 # sum |a b| (lhs itself may cancel to far below it)
-                assert abs(chk.lhs[i] - one.lhs) <= 1e-15 * np.abs(a * b).sum()
-
-    def test_single_matrix_returns_python_scalars(self):
-        a, b = _instance(np.random.default_rng(3), 4, 9)
-        chk = gh_bound_check(a, b)
-        assert all(type(getattr(chk, f)) is float
-                   for f in ("lhs", "g_constant", "h_constant", "bound"))
-        assert type(chk.sign_conditions_ok) is bool and type(chk.holds) is bool
-        assert chk.lhs == abs(complex((a * b).sum()))
+                assert abs(chk.lhs[i] - one.lhs[0]) <= 1e-15 * np.abs(a * b).sum()
 
     def test_prefix_sums_run_rows_then_columns(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             a, b = _instance(rng, 50, 50)
             g = np.abs(np.cumsum(np.cumsum(a, axis=0), axis=1)).max()
-            assert gh_bound_check(a, b).g_constant == g
+            assert gh_bound_check(a[None], b[None]).g_constant[0] == g
 
     def test_bump_flagged_alone_and_padding_never_flags(self):
         rng = np.random.default_rng(9)
@@ -211,7 +205,7 @@ class TestGHBoundStack:
         pairs[3] = (a, bumped)
         chk = gh_bound_check(*_stack(pairs))
         assert list(np.flatnonzero(~chk.sign_conditions_ok)) == [3]
-        assert not gh_bound_check(a, bumped).sign_conditions_ok
+        assert not gh_bound_check(a[None], bumped[None]).sign_conditions_ok[0]
 
     @pytest.mark.parametrize("where", [0, 3, 6])
     def test_negative_weight_in_stack_raises(self, where):
@@ -227,6 +221,7 @@ class TestGHBoundStack:
         ((4, 5), (1, 4, 5)),
         ((5,), (5,)),
         ((2, 3, 4, 5), (2, 3, 4, 5)),
+        ((4, 5), (4, 5)),   # one matrix is a stack of one, (1, 4, 5)
     ])
     def test_mismatched_or_wrong_rank_raises(self, shape_a, shape_b):
         with pytest.raises(ValueError, match="equal shape"):
