@@ -11,7 +11,7 @@ import errno
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from typing import List, Optional, Sequence
 
 import mpmath as mp
@@ -21,8 +21,8 @@ from .kernel import oracle_recompute
 from .phases import single_sum
 from .specs import PhaseKind, SumSpec
 from .suites import (ClaimRecord, ExperimentConfig, RefusedOptionError,
-                     UnknownSuiteError, load_manifest, registered_suites,
-                     run_suite)
+                     UnknownSuiteError, load_manifest, option_name,
+                     registered_suites, run_suite)
 
 CSV_COLUMNS = ["claim_id", "sigma", "t", "param1", "param2", "value_re",
                "value_im", "magnitude", "envelope", "ratio", "slope", "verdict"]
@@ -102,8 +102,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--t-min", type=float, default=None)
     run.add_argument("--t-max", type=float, default=None)
     run.add_argument("--points", type=int, default=None)
-    run.add_argument("--sigma", type=float, action="append", default=None,
-                     help="may be given multiple times")
+    run.add_argument("--sigma", dest="sigma_list", type=float, action="append",
+                     default=None, help="may be given multiple times")
     run.add_argument("--delta", type=float, default=None)
     run.add_argument("--delta2", type=float, default=None)
     run.add_argument("--delta3", type=float, default=None)
@@ -123,17 +123,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_VALUE_OPTIONS = ("sigma", "t_min", "t_max", "points", "delta", "delta2", "delta3", "seed")
-
-
-def _given_values(args) -> str:
+def _given_values(config: ExperimentConfig) -> str:
     """The value options given to `run`, as ``--name value`` words."""
-    words = []
-    for name in _VALUE_OPTIONS:
-        value = getattr(args, name)
-        for v in value if isinstance(value, list) else [value]:
-            if v is not None:
-                words.append(f"--{name.replace('_', '-')} {v}")
+    words = [f"{option_name(key)} {v}" for key, value in vars(config).items()
+             if key not in ("suite", "threads") and value is not None
+             for v in (value if isinstance(value, list) else [value])]
     return " ".join(words) or "its manifest defaults"
 
 
@@ -142,11 +136,7 @@ def _cmd_run(args) -> int:
         print(f"error: --threads must be at least 1, got {args.threads}",
               file=sys.stderr)
         return 2
-    config = ExperimentConfig(
-        suite=args.suite, sigma_list=args.sigma, t_min=args.t_min,
-        t_max=args.t_max, points=args.points, delta=args.delta,
-        delta2=args.delta2, delta3=args.delta3, threads=args.threads,
-        seed=args.seed)
+    config = ExperimentConfig(**{f.name: getattr(args, f.name) for f in fields(ExperimentConfig)})
     if args.out:  # checked before the run, which may take seconds
         try:
             _check_writable(args.out)
@@ -159,7 +149,7 @@ def _cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:  # an option value the suite cannot run with
-        print(f"error: suite {args.suite!r} cannot run with {_given_values(args)}: {exc}",
+        print(f"error: suite {args.suite!r} cannot run with {_given_values(config)}: {exc}",
               file=sys.stderr)
         return 2
     try:

@@ -159,9 +159,7 @@ def grid_double_sum(sigma: float, t: float, strategy: Strategy = Strategy.PREFIX
     big_t = int(t)
     if big_t < 1:
         raise ValueError("need t >= 1")
-    if strategy is Strategy.PREFIX_FACTORIZED:
-        if big_t > 10**7:
-            raise ValueError("budget exceeded")
+    if strategy is Strategy.PREFIX_FACTORIZED:  # one single sum, on its term budget
         p = nsum_power(sigma, t, 1, big_t, minus_it=True)
         value = p * p.conjugate()  # the minus_it=False sum is p's conjugate, bit for bit
     else:
@@ -231,8 +229,9 @@ def relation_36_check(sigma: float, t: float) -> RelationCheck:
       = -sum m**(-2 sigma) + 2 Re{tail}
     """
     big_t = int(t)
-    if big_t < 1 or big_t > 10**5:
-        raise ValueError("budget: need 1 <= [t] <= 1e5")
+    if big_t < 1:
+        raise ValueError("need t >= 1")
+    check_prefix_budget(2 * big_t)
     # m2**(-sbar) is the conjugate of the inner term at n = m2
     shifted = _window_sum(complex(sigma, t), 1, big_t, lambda m: (m, m + big_t))
     zsum = nsum_power(sigma, t, 1, big_t, minus_it=True)
@@ -258,8 +257,7 @@ def s4_a_sum(sigma1: float, sigma2: float, t: float,
         value = _pair_sum(t, 1, big_t, lambda m: m + 1, lambda m: m + big_t,
                           _separable(e_outer, e_inner))
     else:
-        if big_t > 10**7:
-            raise ValueError("budget exceeded")
+        check_prefix_budget(2 * big_t)
         value = _window_sum(e_inner, 1, big_t, lambda m: (m, m + big_t), e_outer)
     return DoubleSumResult(value=value, term_count=big_t * big_t, strategy=strategy)
 
@@ -292,8 +290,7 @@ def s4_b_sum(sigma1: float, sigma2: float, sigma3: float, t: float,
         part2 = _pair_sum(t, 1, big_t, lambda m: m + 1, lambda m: big_t, term)
         return SplitSumResult(total=part1 + part2, part1=part1, part2=part2,
                               term_count=big_t * big_t, strategy=strategy)
-    if big_t > 10**7:
-        raise ValueError("budget exceeded")
+    check_prefix_budget(2 * big_t)
     width = max(4 * STREAM_CHUNK, -(-big_t // 16))
     count = -(-big_t // width)
     a3_hat = _block_spectra(complex(sigma3, 0.0), big_t, width, count)  # m1**(-sigma3)
@@ -440,8 +437,8 @@ def s5_decomposition_residual(sigma: float, t: float, delta2: float, delta3: flo
     disagreement counts reported, never silently reconciled.
     """
     big_t = int(t)
-    if big_t < 1 or big_t > BRUTE_FORCE_BUDGET:
-        raise ValueError("budget: need 1 <= [t] <= 3e4")
+    if not 1 <= big_t <= BRUTE_FORCE_BUDGET:  # the partition audit holds O([t]) arrays
+        raise ValueError(f"budget exceeded: need 1 <= [t] <= {BRUTE_FORCE_BUDGET}")
     ratio2, ratio3 = _ratio_thresholds(t, delta2, delta3)
     m1 = _ar(1, big_t)
     k2, k1 = _row_splits(m1, big_t, ratio2, ratio3)
@@ -511,8 +508,7 @@ def s5_1_sum(sigma: float, t: float, delta: float,
                        lambda m: big_t, term)
         sb = _pair_sum(t, 1, m_max, lambda m: big_t + 1, lambda m: big_t + m, term)
         return SmallSetSum(total=sa + sb, sa=sa, sb=sb)
-    if big_t + m_max > 10**7 + 4096:
-        raise ValueError("budget exceeded")
+    check_prefix_budget(big_t + m_max)
     sa = _window_sum(complex(sigma, -t), 1, m_max,
                      lambda m: ((t ** (1.0 - delta) * m.astype(np.float64)).astype(np.int64), big_t), s)
     sb = _window_sum(complex(sigma, -t), 1, m_max, lambda m: (big_t, big_t + m), s)
@@ -543,8 +539,7 @@ def s5_2_sum(sigma: float, t: float, delta: float,
         sa = _pair_sum(t, m_lo, big_t, lambda m: m + 1, lambda m: np.minimum(top(m), big_t), term)
         sb = _pair_sum(t, m_lo, big_t, lambda m: big_t + 1, top, term)
         return SmallSetSum(total=sa + sb, sa=sa, sb=sb, l_of_t=l_of_t)
-    if int(big_t * (1.0 + tau)) + 1 > 10**7 + 4096:
-        raise ValueError("budget exceeded")
+    check_prefix_budget(int(big_t * (1.0 + tau)))
 
     def hi_of(m):
         return (m * (1.0 + tau)).astype(np.int64)

@@ -39,7 +39,6 @@ class SampleSeries:
 @dataclass(frozen=True)
 class FitReport:
     slope: float
-    intercept: float
     residual_rms: float
     max_ratio_constant: float
     verdict: Verdict
@@ -66,7 +65,7 @@ def fit_growth_exponent(series: SampleSeries, claimed_exponent: float,
                    for t, m in pts)
     verdict = Verdict.PASS if (slope <= claimed_exponent + tolerance
                                and math.isfinite(constant)) else Verdict.FAIL
-    return FitReport(slope=float(slope), intercept=float(intercept), residual_rms=rms,
+    return FitReport(slope=float(slope), residual_rms=rms,
                      max_ratio_constant=float(constant), verdict=verdict, dropped_points=dropped)
 
 

@@ -95,12 +95,16 @@ def _refuse(meta: dict, what: str, why: str):
     raise RefusedOptionError(f"suite {meta['claim_id']!r} refuses {what}: {why}")
 
 
+def option_name(key: str) -> str:
+    """The `zetasum run` option that sets the ExperimentConfig field ``key``."""
+    return "--sigma" if key == "sigma_list" else "--" + key.replace("_", "-")
+
+
 def _resolve_defaults(config: ExperimentConfig, meta: dict) -> dict:
     """The manifest defaults of ``meta`` with the overrides of ``config`` merged in.
 
-    Each override replaces the default of its own name (``sigma_list`` is
-    ``--sigma``), and ``delta2`` with ``delta3`` together replace
-    ``delta_pairs``.  An override without such a default is refused.
+    Each override replaces the default of its own name; ``delta2`` and ``delta3``
+    together replace ``delta_pairs``.  An override without such a default is refused.
     """
     d = dict(meta["defaults"])
     given = {k: v for k, v in vars(config).items()
@@ -112,7 +116,7 @@ def _resolve_defaults(config: ExperimentConfig, meta: dict) -> dict:
                     "the two replace a delta_pairs default, and only together")
         d["delta_pairs"] = [pair]
     for key, value in given.items():
-        option = "--sigma" if key == "sigma_list" else "--" + key.replace("_", "-")
+        option = option_name(key)
         if key not in d:
             _refuse(meta, option, f"its manifest holds no {key} default")
         if value == []:

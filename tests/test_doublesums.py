@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from zetasum import doublesums, phases
-from zetasum.config import STREAM_CHUNK
+from zetasum.config import PREFIX_BUDGET, STREAM_CHUNK
 from zetasum.doublesums import (Strategy, _window_sum, f_sum, g_sum, grid_double_sum,
                                 lemma32_identity_residual, m_set_contains,
                                 relation_36_check, s4_a_sum, s4_b_sum,
@@ -104,6 +104,11 @@ class TestRelation36:
     def test_mid_grid(self):
         assert relation_36_check(0.5, 500.0).relative_residual <= 1e-9
         assert relation_36_check(0.3, 1000.0).relative_residual <= 1e-9
+
+    @pytest.mark.parametrize("sigma", [0.3, 0.5])
+    def test_past_the_old_cap(self, sigma):
+        # [t] = 2e5 streams indices up to 4e5, twice the former 1e5 cap's reach
+        assert relation_36_check(sigma, 2e5).relative_residual <= 1e-9
 
     def test_rhs_tracks_leading_term(self):
         # the dominant rhs piece is sum m^{-2 sigma} ~ t^{1-2 sigma}/(1-2 sigma)
@@ -503,11 +508,33 @@ class TestStreamSeams:
     def test_budget_errors_unchanged(self):
         for fn, args in ((f_sum, (U, V, 10**7 + 33)), (g_sum, (U, V, 10**7 + 33)),
                          (tail_double_sum, (0.5, 1e7 + 33)),
-                         (s4_a_sum, (-0.5, 1.5, 1e7 + 1)),
-                         (s5_1_sum, (0.5, 1e7 + 4000, 0.5)),
-                         (s5_2_sum, (0.5, 1e7, 0.6))):
+                         (s4_a_sum, (-0.5, 1.5, 1e7 + 33)),
+                         (s4_b_sum, (-0.7, 0.3, 1.0, 1e7 + 33)),
+                         (s5_1_sum, (0.5, 2e7, 0.5)),
+                         (s5_2_sum, (0.5, 2e7, 0.6))):
             with pytest.raises(ValueError, match="budget exceeded"):
                 fn(*args)
+
+    # each call's largest streamed index is PREFIX_BUDGET + 1 or + 2: 2[t] at
+    # [t] = PREFIX_BUDGET / 2 + 1, [t] + [t^(1/2)] and [t (1 + t^(-0.4))]
+    @pytest.mark.parametrize("fn,args", [
+        (f_sum, (U, V, PREFIX_BUDGET // 2 + 1)),
+        (g_sum, (U, V, PREFIX_BUDGET // 2 + 1)),
+        (tail_double_sum, (0.5, PREFIX_BUDGET / 2 + 1)),
+        (relation_36_check, (0.5, PREFIX_BUDGET / 2 + 1)),
+        (s4_a_sum, (-0.5, 1.5, PREFIX_BUDGET / 2 + 1)),
+        (s4_b_sum, (-0.7, 0.3, 1.0, PREFIX_BUDGET / 2 + 1)),
+        (s5_1_sum, (0.5, 19_995_594.0, 0.5)),
+        (s5_2_sum, (0.5, 19_976_060.0, 0.6)),
+    ])
+    def test_stream_budget_checked_before_any_work(self, monkeypatch, fn, args):
+        def work(*a, **k):
+            raise AssertionError("work started before the budget check")
+
+        for name in ("PrefixCursor", "_grid_anchors", "nsum_power"):
+            monkeypatch.setattr(doublesums, name, work)
+        with pytest.raises(ValueError, match="budget exceeded"):
+            fn(*args)
 
 
 def _s4_b_convolve(sigma1, sigma2, sigma3, t):

@@ -41,8 +41,10 @@ class TestFit:
             fit_growth_exponent(_series(ts, [t**0.5 for t in ts]))
 
     def test_too_few_points(self):
-        with pytest.raises(ValueError):
-            SampleSeries([(10.0, 1.0)] * 4, ln_power=0)
+        # five increasing t, one of them at magnitude 0, leave four to fit
+        series = _series([10.0, 20.0, 40.0, 80.0, 160.0], [1.0, 2.0, 0.0, 4.0, 5.0])
+        with pytest.raises(ValueError, match="need at least 5 usable points for a fit"):
+            fit_growth_exponent(series, 0.5, 0.1)
 
     def test_envelope_constant_one(self):
         ts = log_grid(1e2, 1e5, 6)
