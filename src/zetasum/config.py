@@ -29,8 +29,9 @@ ETA_DIST_EPS = 0.1
 # m**(-sigma) risk overflow without any consumer needing them.
 SIGMA_WINDOW = 2.0
 
-# One budget per evaluation route: the terms of a single sum, the terms of an
-# oracle sum, the largest index a coupled sum streams, the side of a brute-force grid.
+# One budget per evaluation route: the kernel terms of a single sum, the terms
+# of an oracle sum, the largest index a coupled sum streams, the side of a
+# brute-force grid.
 SINGLE_SUM_BUDGET = 10**8
 ORACLE_BUDGET = 10**7
 PREFIX_BUDGET = 2 * 10**7 + 64

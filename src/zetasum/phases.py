@@ -13,7 +13,7 @@ import threading
 from dataclasses import replace
 
 import numpy as np
-from mpmath import libmp
+from mpmath import bernoulli, libmp, workprec
 
 from .config import (ANCHOR_BLOCK_RATIO, ANCHOR_THRESHOLD, CHUNK_SIZE,
                      PREFIX_BUDGET, SINGLE_SUM_BUDGET, STREAM_CHUNK)
@@ -287,23 +287,77 @@ def _pass_anchors(kind: PhaseKind, t: float, passes) -> dict:
     return dict(zip([m0 for m0, _ in runs], _anchors(kind, t, runs)))
 
 
+# F3 ranges above the cut ceil(|t|/pi), where f'(m) = |t|/m < pi, are summed
+# by Euler-Maclaurin from their endpoints (Titchmarsh, The Theory of the
+# Riemann Zeta-Function, 2nd ed., 1986, Lemma 4.8 and section 4.11; Olver,
+# Asymptotics and Special Functions, 1974, ch. 8).  At an endpoint m > |t|/pi
+# the k-th correction term is (|t|/2 pi m)**(2k-1) |m**-s| up to a factor 1/pi
+# and the Pochhammer product prod_j |s + j|/|t|, so each term is under 1/4 of
+# the one before.  The Fourier series of the periodic Bernoulli function and
+# the first-derivative test (Titchmarsh, Lemma 4.3: the phase 2 pi n x -+ t ln x
+# moves by at least pi n a unit) bound the remainder after _EM_ORDER = K terms
+# by 2.6 * 4**-K times that product times |m**-s|: under 3 * 2**-60 |m**-s| at
+# K = 30.  From |t| = _EM_FLOOR on, with |sigma| <= 2, the 2K factors
+# |s + j|/|t| multiply to under 1.04; below it they grow as
+# exp(sum_j (j + 2)**2 / 2t**2), to 48 at |t| = 100, and the kernel keeps the
+# whole range.
+_EM_FLOOR = 1000.0
+_EM_ORDER = 30
+with workprec(80):  # B_2k / (2k)!, rounded once to a double
+    _EM_BERNOULLI = tuple(float(bernoulli(2 * k) / math.factorial(2 * k))
+                          for k in range(1, _EM_ORDER + 1))
+
+
+def _em_tail(s: complex, m: int, phase: float) -> complex:
+    """zeta(s, m) = sum_{n >= m} n**(-s) by Euler-Maclaurin at the one endpoint
+    m, for m > |Im s|/pi, with phase = Im(s) ln m mod 2 pi as _anchor reduces it:
+
+      m**(1-s)/(s-1) + m**(-s)/2 + sum_k B_2k/(2k)! (s)_{2k-1} m**(1-2k-s).
+
+    (s)_{2k-1} m**(1-2k-s) is carried as a running product, one factor
+    (s + 2k - 1)(s + 2k)/m**2 a term: the Pochhammer symbol alone overflows.
+    """
+    x = float(m)
+    h = x ** -s.real * complex(math.cos(phase), -math.sin(phase))
+    g, x2, total = s * h / x, x * x, 0j
+    for k, beta in enumerate(_EM_BERNOULLI):
+        total += beta * g
+        g *= (s + (2 * k + 1)) * (s + (2 * k + 2)) / x2
+    return x * h / (s - 1.0) + 0.5 * h + total
+
+
+def _kernel_hi(spec: SumSpec) -> int:
+    """The last index single_sum forms on the kernel: hi, or at most the cut
+    ceil(|t|/pi) for an F3 range at |t| >= _EM_FLOOR."""
+    if spec.phase is not PhaseKind.F3 or abs(spec.t) < _EM_FLOOR:
+        return spec.hi
+    return min(spec.hi, math.ceil(abs(spec.t) / math.pi))
+
+
 def single_sum(spec: SumSpec, sigmas=None):
     """sum_{m=lo}^{hi} m**(-sigma) e^{±i f(m)}, block-anchored and compensated.
 
-    With sigmas, the list of those sums at each s of sigmas in place of
-    spec.sigma, each bit for bit single_sum(replace(spec, sigma=s)): a pass
-    forms its phases once and holds the terms of one sigma at a time.  The
-    term budget and every sigma's window are checked before any work.
-    Chunk partials are combined by reduce_deterministic, which also rejects
-    non-finite ones: a NaN or inf term always makes its partial non-finite.
+    An F3 range at |t| >= _EM_FLOOR keeps [lo, min(hi, c)] on the kernel,
+    c = ceil(|t|/pi); its part [max(lo, c + 1), hi] is one Euler-Maclaurin
+    value zeta(s, a) - zeta(s, hi + 1) (_em_tail, s = sigma ± it), within
+    about 1e-15 of the largest endpoint term.  The kernel terms keep their
+    bits, since the grid is fixed by (phase, t).  With sigmas, the list of
+    those sums at each s of sigmas in place of spec.sigma, each bit for bit
+    single_sum(replace(spec, sigma=s)): a pass forms its phases once and
+    holds the terms of one sigma at a time.  The budget, on the kernel terms
+    the call forms, and every sigma's window are checked before any work.
+    Chunk partials and the Euler-Maclaurin value are combined by
+    reduce_deterministic, which also rejects non-finite ones: a NaN or inf
+    term always makes its partial non-finite.
     """
-    if spec.term_count > SINGLE_SUM_BUDGET:
-        raise ValueError(f"budget exceeded: {spec.term_count} terms")
+    top = _kernel_hi(spec)
+    if top - spec.lo + 1 > SINGLE_SUM_BUDGET:
+        raise ValueError(f"budget exceeded: {top - spec.lo + 1} kernel terms")
     batch = [spec.sigma] if sigmas is None else [replace(spec, sigma=s).sigma for s in sigmas]
     if not batch:
         return []
     partials = [[] for _ in batch]
-    passes = list(_grid_passes(spec.phase, spec.t, spec.lo, spec.hi))
+    passes = list(_grid_passes(spec.phase, spec.t, spec.lo, top))
     anchors = _pass_anchors(spec.phase, spec.t, passes)
     for a, blocks, cut in passes:
         phases = _panel_phases(spec.phase, spec.t, a, blocks, cut, anchors)
@@ -313,6 +367,14 @@ def single_sum(spec: SumSpec, sigmas=None):
             im = np.add.reduceat(im, starts)
             im *= -2.0 if spec.conjugate else 2.0
             out.extend((np.add.reduceat(re, starts) + 1j * im).tolist())
+    first = max(spec.lo, top + 1)
+    if first <= spec.hi:
+        ends = (first, spec.hi + 1)
+        at = _anchors(PhaseKind.F3, spec.t, [(m, m) for m in ends])
+        for out, sigma in zip(partials, batch):
+            s = complex(sigma, spec.t)  # the conjugated sum is sum m**(-s)
+            z = _em_tail(s, ends[0], at[0]) - _em_tail(s, ends[1], at[1])
+            out.append(z if spec.conjugate else z.conjugate())
     sums = [reduce_deterministic(p) for p in partials]
     return sums[0] if sigmas is None else sums
 

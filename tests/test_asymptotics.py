@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -132,6 +133,30 @@ class TestLeftIdentity:
     def test_empty_sum_error(self):
         with pytest.raises(ValueError):
             fl_identity_residual(0.5, 1000.0, 2.0 * math.pi * 500.0)
+
+    def test_range_past_the_single_sum_budget(self):
+        # (t, 4.5t] at t = 1e9 holds 3.5e9 terms, past SINGLE_SUM_BUDGET, all
+        # above the cut ceil(t/pi): the left sum is one Euler-Maclaurin value.
+        # Reference: the same expansion, zeta(s, lo) - zeta(s, hi + 1), at 30
+        # digits with 20 Bernoulli terms (t/(2 pi m) < 0.16 at both ends).
+        t = 1e9
+        eta = 9.0 * math.pi * t
+        lo, hi = int(t) + 1, int(eta / (2.0 * math.pi))
+        r = fl_identity_residual(0.5, t, eta)
+        with mpmath.workdps(30):
+            s = mpmath.mpc(0.5, t)
+
+            def tail(m):
+                h = mpmath.power(m, -s)
+                total, g = m * h / (s - 1) + h / 2, s * h / m
+                for k in range(1, 21):
+                    total += mpmath.bernoulli(2 * k) / mpmath.factorial(2 * k) * g
+                    g *= (s + 2 * k - 1) * (s + 2 * k) / m**2
+                return total
+
+            ref = complex(tail(lo) - tail(hi + 1))
+        largest = max(max(m ** 0.5 / abs(complex(0.5, -t)), m ** -0.5) for m in (lo, hi + 1))
+        assert abs(r.lhs - ref) <= 1e-14 * largest
 
 
 class TestRightIdentity:

@@ -75,7 +75,9 @@ class TestAnchoredAccuracy:
         t = 464158.8833612772
         spec = SumSpec(PhaseKind.F3, 0.25, t, 464159, 2088714, conjugate=True)
         ref = complex(-0.036868824022486306992, 0.070349151120651683882)
-        # full phases rounded to doubles: 1.4e-8; anchored: 9.7e-12
+        # full phases rounded to doubles: 1.4e-8; anchored kernel: 9.7e-12; the
+        # range lies above the cut ceil(t/pi) = 147,747, and the Euler-Maclaurin
+        # route that now sums it: 1.4e-17
         assert abs(single_sum(spec) - ref) <= 1e-10
 
     @pytest.mark.parametrize("kind", [PhaseKind.F1, PhaseKind.F2])
@@ -172,9 +174,11 @@ class TestAnchoredEdges:
 # single_sum values bit for bit, on the anchor grid of _grid_passes: a change
 # to the term builder or the plan shows here.  The F3 range [3, 5000] at
 # t = 1e7 and the F1 range [1, 100] at t = 1e4 are cut into blocks narrower
-# than a chunk.  Off oracle_recompute (F1, F2) or mpmath's Hurwitz zeta (F3):
-# 7.9e-12, 1.3e-11, 2.9e-13, 1.3e-11, 1.6e-13, 1.8e-9 (5000 unit terms),
-# 3.2e-13 and 7.7e-15.
+# than a chunk.  The F3 ranges [1, 1e5] at t = 1e5 and [464159, 600000] run
+# past the cut ceil(t/pi): the kernel keeps [1, 31831] of the first, and the
+# Euler-Maclaurin route sums the rest.  Off oracle_recompute (F1, F2) or
+# mpmath's Hurwitz zeta (F3): 7.9e-12, 1.3e-11, 2.9e-13, 1.3e-11, 1.8e-13
+# (its kernel part's own error), 1.8e-9 (5000 unit terms), 7.8e-19 and 7.7e-15.
 PINNED = [
     (SumSpec(PhaseKind.F1, 0.5, 1000000.0, 1, 70000),
      '-0x1.a6e4a13de24e9p+0', '-0x1.5b9a511dc6ed0p+1'),
@@ -185,11 +189,11 @@ PINNED = [
     (SumSpec(PhaseKind.F2, 0.0, 100000.0, 17, 9000, conjugate=True),
      '-0x1.962df38934248p-4', '-0x1.4c762ebe176a0p-6'),
     (SumSpec(PhaseKind.F3, 0.5, 100000.0, 1, 100000, conjugate=True),
-     '0x1.129630f8f6564p+0', '0x1.722f001a0a4dfp+2'),
+     '0x1.129630f8f659bp+0', '0x1.722f001a0a557p+2'),
     (SumSpec(PhaseKind.F3, 0.0, 10000000.0, 3, 5000),
      '0x1.534ff03f33625p+7', '0x1.a384b82143402p+6'),
     (SumSpec(PhaseKind.F3, 0.5, 464158.8833612772, 464159, 600000),
-     '0x1.858a3461b18bbp-10', '0x1.6dfb18acb65f8p-9'),
+     '0x1.858a3462a9c45p-10', '0x1.6dfb18ac34216p-9'),
     (SumSpec(PhaseKind.F1, 0.5, 10000.0, 1, 100, conjugate=True),
      '0x1.ee3072ab234afp+0', '0x1.bf201a647a410p+0'),
 ]
@@ -300,7 +304,8 @@ class TestBatchedSigmas:
 
     @pytest.mark.parametrize("spec,sigmas,match", [
         (SumSpec(PhaseKind.F1, 0.5, 1e5, 1, 1000), [0.5, 2.5], "exponent window"),
-        (SumSpec(PhaseKind.F3, 0.5, 1e5, 1, SINGLE_SUM_BUDGET + 1), [0.5], "budget exceeded"),
+        # the budget counts kernel terms: at t = 1e9 the cut lies past 3e8
+        (SumSpec(PhaseKind.F3, 0.5, 1e9, 1, SINGLE_SUM_BUDGET + 1), [0.5], "budget exceeded"),
     ])
     def test_refused_before_any_work(self, monkeypatch, spec, sigmas, match):
         def no_work(*args):
@@ -309,6 +314,118 @@ class TestBatchedSigmas:
         monkeypatch.setattr(phases, "_grid_passes", no_work)
         with pytest.raises(ValueError, match=match):
             single_sum(spec, sigmas)
+
+
+# zeta(s, c + 1) - zeta(s, [4.5 t] + 1) for s = sigma + it and c = ceil(t/pi),
+# from mpmath at 30 digits: the part of an F3 range past the cut that the
+# Euler-Maclaurin route sums.  `PYTHONPATH=src python tests/test_phases.py`
+# prints them again (about 7 to 80 s a value at t = 1e6).
+EM_REFERENCES = {
+    (10000.0, 0.0): ('-0x1.26e78ad937201p+0', '-0x1.ec7a32289965dp+1'),
+    (10000.0, 0.5): ('-0x1.3327029527996p-8', '-0x1.7e9e6f14c36d6p-7'),
+    (10000.0, -0.5): ('-0x1.fa9d2a210f43bp+7', '-0x1.bec0e657aa63cp+9'),
+    (1000000.0, 0.0): ('0x1.175335ba557dcp+2', '0x1.3a07b0d1e1971p+1'),
+    (1000000.0, 0.5): ('0x1.5ba5573efce3ep-9', '0x1.742b916a301f6p-10'),
+    (1000000.0, -0.5): ('0x1.0b1344adab98ep+13', '0x1.3195d1fb09836p+12'),
+}
+
+
+def _em_reference(t, sigma):
+    with mpmath.workdps(30):
+        s = mpmath.mpc(sigma, t)
+        z = mpmath.zeta(s, math.ceil(t / math.pi) + 1) - mpmath.zeta(s, int(4.5 * t) + 1)
+    return float(z.real).hex(), float(z.imag).hex()
+
+
+def _largest_endpoint_term(sigma, t, a, b):
+    """max |m**(1-s)/(1-s)|, |m**-s| over the endpoints a and b + 1 of the route."""
+    return max(max(m ** (1.0 - sigma) / abs(complex(1.0 - sigma, t)), m ** -sigma)
+               for m in (a, b + 1))
+
+
+class TestEulerMaclaurinRoute:
+    """F3 ranges past the cut ceil(|t|/pi), at |t| >= 1000, on the route."""
+
+    @staticmethod
+    def cut(t):
+        return math.ceil(abs(t) / math.pi)
+
+    @pytest.mark.parametrize("conjugate", [False, True])
+    @pytest.mark.parametrize("t,sigma", list(EM_REFERENCES))
+    def test_matches_hurwitz_zeta(self, t, sigma, conjugate):
+        # the range crosses the cut; its kernel part keeps its bits, so the
+        # difference below leaves the route's value and one reduction rounding
+        c = self.cut(t)
+        spec = SumSpec(PhaseKind.F3, sigma, t, c - 99, int(4.5 * t), conjugate)
+        route = single_sum(spec) - single_sum(dataclasses.replace(spec, hi=c))
+        ref = complex(*map(float.fromhex, EM_REFERENCES[t, sigma]))
+        ref = ref if conjugate else ref.conjugate()
+        assert abs(route - ref) <= 1e-14 * _largest_endpoint_term(sigma, t, c + 1, spec.hi)
+
+    @pytest.mark.parametrize("t", [1000.0, 2e5, -2e5])
+    def test_edges_of_the_cut(self, t):
+        c = self.cut(t)
+        head = single_sum(SumSpec(PhaseKind.F3, 0.5, t, 1, c))
+        term = single_sum(SumSpec(PhaseKind.F3, 0.5, t, c + 1, c + 1))
+        with mpmath.workdps(30):
+            want = complex(mpmath.power(c + 1, -mpmath.mpc(0.5, -t)))
+        assert abs(term - want) <= 1e-15 * (c + 1) ** -0.5
+        # hi = c is all kernel, hi = c + 1 adds the one-term route
+        assert abs(single_sum(SumSpec(PhaseKind.F3, 0.5, t, 1, c + 1)) - (head + term)) <= 1e-14
+        # lo above the cut, and empty ranges there
+        above = single_sum(SumSpec(PhaseKind.F3, 0.5, t, c + 5, c + 400))
+        parts = single_sum(SumSpec(PhaseKind.F3, 0.5, t, c + 5, c + 200)) + \
+            single_sum(SumSpec(PhaseKind.F3, 0.5, t, c + 201, c + 400))
+        assert abs(above - parts) <= 1e-14
+        for conjugate in (False, True):
+            got = single_sum(SumSpec(PhaseKind.F3, 0.5, t, c + 10, c + 9, conjugate))
+            assert got == 0j and type(got) is complex
+
+    def test_negative_t_mirrors(self):
+        c = self.cut(1e6)
+        got = single_sum(SumSpec(PhaseKind.F3, -0.5, -1e6, c - 99, 4_500_000))
+        mirrored = single_sum(SumSpec(PhaseKind.F3, -0.5, 1e6, c - 99, 4_500_000, conjugate=True))
+        assert abs(got - mirrored) <= 1e-14 * _largest_endpoint_term(-0.5, 1e6, c + 1, 4_500_000)
+
+    def test_just_below_the_floor_stays_on_the_kernel(self, monkeypatch):
+        t = math.nextafter(phases._EM_FLOOR, 0.0)
+        spec = SumSpec(PhaseKind.F3, 0.5, t, 1, 3000, conjugate=True)
+        ref = oracle_recompute(spec).as_complex()
+
+        def no_route(*args):
+            raise AssertionError("routed a sum below the floor")
+
+        monkeypatch.setattr(phases, "_em_tail", no_route)
+        assert abs(single_sum(spec) - ref) <= 1e-10
+
+    def test_no_kernel_pass_reaches_past_the_cut(self, monkeypatch):
+        # every F3 pass at |t| >= 1000 ends at or before ceil(|t|/pi); below
+        # the floor the passes run to hi
+        ends, panel = [], phases._panel_phases
+
+        def spy(kind, t, a, blocks, cut, anchors):
+            out = panel(kind, t, a, blocks, cut, anchors)
+            ends.append((t, a + out[1].size - 1))  # out[1]: log1p(k/m0)
+            return out
+
+        monkeypatch.setattr(phases, "_panel_phases", spy)
+        for t in (1000.0, 1e4, 1e6, -1e6, 1e7):
+            for lo, hi in ((1, int(abs(t))), (300, 4 * int(abs(t))), (5, 70_000)):
+                single_sum(SumSpec(PhaseKind.F3, 0.5, t, lo, hi), [0.0, 0.5])
+        nsum_power(0.5, 2e4, 1, 90_000, minus_it=True)
+        assert ends and all(last <= self.cut(t) for t, last in ends)
+        ends.clear()
+        single_sum(SumSpec(PhaseKind.F3, 0.5, 999.0, 1, 3000))
+        assert max(last for _, last in ends) == 3000
+
+    def test_budget_counts_kernel_terms(self):
+        # [1, 1e8 + 1] at t = 1e5 forms 31,831 kernel terms; the rest is the route
+        t, hi = 1e5, SINGLE_SUM_BUDGET + 1
+        c = self.cut(t)
+        whole = single_sum(SumSpec(PhaseKind.F3, 0.5, t, 1, hi))
+        split = (single_sum(SumSpec(PhaseKind.F3, 0.5, t, 1, c))
+                 + single_sum(SumSpec(PhaseKind.F3, 0.5, t, c + 1, hi)))
+        assert abs(whole - split) <= 1e-14 * _largest_endpoint_term(0.5, t, 1, hi)
 
 
 class TestPowerTerms:
@@ -522,3 +639,8 @@ class TestPrefix:
             assert math.isfinite(abs(cursor.read(np.array([2]), 2)[0][0]))
             with pytest.raises(ValueError, match="non-finite input"):
                 cursor.read(np.array([50]), 50)
+
+
+if __name__ == "__main__":
+    for key in EM_REFERENCES:
+        print(f"    {key!r}: {_em_reference(*key)!r},")
