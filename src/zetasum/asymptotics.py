@@ -50,7 +50,12 @@ def chi_exact(s: complex) -> complex:
     """chi(s) = (2 pi)**s / pi * sin(pi s / 2) * Gamma(1 - s).
 
     Assembled in the log domain so the huge Gamma and sin factors cancel
-    before exponentiation; relative error <= 1e-11 for |Im s| <= 1e5.
+    before exponentiation.  The log's imaginary part is about |t| ln|t|,
+    t = Im s, and its roundings become the phase error of the result, so the
+    relative error grows as |t| ln|t| 2**-52.  Against mpmath at sigma in
+    +-0.3, +-0.5, +-0.7 and t in 1e3, 1e4, 1e5 it is at most 1.12 times
+    that (1.4e-11 at -0.5 + 1e4 i, 2.1e-10 at -0.3 + 1e5 i), and a test
+    holds it under twice that.
     """
     s = complex(s)
     one_minus_s = 1.0 - s

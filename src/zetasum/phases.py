@@ -276,14 +276,20 @@ def _weigh(phases, sigma: float, last: bool):
     return minus, u
 
 
-def _pass_anchors(kind: PhaseKind, t: float, passes) -> dict:
-    """{m0: f(m0) mod 2 pi} for the runs of passes (a, blocks, cut), reduced in
-    one _anchors call; a run spans its block's part of the pass."""
+def _pass_runs(passes) -> list:
+    """The runs (m0, m1) of passes (a, blocks, cut): a run spans its block's
+    part of the pass and is anchored at the block's start m0."""
     runs = []
     for a, blocks, _ in passes:
         for m0, w in blocks:
             a += w
             runs.append((m0, a - 1))
+    return runs
+
+
+def _pass_anchors(kind: PhaseKind, t: float, passes) -> dict:
+    """{m0: f(m0) mod 2 pi} for the runs of passes, reduced in one _anchors call."""
+    runs = _pass_runs(passes)
     return dict(zip([m0 for m0, _ in runs], _anchors(kind, t, runs)))
 
 
@@ -326,54 +332,193 @@ def _em_tail(s: complex, m: int, phase: float) -> complex:
     return x * h / (s - 1.0) + 0.5 * h + total
 
 
-def _kernel_hi(spec: SumSpec) -> int:
-    """The last index single_sum forms on the kernel: hi, or at most the cut
-    ceil(|t|/pi) for an F3 range at |t| >= _EM_FLOOR."""
-    if spec.phase is not PhaseKind.F3 or abs(spec.t) < _EM_FLOOR:
-        return spec.hi
-    return min(spec.hi, math.ceil(abs(spec.t) / math.pi))
+# Each phase has a region (c, top] where |f'| stays in [1/2, 2 pi - 1], so
+# that a sum over any part [a, b] of it is fixed by its endpoints
+# (Titchmarsh, Lemma 4.8; Olver, ch. 3 and 8): it is T(b + 1) - T(a), with
+# T(m) = m**-sigma e^{i f(m)} R(m) from _route_ends.  The regions are
+#   F1: c = ceil(t (sqrt(1 + 4/(2 pi - 1)) - 1)/2), where |f1'| = 2 pi - 1,
+#       up to top = [t];
+#   F2: c = _F2_HEAD, past which m**-sigma is smooth at the scale of a step,
+#       up to top = [t];
+#   F3: c = ceil(|t|/(2 pi - 1)) up to top = ceil(|t|/pi), past which
+#       _em_tail takes over.
+# One rule decides: a part goes on the route if it holds at least _ROUTE_MIN
+# terms, and a shorter part keeps every kernel term's bits.  A route call
+# costs 0.4 to 0.8 ms, as much as some 3e4 kernel terms; the minimum lies
+# below that so that F3 at t = 1e4 (1291 terms in its region) takes the more
+# accurate route.  Since (c, top] holds at most 0.84 t terms (F1), t - 200
+# (F2) or 0.13 |t| + 1 (F3), the rule admits F1 and F2 from t = 1224 on and
+# F3 from |t| = 7929.4 (just above 2524 pi) on.
+# The route errs most at the least admitted t, at its endpoint c + 1 nearest
+# the resonance |f'| = 2 pi, and less as t grows: against 30-digit mpmath
+# sums over (c, top], at those t and at t = 1e4 to 1e7, it lies within 1e-15
+# of its largest endpoint term (tests/test_phases.py).
+_F1_CUT = (math.sqrt(1.0 + 4.0 / (2.0 * math.pi - 1.0)) - 1.0) / 2.0
+_F2_HEAD = 200
+_ROUTE_MIN = 1024
+# R's Taylor series in y = m - x is cut after y**_ROUTE_DEGREE.  The cut
+# costs most where the route errs most: F1 over (c, t] at t = 1224 misses by
+# at most 7e-16 of the largest endpoint term at degree 24 (sigma from -2 to
+# 2), 1.1e-14 at degree 20 and 2.9e-12 at degree 14.  The miss falls about
+# as t**-11 (degree 14: 1.3e-14 at t = 2000, 2.2e-16 at 3000), and F2 and F3
+# miss by under 1e-15 at their least admitted t at any of those degrees.
+_ROUTE_DEGREE = 24
+_DEGREES = np.arange(_ROUTE_DEGREE + 1)
+_SERIES_SIGNS = np.where(_DEGREES[1:] % 2 == 1, 1.0, -1.0) / _DEGREES[1:]
+
+
+def _plan(spec: SumSpec):
+    """(kernel, route, tail) for spec: the ranges (a, b) single_sum forms on
+    the kernel (at most two), the part it sums on the endpoint route (or
+    None), and the F3 part past ceil(|t|/pi) it sums by _em_tail (or None)."""
+    kind, lo, hi = spec.phase, spec.lo, spec.hi
+    route = tail = None
+    if kind is PhaseKind.F3 and abs(spec.t) >= _EM_FLOOR:
+        first = max(lo, math.ceil(abs(spec.t) / math.pi) + 1)
+        if first <= hi:
+            tail = (first, hi)
+    c, top = _route_region(kind, spec.t)
+    a, b = max(lo, c + 1), min(hi, top)
+    if b - a + 1 >= _ROUTE_MIN:
+        route = (a, b)
+    kernel, a = [], lo
+    for part in (route, tail):
+        if part is not None:
+            kernel.append((a, part[0] - 1))
+            a = part[1] + 1
+    kernel.append((a, hi))
+    return [(a, b) for a, b in kernel if a <= b], route, tail
+
+
+def _route_region(kind: PhaseKind, t: float):
+    """(c, top): the route may take any part of (c, top] (see above)."""
+    if kind is PhaseKind.F1:
+        return math.ceil(t * _F1_CUT), math.floor(t)
+    if kind is PhaseKind.F2:
+        return _F2_HEAD, math.floor(t)
+    return math.ceil(abs(t) / (2.0 * math.pi - 1.0)), math.ceil(abs(t) / math.pi)
+
+
+def _step_series(u):
+    """Taylor coefficients in y of log1p(1/(u + y)) = ln(u + y + 1) - ln(u + y)
+    to degree _ROUTE_DEGREE, one row per u: log1p(1/u), then
+    (-1)**(k+1)/k ((u + 1)**-k - u**-k), the difference formed as
+    u**-k expm1(-k log1p(1/u)) so that it does not cancel."""
+    step = np.log1p(1.0 / u)[:, None]
+    k = _DEGREES[1:]
+    return np.concatenate([step, _SERIES_SIGNS * u[:, None] ** -k * np.expm1(-k * step)], axis=1)
+
+
+def _route_ends(kind: PhaseKind, t: float, ends, anchors, sigmas) -> np.ndarray:
+    """T(m) = m**-sigma e^{i f(m)} R(m) for m in ends (f(m) mod 2 pi in
+    anchors) and each sigma of sigmas, as an array (sigma, end): a sum over
+    [a, b] of the route's region is T(b + 1) - T(a).
+
+    T(m + 1) - T(m) = m**-sigma e^{i f(m)} if rho(x) R(x + 1) - R(x) = 1, where
+    rho(x) = e^{i (f(x+1) - f(x))} (1 + 1/x)**-sigma.  Away from resonance R
+    is smooth, and its Taylor series in y = m - x about each endpoint x solves
+    rho(y) R(y + 1) - R(y) = 1 to degree _ROUTE_DEGREE: a linear system whose
+    column k holds the series of rho(y) (1 + y)**k, less the unit vector, and
+    whose right side is the unit vector e_0.
+    ln rho is sum_k (i h_k - sigma l_k) y**k from _step_series, with
+      F3: f(x+1) - f(x) = t log1p(1/x),
+      F2: f(x+1) - f(x) = t log1p(1/(t + x)),
+      F1: f(x+1) - f(x) = t log1p(-t/((x + t)(x + 1))),
+    and rho's series is its exponential, by the recurrence
+    k e_k = sum_j j p_j e_{k-j}.  The phase series are shared by all sigmas;
+    every step works on each (sigma, end) row alone, so a row's bits do not
+    depend on the others.
+    """
+    x = np.array(ends, dtype=np.float64)
+    log_step = _step_series(x)
+    if kind is PhaseKind.F3:
+        step = t * log_step
+    else:
+        step = t * _step_series(t + x)
+        if kind is PhaseKind.F1:
+            step -= t * log_step
+            step[:, 0] = t * np.log1p(-t / ((x + t) * (x + 1.0)))
+    weights = np.array(sigmas, dtype=np.float64)[:, None, None]
+    p = (1j * step - weights * log_step).reshape(-1, _ROUTE_DEGREE + 1)
+    rho = np.empty_like(p)
+    rho[:, 0] = np.exp(p[:, 0])
+    p *= _DEGREES
+    for k in range(1, _ROUTE_DEGREE + 1):
+        rho[:, k] = (p[:, k:0:-1] * rho[:, :k]).sum(axis=1) / k
+    system = np.empty(rho.shape + rho.shape[1:], dtype=np.complex128)
+    system[:, :, 0] = rho
+    for k in range(1, _ROUTE_DEGREE + 1):  # rho (1 + y)**k = rho (1 + y)**(k-1) (1 + y)
+        system[:, 0, k] = rho[:, 0]
+        np.add(system[:, 1:, k - 1], system[:, :-1, k - 1], out=system[:, 1:, k])
+    system[:, _DEGREES, _DEGREES] -= 1.0
+    # R(x) = r_0 = 1/s_00, s_00 the system's entry once the columns from the
+    # last to the second are eliminated upward.  The entries above the diagonal
+    # (C(k, j) rho_0 and the like) are large, but the r_k they multiply fall
+    # as x**-k: scaled by x**k, the multipliers are small, and no pivot is
+    # needed: r_0 lies within 7e-16 of numpy.linalg.solve's pivoted one on
+    # 400 random systems of the regions.  Elementwise steps keep each row's
+    # bits independent of the others, and touch no LAPACK code.
+    for k in range(_ROUTE_DEGREE, 0, -1):
+        column = system[:, :k, k]
+        column /= system[:, k, k, None]
+        system[:, :k, :k] -= column[:, :, None] * system[:, None, k, :k]
+    phase = np.array(anchors)
+    return (x ** -weights[:, :, 0] * (np.cos(phase) + 1j * np.sin(phase))
+            / system[:, 0, 0].reshape(len(sigmas), x.size))
 
 
 def single_sum(spec: SumSpec, sigmas=None):
     """sum_{m=lo}^{hi} m**(-sigma) e^{±i f(m)}, block-anchored and compensated.
 
-    An F3 range at |t| >= _EM_FLOOR keeps [lo, min(hi, c)] on the kernel,
-    c = ceil(|t|/pi); its part [max(lo, c + 1), hi] is one Euler-Maclaurin
-    value zeta(s, a) - zeta(s, hi + 1) (_em_tail, s = sigma ± it), within
-    about 1e-15 of the largest endpoint term.  The kernel terms keep their
-    bits, since the grid is fixed by (phase, t).  With sigmas, the list of
-    those sums at each s of sigmas in place of spec.sigma, each bit for bit
-    single_sum(replace(spec, sigma=s)): a pass forms its phases once and
-    holds the terms of one sigma at a time.  The budget, on the kernel terms
-    the call forms, and every sigma's window are checked before any work.
-    Chunk partials and the Euler-Maclaurin value are combined by
-    reduce_deterministic, which also rejects non-finite ones: a NaN or inf
-    term always makes its partial non-finite.
+    _plan splits [lo, hi] into kernel ranges, a route part and an F3 tail:
+    the route part [a, b] is T(b + 1) - T(a) (_route_ends), and the F3 part
+    [max(lo, c + 1), hi] past c = ceil(|t|/pi), at |t| >= _EM_FLOOR, is one
+    Euler-Maclaurin value zeta(s, a) - zeta(s, hi + 1) (_em_tail, s = sigma ±
+    it).  Both are within about 1e-15 of their largest endpoint term.  The
+    kernel terms keep their bits, since the grid is fixed by (phase, t).  The
+    conjugated sum is the exact conjugate of the plain one.  With sigmas, the
+    list of those sums at each s of sigmas in place of spec.sigma, each bit
+    for bit single_sum(replace(spec, sigma=s)): a pass forms its phases once
+    and holds the terms of one sigma at a time, and the route shares its
+    phase series.  The budget, on the kernel terms the call forms, and every
+    sigma's window are checked before any work.  The kernel runs and every
+    endpoint are reduced in one _anchors call.  Chunk partials and the
+    endpoint values are combined by reduce_deterministic, which also rejects
+    non-finite ones: a NaN or inf term always makes its partial non-finite.
     """
-    top = _kernel_hi(spec)
-    if top - spec.lo + 1 > SINGLE_SUM_BUDGET:
-        raise ValueError(f"budget exceeded: {top - spec.lo + 1} kernel terms")
+    kernel, route, tail = _plan(spec)
+    count = sum(b - a + 1 for a, b in kernel)
+    if count > SINGLE_SUM_BUDGET:
+        raise ValueError(f"budget exceeded: {count} kernel terms")
     batch = [spec.sigma] if sigmas is None else [replace(spec, sigma=s).sigma for s in sigmas]
     if not batch:
         return []
+    kind, t = spec.phase, spec.t
     partials = [[] for _ in batch]
-    passes = list(_grid_passes(spec.phase, spec.t, spec.lo, top))
-    anchors = _pass_anchors(spec.phase, spec.t, passes)
+    passes = [p for a, b in kernel for p in _grid_passes(kind, t, a, b)]
+    runs = _pass_runs(passes)
+    ends = [m for part in (route, tail) if part is not None for m in (part[0], part[1] + 1)]
+    reduced = _anchors(kind, t, runs + [(m, m) for m in ends])
+    anchors = dict(zip([m0 for m0, _ in runs], reduced))
+    at = reduced[len(runs):]
     for a, blocks, cut in passes:
-        phases = _panel_phases(spec.phase, spec.t, a, blocks, cut, anchors)
+        phases = _panel_phases(kind, t, a, blocks, cut, anchors)
         for j, (out, s) in enumerate(zip(partials, batch)):
             re, im = _weigh(phases, s, j == len(batch) - 1)
             starts = np.arange(0, re.size, CHUNK_SIZE)
             im = np.add.reduceat(im, starts)
             im *= -2.0 if spec.conjugate else 2.0
             out.extend((np.add.reduceat(re, starts) + 1j * im).tolist())
-    first = max(spec.lo, top + 1)
-    if first <= spec.hi:
-        ends = (first, spec.hi + 1)
-        at = _anchors(PhaseKind.F3, spec.t, [(m, m) for m in ends])
+    if route is not None:
+        values = _route_ends(kind, t, ends[:2], at[:2], batch)
+        for out, (first, last) in zip(partials, values.tolist()):
+            z = last - first
+            out.append(z.conjugate() if spec.conjugate else z)
+    if tail is not None:
+        (m, n), (phase_m, phase_n) = ends[-2:], at[-2:]
         for out, sigma in zip(partials, batch):
-            s = complex(sigma, spec.t)  # the conjugated sum is sum m**(-s)
-            z = _em_tail(s, ends[0], at[0]) - _em_tail(s, ends[1], at[1])
+            s = complex(sigma, t)  # the conjugated sum is sum m**(-s)
+            z = _em_tail(s, m, phase_m) - _em_tail(s, n, phase_n)
             out.append(z if spec.conjugate else z.conjugate())
     sums = [reduce_deterministic(p) for p in partials]
     return sums[0] if sigmas is None else sums

@@ -41,6 +41,18 @@ class TestChi:
             s = complex(rng.uniform(0.05, 0.95), rng.uniform(10.0, 1e4))
             assert abs(chi_exact(s) * chi_exact(1.0 - s) - 1.0) <= 1e-9
 
+    @pytest.mark.parametrize("t", [1e3, 1e4, 1e5])
+    @pytest.mark.parametrize("sigma", [-0.7, -0.5, -0.3, 0.3, 0.5, 0.7])
+    def test_stated_error(self, sigma, t):
+        # measured up to 1.12 t ln(t) 2**-52 over these 18 points (2.3e-11 at
+        # 0.7 + 1e4 i, 2.1e-10 at -0.3 + 1e5 i)
+        with mpmath.workdps(30):
+            s = mpmath.mpc(sigma, t)
+            ref = mpmath.power(2 * mpmath.pi, s) / mpmath.pi * mpmath.sin(mpmath.pi * s / 2) \
+                * mpmath.gamma(1 - s)
+            err = abs(mpmath.mpc(chi_exact(complex(sigma, t))) - ref) / abs(ref)
+        assert err <= 2.0 * t * math.log(t) * 2.0**-52
+
 
 class TestEtaParams:
     def test_alpha_at_pi(self):

@@ -83,9 +83,25 @@ class TestAnchoredAccuracy:
     @pytest.mark.parametrize("kind", [PhaseKind.F1, PhaseKind.F2])
     def test_window_deep_inside(self, kind):
         spec = SumSpec(kind, 0.5, 1e7, 5_000_001, 5_002_000)
-        # full phases: 1.4e-11 (F1), 4.5e-12 (F2); anchored: 5.6e-15 (F1), 1.5e-15
-        # (F2), on offsets of 2880 to 4879 from the grid block at 4997121
+        # full phases: 1.4e-11 (F1), 4.5e-12 (F2); anchored kernel: 5.6e-15 (F1),
+        # 1.5e-15 (F2); the window lies above both cuts, and the endpoint route
+        # that now sums it: 3.7e-20 (F1), 3.4e-19 (F2)
         assert abs(single_sum(spec) - oracle_recompute(spec).as_complex()) <= 1e-13
+
+    @pytest.mark.parametrize("kind,lo,hi,bound", [
+        # below the F1 cut ceil(0.163 t): 5.0e-14, on offsets of 576 to 2575
+        # from the grid block at 999425
+        (PhaseKind.F1, 1_000_001, 1_002_000, 1e-13),
+        # 1000 terms, fewer than _ROUTE_MIN, so on the kernel: 2.3e-15
+        (PhaseKind.F2, 5_000_001, 5_001_000, 1e-14),
+    ])
+    def test_kernel_window_deep_inside(self, kind, lo, hi, bound, monkeypatch):
+        def no_route(*args):
+            raise AssertionError("routed a kernel window")
+
+        monkeypatch.setattr(phases, "_route_ends", no_route)
+        spec = SumSpec(kind, 0.5, 1e7, lo, hi)
+        assert abs(single_sum(spec) - oracle_recompute(spec).as_complex()) <= bound
 
 
 class TestAnchoredEdges:
@@ -174,22 +190,25 @@ class TestAnchoredEdges:
 # single_sum values bit for bit, on the anchor grid of _grid_passes: a change
 # to the term builder or the plan shows here.  The F3 range [3, 5000] at
 # t = 1e7 and the F1 range [1, 100] at t = 1e4 are cut into blocks narrower
-# than a chunk.  The F3 ranges [1, 1e5] at t = 1e5 and [464159, 600000] run
-# past the cut ceil(t/pi): the kernel keeps [1, 31831] of the first, and the
-# Euler-Maclaurin route sums the rest.  Off oracle_recompute (F1, F2) or
-# mpmath's Hurwitz zeta (F3): 7.9e-12, 1.3e-11, 2.9e-13, 1.3e-11, 1.8e-13
-# (its kernel part's own error), 1.8e-9 (5000 unit terms), 7.8e-19 and 7.7e-15.
+# than a chunk.  The F1 range at t = 1e7 and the F2 ranges lie above their
+# cuts (all of the first, [201, hi] of the others), and the endpoint route sums
+# those parts.  The F3 ranges [1, 1e5] at t = 1e5 and [464159, 600000] run
+# past the cut ceil(t/pi): the kernel keeps [1, 18927] of the first, the
+# endpoint route (18927, 31831], and the Euler-Maclaurin route sums the rest.
+# Off oracle_recompute (F1, F2) or mpmath's Hurwitz zeta (F3): 7.9e-12,
+# 2.3e-16, 1.8e-14, 1.2e-13 and 3.5e-13 (the errors of their kernel parts
+# [17, 200] and [1, 18927]), 1.8e-9 (5000 unit terms), 7.8e-19 and 7.7e-15.
 PINNED = [
     (SumSpec(PhaseKind.F1, 0.5, 1000000.0, 1, 70000),
      '-0x1.a6e4a13de24e9p+0', '-0x1.5b9a511dc6ed0p+1'),
     (SumSpec(PhaseKind.F1, 0.0, 10000000.0, 5000001, 5002000, conjugate=True),
-     '-0x1.4eaf61c163ec0p+0', '0x1.c759f520382a0p-5'),
+     '-0x1.4eaf61c1592c6p+0', '0x1.c759f51f24df0p-5'),
     (SumSpec(PhaseKind.F2, 0.5, 1000000.0, 1, 300000),
-     '-0x1.912f7179dfdd2p-3', '0x1.0baf0328865b9p+0'),
+     '-0x1.912f7179e0bfep-3', '0x1.0baf0328860eep+0'),
     (SumSpec(PhaseKind.F2, 0.0, 100000.0, 17, 9000, conjugate=True),
-     '-0x1.962df38934248p-4', '-0x1.4c762ebe176a0p-6'),
+     '-0x1.962df38863234p-4', '-0x1.4c762ebcac500p-6'),
     (SumSpec(PhaseKind.F3, 0.5, 100000.0, 1, 100000, conjugate=True),
-     '0x1.129630f8f659bp+0', '0x1.722f001a0a557p+2'),
+     '0x1.129630f8f625ap+0', '0x1.722f001a0a48ap+2'),
     (SumSpec(PhaseKind.F3, 0.0, 10000000.0, 3, 5000),
      '0x1.534ff03f33625p+7', '0x1.a384b82143402p+6'),
     (SumSpec(PhaseKind.F3, 0.5, 464158.8833612772, 464159, 600000),
@@ -428,6 +447,216 @@ class TestEulerMaclaurinRoute:
         assert abs(whole - split) <= 1e-14 * _largest_endpoint_term(0.5, t, 1, hi)
 
 
+def _route_region(kind, t):
+    """(c, top): the region (c, top] the endpoint route may take, from the
+    cuts |f1'| = 2 pi - 1 (F1), a 200-term head (F2), and |t|/(2 pi - 1) and
+    |t|/pi (F3)."""
+    if kind == "F1":
+        return math.ceil(t * (math.sqrt(1.0 + 4.0 / (2.0 * math.pi - 1.0)) - 1.0) / 2.0), int(t)
+    if kind == "F2":
+        return 200, int(t)
+    return math.ceil(abs(t) / (2.0 * math.pi - 1.0)), math.ceil(abs(t) / math.pi)
+
+
+# sum_{m=c+1}^{top} m**-sigma e^{i f(m)} over the route's region (c, top],
+# from mpmath at 30 digits: a direct sum for F1 and F2, zeta(sigma - it, c + 1)
+# - zeta(sigma - it, top + 1) for F3.  The least values of t at which
+# _ROUTE_MIN = 1024 admits the route are 1224 (F1, F2) and just above 2524 pi
+# (F3); the route errs most there.
+# `PYTHONPATH=src python tests/test_phases.py` prints them again (about 15
+# minutes on one core; F3 at 1e7 takes about 3 minutes a value).
+ROUTE_REFERENCES = {
+    ('F1', 1224.0, -0.5): ('0x1.cb911d0494fb3p+0', '0x1.c5a0329b44066p+5'),
+    ('F1', 1224.0, 0.0): ('-0x1.6898f196e4115p-4', '0x1.099e451e6e730p+0'),
+    ('F1', 1224.0, 0.5): ('-0x1.9588f54dec0f7p-7', '-0x1.787c7a5f8dacep-7'),
+    ('F1', 10000.0, 0.0): ('-0x1.38c951e2ba55bp+1', '0x1.d37918b19af4dp+0'),
+    ('F1', 10000.0, 0.5): ('-0x1.35499cc40dc48p-5', '0x1.a926b34c7611fp-6'),
+    ('F1', 100000.0, 0.0): ('0x1.820d8f40a9e45p+1', '0x1.649a475b03274p-3'),
+    ('F1', 100000.0, 0.5): ('0x1.d18d4a503d77ap-7', '0x1.fde7033785ff4p-10'),
+    ('F2', 1224.0, -0.5): ('0x1.19647163e4a1bp+5', '-0x1.4124687c3d019p+6'),
+    ('F2', 1224.0, 0.0): ('0x1.3accec7e07c79p+0', '-0x1.7c8b8e2136753p+1'),
+    ('F2', 1224.0, 0.5): ('0x1.a1330664f031fp-5', '-0x1.102f8a2aa8241p-3'),
+    ('F2', 10000.0, 0.0): ('0x1.49c0c729c1dbfp+1', '-0x1.48edd5af82641p+0'),
+    ('F2', 10000.0, 0.5): ('0x1.fa025f77e32b9p-5', '-0x1.0f419abf1d023p-4'),
+    ('F2', 100000.0, 0.0): ('-0x1.1ba119f31921ep+0', '-0x1.a4e3b9417ff88p-4'),
+    ('F2', 100000.0, 0.5): ('0x1.73303fe2c5ce4p-5', '0x1.9dd82d243bdb9p-5'),
+    ('F3', 7929.379857660639, -0.5): ('-0x1.b42e851d6a501p+3', '-0x1.39683662349b1p+5'),
+    ('F3', 7929.379857660639, 0.0): ('-0x1.9fd2f6036001ap-3', '-0x1.0202d46cb27f6p+0'),
+    ('F3', 7929.379857660639, 0.5): ('-0x1.2aa73ed6d7038p-9', '-0x1.a91af4c7116f0p-6'),
+    ('F3', 10000.0, -0.5): ('-0x1.15e36e81906b6p+5', '0x1.e493d0cc80b0ap+5'),
+    ('F3', 10000.0, 0.0): ('-0x1.90205d483d594p-1', '0x1.3e8f7a52f0fddp+0'),
+    ('F3', 10000.0, 0.5): ('-0x1.2165375ec477cp-6', '0x1.a9a7c64f9abb1p-6'),
+    ('F3', 100000.0, -0.5): ('0x1.dcd3fa7f9ed8fp+6', '-0x1.402eea2d2e638p+7'),
+    ('F3', 100000.0, 0.0): ('0x1.71a75152775f9p-1', '-0x1.213b4b1f66172p+0'),
+    ('F3', 100000.0, 0.5): ('0x1.22d8afe50d276p-8', '-0x1.06e16eb426d65p-7'),
+    ('F3', 1000000.0, -0.5): ('-0x1.1f1ff3426085fp+9', '-0x1.a664e95c4cbc6p+7'),
+    ('F3', 1000000.0, 0.0): ('-0x1.2f283606543ecp+0', '-0x1.174948437b0e4p-1'),
+    ('F3', 1000000.0, 0.5): ('-0x1.453cfa2681f87p-9', '-0x1.6492a1463e4d6p-10'),
+    ('F3', 10000000.0, -0.5): ('-0x1.cde890ac1b785p+9', '-0x1.3421793bf3db9p+10'),
+    ('F3', 10000000.0, 0.0): ('-0x1.7d0538f40dcb5p-1', '-0x1.8871c933f180dp-1'),
+    ('F3', 10000000.0, 0.5): ('-0x1.30f4fda245096p-11', '-0x1.fc283199fd6cfp-12'),
+}
+
+
+def _route_reference(kind, t, sigma):
+    c, top = _route_region(kind, t)
+    with mpmath.workdps(30):
+        if kind == "F3":
+            s = mpmath.mpc(sigma, -t)
+            z = mpmath.zeta(s, c + 1) - mpmath.zeta(s, top + 1)
+        else:
+            tt, z = mpmath.mpf(t), mpmath.mpc(0)
+            for m in range(c + 1, top + 1):
+                ratio = tt / m if kind == "F1" else m / tt
+                z += mpmath.power(m, -sigma) * mpmath.expj(tt * mpmath.log1p(ratio))
+    return float(z.real).hex(), float(z.imag).hex()
+
+
+def _largest_term(sigma, a, b):
+    """max |m**-sigma| over the endpoints a and b + 1 of a route part [a, b]."""
+    return max(a ** -sigma, (b + 1) ** -sigma)
+
+
+_LEAST_T = {"F1": 1224.0, "F2": 1224.0, "F3": 7929.379857660639}
+
+
+class TestEndpointRoute:
+    """F1, F2 and F3 parts of at least _ROUTE_MIN terms in their route's region,
+    summed from their endpoints."""
+
+    @pytest.mark.parametrize("conjugate", [False, True])
+    @pytest.mark.parametrize("kind,t,sigma", list(ROUTE_REFERENCES))
+    def test_matches_reference(self, kind, t, sigma, conjugate):
+        c, top = _route_region(kind, t)
+        got = single_sum(SumSpec(PhaseKind[kind], sigma, t, c + 1, top, conjugate))
+        ref = complex(*map(float.fromhex, ROUTE_REFERENCES[kind, t, sigma]))
+        ref = ref.conjugate() if conjugate else ref
+        assert abs(got - ref) <= 1e-14 * _largest_term(sigma, c + 1, top)
+
+    def test_region_matches_the_plan(self):
+        for kind in ("F1", "F2", "F3"):
+            for t in (1e4, 123456.7, 1e7):
+                assert phases._route_region(PhaseKind[kind], t) == _route_region(kind, t)
+        assert phases._route_region(PhaseKind.F3, -1e5) == _route_region("F3", 1e5)
+
+    @pytest.mark.parametrize("kind", ["F1", "F2", "F3"])
+    def test_least_admitted_t(self, kind, monkeypatch):
+        # the rule admits a part of at least _ROUTE_MIN terms; the region grows
+        # with t, so below _LEAST_T no part is admitted, and the references
+        # above check the route at _LEAST_T, where it errs most
+        t = _LEAST_T[kind]
+        c, top = _route_region(kind, t)
+        assert top - c == phases._ROUTE_MIN
+        spec = SumSpec(PhaseKind[kind], 0.5, t, 1, top)
+        assert phases._plan(spec)[1] == (c + 1, top)
+        assert abs(single_sum(spec) - oracle_recompute(spec).as_complex()) <= 1e-11
+        below = math.nextafter(t, 0.0)
+        c, top = _route_region(kind, below)
+        assert top - c == phases._ROUTE_MIN - 1
+
+        def no_route(*args):
+            raise AssertionError("routed a part below the minimum")
+
+        monkeypatch.setattr(phases, "_route_ends", no_route)
+        spec = SumSpec(PhaseKind[kind], 0.5, below, 1, top, conjugate=True)
+        assert abs(single_sum(spec) - oracle_recompute(spec).as_complex()) <= 1e-11
+
+    @pytest.mark.parametrize("kind,t", [("F1", 1e5), ("F2", 1e5), ("F3", 1e5), ("F3", -1e5)])
+    def test_edges_of_the_cut(self, kind, t):
+        c, top = _route_region(kind, t)
+        big = _largest_term(0.5, c + 1, top)
+        whole = single_sum(SumSpec(PhaseKind[kind], 0.5, t, 1, top))
+        # a range ending at the cut is all kernel, one starting at c + 1 all
+        # route; the kernel part keeps its bits, so only roundings differ
+        head = single_sum(SumSpec(PhaseKind[kind], 0.5, t, 1, c))
+        route = single_sum(SumSpec(PhaseKind[kind], 0.5, t, c + 1, top))
+        assert abs(whole - (head + route)) <= 1e-14 * max(big, abs(whole))
+        # a split of the route part: both halves are route parts
+        mid = (c + top) // 2
+        halves = (single_sum(SumSpec(PhaseKind[kind], 0.5, t, c + 1, mid))
+                  + single_sum(SumSpec(PhaseKind[kind], 0.5, t, mid + 1, top)))
+        assert abs(route - halves) <= 1e-14 * big
+        for conjugate in (False, True):
+            got = single_sum(SumSpec(PhaseKind[kind], 0.5, t, c + 10, c + 9, conjugate))
+            assert got == 0j and type(got) is complex
+
+    @pytest.mark.parametrize("sigma", [-2.0, 0.5, 2.0])
+    def test_f2_past_its_head(self, sigma):
+        # kernel [1, 200] and route [201, 3000]: the head keeps the route's
+        # first endpoint where m**-sigma is smooth at the scale of a step
+        spec = SumSpec(PhaseKind.F2, sigma, 1e4, 1, 3000)
+        assert phases._plan(spec)[1] == (201, 3000)
+        err = abs(single_sum(spec) - oracle_recompute(spec).as_complex())
+        assert err <= 1e-13 * max(1.0, 3001.0 ** -sigma)
+
+    def test_negative_t_mirrors(self):
+        c, top = _route_region("F3", 1e6)
+        got = single_sum(SumSpec(PhaseKind.F3, -0.5, -1e6, c + 1, top))
+        ref = complex(*map(float.fromhex, ROUTE_REFERENCES["F3", 1e6, -0.5])).conjugate()
+        assert abs(got - ref) <= 1e-14 * _largest_term(-0.5, c + 1, top)
+
+    @pytest.mark.parametrize("t,sigma", [(1e5, 0.5), (1e6, -0.5)])
+    def test_range_crossing_both_f3_cuts(self, t, sigma):
+        # kernel [c - 99, c], route (c, top], Euler-Maclaurin (top, top + 99]:
+        # the kernel and tail parts keep their bits when summed alone
+        c, top = _route_region("F3", t)
+        part = lambda lo, hi: single_sum(SumSpec(PhaseKind.F3, sigma, t, lo, hi))
+        route = part(c - 99, top + 99) - part(c - 99, c) - part(top + 1, top + 99)
+        ref = complex(*map(float.fromhex, ROUTE_REFERENCES["F3", t, sigma]))
+        assert abs(route - ref) <= 1e-14 * _largest_term(sigma, c + 1, top)
+
+    def test_no_kernel_pass_reaches_into_the_region(self, monkeypatch):
+        # every kernel pass of a sum holding a route part ends at or before the
+        # cut c, or (F1, F2) starts past top
+        passes, panel = [], phases._panel_phases
+
+        def spy(kind, t, a, blocks, cut, anchors):
+            out = panel(kind, t, a, blocks, cut, anchors)
+            passes.append((kind.value.upper(), t, a, a + out[1].size - 1))
+            return out
+
+        monkeypatch.setattr(phases, "_panel_phases", spy)
+        for kind in ("F1", "F2", "F3"):
+            for t in (_LEAST_T[kind], 1e5, 1e7):
+                c, top = _route_region(kind, t)
+                for lo, hi in ((1, top), (c - 5, 2 * top), (c + 1, top + 3)):
+                    single_sum(SumSpec(PhaseKind[kind], 0.5, t, lo, hi), [0.0, 0.5])
+        assert passes
+        for kind, t, a, b in passes:
+            c, top = _route_region(kind, t)
+            assert b <= c or a > top, (kind, t, a, b)
+
+    def test_one_anchor_batch_per_call(self, monkeypatch):
+        calls, anchors = [], phases._anchors
+
+        def counted(kind, t, runs):
+            calls.append(len(runs))
+            return anchors(kind, t, runs)
+
+        monkeypatch.setattr(phases, "_anchors", counted)
+        specs = [SumSpec(PhaseKind.F3, 0.0, 1e5, 1, 100_000),    # kernel, route and tail
+                 SumSpec(PhaseKind.F3, 0.5, 1e6, 400_000, 900_000),  # tail alone
+                 SumSpec(PhaseKind.F1, 0.5, 1e6, 1, 1_000_000),  # kernel and route
+                 SumSpec(PhaseKind.F2, 0.0, 1e6, 5_000, 9_000),  # route alone
+                 SumSpec(PhaseKind.F1, 0.5, 1e6, 1, 70_000)]     # kernel alone
+        for spec in specs:
+            calls.clear()
+            single_sum(spec, [0.0, 0.5])
+            assert len(calls) == 1, spec
+
+    def test_past_the_old_budget(self):
+        # [2e8, 1e9] at t = 1e9 lies above the F1 cut: 8e8 terms, no kernel term
+        t = 1e9
+        c, _ = _route_region("F1", t)
+        whole = single_sum(SumSpec(PhaseKind.F1, 0.5, t, 200_000_000, 1_000_000_000))
+        split = (single_sum(SumSpec(PhaseKind.F1, 0.5, t, 200_000_000, 599_999_999))
+                 + single_sum(SumSpec(PhaseKind.F1, 0.5, t, 600_000_000, 1_000_000_000)))
+        assert abs(whole - split) <= 1e-14 * _largest_term(0.5, 200_000_000, 1_000_000_000)
+        # from 1, the kernel keeps [1, c]: the budget counts those terms
+        with pytest.raises(ValueError, match=f"budget exceeded: {c} kernel terms"):
+            single_sum(SumSpec(PhaseKind.F1, 0.5, t, 1, 1_000_000_000))
+
+
 class TestPowerTerms:
     """_power_terms against mpmath, term by term, for any real part and t."""
 
@@ -642,5 +871,10 @@ class TestPrefix:
 
 
 if __name__ == "__main__":
+    print("EM_REFERENCES = {")
     for key in EM_REFERENCES:
         print(f"    {key!r}: {_em_reference(*key)!r},")
+    print("}\nROUTE_REFERENCES = {")
+    for key in ROUTE_REFERENCES:
+        print(f"    {key!r}: {_route_reference(*key)!r},", flush=True)
+    print("}")

@@ -327,17 +327,17 @@ def test_nudged_eta_is_taken_by_e_term():
 # SHA-256 of each suite's JSON artifact at threads=2 (NumPy 2.4, x86-64): a
 # change to the runners that moves one bit of one record shows here
 _ARTIFACT_SHA256 = {
-    "appendix-a": "c2e30f2eb75d63d8b6d3abc520d96942bc06557407a129281671da81cf720363",
+    "appendix-a": "c2d3a0e3a902e206ab7fbe0d7a6e81428f1a48366ac36593e01cf63d9867969a",
     "bound-5gh": "d9c0e6bcf050a83b13e742deb59ef0441f751bd989e964b3030b1eb6bf23d954",
     "chi-checks": "4f144225dc69f6fee57012df79919a6b6ea8926ac686806f52b12c89f44370de",
     "decomp-5.3": "b790ffa4dc99451da58145b63f037b860b91689b8111ff83186562e11c7f9fdf",
     "determinism": "b3d5ca16f47a446c42fea4caa46db2932daad52397c30e2dbd6bf82f50f07d76",
-    "est-2.13": "ff19d58aaae3c7bef5dc2a75131f772f9d61cd6988db7d211e4118cbc6abb934",
-    "est-2.5": "b0895033fdbc6f81f24f47c8eb3af990f13920af148ddbe8f2f6926ac4895dca",
+    "est-2.13": "35ed061ad7ee7c3d18aacebb3a0f8a68b7a1dbd670770a906c700f88bfd4690c",
+    "est-2.5": "342ddb0b78df69ff98558ee754c1717dd0f637cc4f7e4ce04effc2bea2030f61",
     "identity-2.6": "39a9a47b7b831ff969d98f7240b5c17ebfa807cad18709bcd17efd0a2bacd57f",
-    "identity-2.7": "f0b61cca074342e68cdd63173810e42e9f57e90126f7db0fe945159bc37bf1c6",
+    "identity-2.7": "3cce2a308f733b73e7b2a80b5db645bae8299730a2229a0a402010174bf69924",
     "identity-3.12": "39edb5cb426d170775ee25c3a9adedb0f1bccc0ea4e1435c22b4ad4d57581af9",
-    "lemma-2.3": "f25f013bb7399b3a4315b40e7ad8141fa816ac2c9d07a68b47703b34440d23b8",
+    "lemma-2.3": "15d036a9a7633514698e7f46def33af27c224973b3967661cdc33a317d2cdbfc",
     "lemma-4.1": "567420bff0aec6d026c651e0f6a3ad4c35c7cb86559d588f3d2aa9cd64cd59be",
     "lemma-4.2": "df4515a3b33f40f178bd0a5546d094971022a74b19a69878810cbda1ec745f30",
     "lemma-5.2": "213c73abe10cb9605387b12bb5f925dc4b68144021580897f13513f029211f00",
