@@ -5,12 +5,15 @@ _pair_sum, in 2-D blocks of plain-exp powers; each reference states its
 index set in the inclusive form its docstring writes.  The fast route
 streams the inner sums as prefix windows through _window_sum, or, where a
 third factor couples the indices (s4_b_sum), convolves blockwise by FFT with
-spectra of 64 bytes per unit of t.  Both must agree; tests enforce it.
+spectra of 64 bytes per unit of t.  s5_2_sum's near-diagonal part sums lag
+by lag instead (_lag_sum): Gauss-Legendre integrals plus Euler-Maclaurin
+end terms, where its rule admits it.  All must agree; tests enforce it.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -18,8 +21,8 @@ import numpy as np
 
 from .config import BRUTE_FORCE_BUDGET, STREAM_CHUNK
 from .kernel import reduce_deterministic, sum_array_deterministic
-from .phases import (PrefixCursor, _grid_anchors, _power_terms, check_prefix_budget,
-                     nsum_power)
+from .phases import (_EM_BERNOULLI, PrefixCursor, _exp_series, _grid_anchors, _power_terms,
+                     check_prefix_budget, nsum_power)
 
 
 class Strategy(enum.Enum):
@@ -515,12 +518,125 @@ def s5_1_sum(sigma: float, t: float, delta: float,
     return SmallSetSum(total=sa + sb, sa=sa, sb=sb)
 
 
+# s5_2_sum's near-diagonal part, lag d = n - m by lag, is a sum of
+# g_d(m) = (m (m + d))**-sigma e^{i t log1p(d/m)} = e^{psi(m)}, with
+# psi(x) = -s ln x - sbar ln(x + d), over m in [a_d, [t] - d].  By
+# Euler-Maclaurin (Titchmarsh, Lemma 4.8; Olver, Asymptotics and Special
+# Functions, 1974, ch. 8) such a sum is the integral of g_d, half its end
+# values and sum_{k<=K} B_2k/(2k)! (g_d^(2k-1)(b) - g_d^(2k-1)(a)), plus a
+# remainder under 2 zeta(2K) (2 pi)**-2K times the integral of |g_d^(2K)|.
+# Let v be the largest over the lags of t d/(a (a + d)) + |sigma| (1/a +
+# 1/(a + d)) at a = a_d: it bounds |psi'| on each lag, and |psi^(j)| <= j! v
+# x**(1-j) there, so |g_d^(2K)| is about v**2K |g_d| at most.  The route is
+# taken only if v <= _LAG_STEP: with K = _LAG_ORDER = 6 the remainder is then
+# under 2 (v/2 pi)**12 sum |g_d| <= 3.2e-17 sum |g_d|, below 2**-52 of it.
+# The integral is taken in the phase phi = t log1p(d/x), which falls from
+# t log1p(d/a_d), about t**delta, along the lag: x = d/expm1(phi/t), and
+# composite Gauss-Legendre with _LAG_NODES nodes on panels of at most
+# _LAG_PANEL rad.  A node's phase is then the node itself, and the phase
+# rounding, at most t**delta 2**-52, enters through the panels' places and
+# the lag's two ends: the route's error is stated as 2**-52 (t**delta + 1)
+# sum |g_d|.  A lag holds about t**delta panels, so the nodes grow as
+# t**(2 delta), and a node costs about as much as a term of the window
+# route.  The rule therefore also asks for no more nodes than that route's
+# terms: near delta = 1/2 it would form more even at v <= 1/4 (at
+# (1/2, 1e7, 0.45), 2.0e7 nodes took 1.35 s and the window route's 1.0e7
+# terms 0.64 s, on a 2-vCPU x86-64 VM).
+_LAG_STEP = 0.25
+_LAG_ORDER = 6
+_LAG_PANEL = 1.0
+_LAG_NODES = 20
+_LAG_BLOCK = 1024  # panels per block of quadrature nodes
+
+
+def _lag_starts(m_lo: int, big_t: int, tau: float):
+    """(d, a_d): the nonempty lags d of the pairs m < n <= min(h(m), [t]),
+    m in [m_lo, [t]], h(m) = [m (1 + tau)] in the float expression
+    s5_2_sum's windows use, and the least m of each: lag d holds exactly
+    the m in [a_d, [t] - d].
+
+    h(m) - m is nondecreasing, so a_d = max(m_lo, mu_d) with mu_d the least
+    m >= 1 where h(m) - m >= d; mu_d starts at [d / tau] - 2 and steps by 1
+    while a comparison says it must.
+    """
+    def excess(m):
+        return (m * (1.0 + tau)).astype(np.int64) - m
+
+    top = min(int(excess(np.array([big_t]))[0]), big_t - m_lo)
+    d = _ar(1, top)
+    mu = np.maximum((d / tau).astype(np.int64) - 2, 1)
+    while (down := (mu > 1) & (excess(mu - 1) >= d)).any():
+        mu -= down
+    while (up := excess(mu) < d).any():
+        mu += up
+    a = np.maximum(mu, m_lo)
+    keep = a <= big_t - d
+    return d[keep], a[keep]
+
+
+def _lag_sum(sigma: float, t: float, m_lo: int, big_t: int, tau: float) -> Optional[complex]:
+    """sum_{m=m_lo}^{[t]} sum_{n=m+1}^{min(h(m), [t])} m**(-s) n**(-sbar) lag by
+    lag (see above), or None where the rule refuses it: where v > _LAG_STEP,
+    or where it would form more quadrature nodes than the [t] - m_lo + 1
+    terms of the window route.
+
+    The integral over the phase of lag d has the integrand
+    g_d(x) |dx/dphi| = (x (x + d))**(1 - sigma) e^{i phi} / (t d), summed a
+    block of _LAG_BLOCK panels at a time.  The end derivatives are
+    g_d^(j)(x) = j! g_d(x) e_j, with e_j the Taylor coefficients of exp of
+    psi's series, psi^(j)(x)/j! = (-1)**j (s x**-j + sbar (x + d)**-j)/j; its
+    imaginary part t (x**-j - (x + d)**-j) is formed as
+    -t x**-j expm1(-j log1p(d/x)), so that it does not cancel.  No term of
+    the pair sum is formed, and no prefix table.
+    """
+    d, a = _lag_starts(m_lo, big_t, tau)
+    x = np.stack([a, big_t - d], axis=1).astype(np.float64)  # (lag, end): a_d, [t] - d
+    dx = d.astype(np.float64)[:, None]
+    step = np.log1p(dx / x)
+    xa, df = x[:, 0], dx[:, 0]
+    v = t * df / (xa * (xa + df)) + abs(sigma) * (1.0 / xa + 1.0 / (xa + df))
+    phi_a, phi_b = (t * step).T
+    count = np.maximum(np.ceil((phi_a - phi_b) / _LAG_PANEL), 1.0).astype(np.int64)
+    last, total = np.cumsum(count), int(count.sum())
+    if (v.size and v.max() > _LAG_STEP) or _LAG_NODES * total > big_t - m_lo + 1:
+        return None
+    nodes, weights = np.polynomial.legendre.leggauss(_LAG_NODES)
+    partials = []
+    for first in range(0, total, _LAG_BLOCK):
+        panel = _ar(first, min(first + _LAG_BLOCK, total) - 1)
+        lag = np.searchsorted(last, panel, side="right")
+        half = 0.5 * (phi_a - phi_b)[lag] / count[lag]
+        mid = phi_b[lag] + (2 * (panel - (last - count)[lag]) + 1) * half
+        phi = mid[:, None] + half[:, None] * nodes
+        dl = dx[lag]
+        y = dl / np.expm1(phi / t)
+        g = (y * (y + dl)) ** (1.0 - sigma) / (t * dl) * np.exp(1j * phi)
+        partials.append(complex(np.sum((g * weights).sum(axis=1) * half)))
+    j = np.arange(1, 2 * _LAG_ORDER)
+    sign = np.where(j % 2 == 0, 1.0, -1.0) / j
+    inv = x[..., None] ** -j
+    p = np.zeros(x.shape + (2 * _LAG_ORDER,), dtype=np.complex128)
+    p[..., 1:].real = sign * sigma * (inv + (x + dx)[..., None] ** -j)
+    p[..., 1:].imag = -sign * t * inv * np.expm1(-j * step[..., None])
+    e = _exp_series(p.reshape(-1, 2 * _LAG_ORDER)).reshape(p.shape)
+    bernoulli = np.array([_EM_BERNOULLI[k] * math.factorial(2 * k + 1)
+                          for k in range(_LAG_ORDER)])
+    corr = (e[..., 1::2] * bernoulli).sum(axis=-1)  # sum_k B_2k/(2k)! g^(2k-1) / g
+    g = (x * (x + dx)) ** -sigma * np.exp(1j * (t * step))
+    partials.append(sum_array_deterministic(g[:, 0] * (0.5 - corr[:, 0])
+                                            + g[:, 1] * (0.5 + corr[:, 1])))
+    return reduce_deterministic(partials)
+
+
 def s5_2_sum(sigma: float, t: float, delta: float,
              strategy: Strategy = Strategy.PREFIX_FACTORIZED) -> SmallSetSum:
     """Near-diagonal sum sum_{m=[t^{1-d}]}^{[t]} sum_{n=m+1}^{[m(1+t^{d-1})]} m**(-s) n**(-sbar).
 
     sa caps the inner range at P(t) = min([t], [m(1+t^{d-1})]); sb is the
-    overhang past [t], nonempty only for m >= l(t) = [t - t^d] + 1.
+    overhang past [t], nonempty only for m >= l(t) = [t - t^d] + 1.  The
+    fast sa goes lag by lag (_lag_sum) where its rule admits it, within
+    2**-52 (t**d + 1) sum |g_d| of the sum, and on _window_sum otherwise;
+    sb, about t^d rows, is always on _window_sum.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
@@ -543,8 +659,10 @@ def s5_2_sum(sigma: float, t: float, delta: float,
 
     def hi_of(m):
         return (m * (1.0 + tau)).astype(np.int64)
-    # m**(-s) is the conjugate of the inner term at n = m
-    sa = _window_sum(complex(sigma, -t), m_lo, big_t, lambda m: (m, np.minimum(hi_of(m), big_t)))
+    sa = _lag_sum(sigma, t, m_lo, big_t, tau)
+    if sa is None:  # m**(-s) is the conjugate of the inner term at n = m
+        sa = _window_sum(complex(sigma, -t), m_lo, big_t,
+                         lambda m: (m, np.minimum(hi_of(m), big_t)))
     # overhang windows are empty below m = ([t] + 1) / (1 + tau)
     sb = _window_sum(complex(sigma, -t), max(m_lo, int((big_t + 1) / (1.0 + tau)) - 1), big_t,
                      lambda m: (big_t, np.maximum(hi_of(m), big_t)), s)

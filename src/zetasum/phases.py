@@ -409,6 +409,18 @@ def _step_series(u):
     return np.concatenate([step, _SERIES_SIGNS * u[:, None] ** -k * np.expm1(-k * step)], axis=1)
 
 
+def _exp_series(p: np.ndarray) -> np.ndarray:
+    """Taylor coefficients e_0, ..., e_n of exp(sum_j p_j y**j), one row per
+    row of p (coefficients p_0, ..., p_n): e_0 = exp(p_0) and
+    k e_k = sum_{j=1}^{k} j p_j e_{k-j}.  Each row is worked alone."""
+    e = np.empty_like(p)
+    e[:, 0] = np.exp(p[:, 0])
+    jp = p * np.arange(p.shape[1])
+    for k in range(1, p.shape[1]):
+        e[:, k] = (jp[:, k:0:-1] * e[:, :k]).sum(axis=1) / k
+    return e
+
+
 def _route_ends(kind: PhaseKind, t: float, ends, anchors, sigmas) -> np.ndarray:
     """T(m) = m**-sigma e^{i f(m)} R(m) for m in ends (f(m) mod 2 pi in
     anchors) and each sigma of sigmas, as an array (sigma, end): a sum over
@@ -424,10 +436,9 @@ def _route_ends(kind: PhaseKind, t: float, ends, anchors, sigmas) -> np.ndarray:
       F3: f(x+1) - f(x) = t log1p(1/x),
       F2: f(x+1) - f(x) = t log1p(1/(t + x)),
       F1: f(x+1) - f(x) = t log1p(-t/((x + t)(x + 1))),
-    and rho's series is its exponential, by the recurrence
-    k e_k = sum_j j p_j e_{k-j}.  The phase series are shared by all sigmas;
-    every step works on each (sigma, end) row alone, so a row's bits do not
-    depend on the others.
+    and rho's series is its exponential (_exp_series).  The phase series are
+    shared by all sigmas; every step works on each (sigma, end) row alone, so
+    a row's bits do not depend on the others.
     """
     x = np.array(ends, dtype=np.float64)
     log_step = _step_series(x)
@@ -439,12 +450,7 @@ def _route_ends(kind: PhaseKind, t: float, ends, anchors, sigmas) -> np.ndarray:
             step -= t * log_step
             step[:, 0] = t * np.log1p(-t / ((x + t) * (x + 1.0)))
     weights = np.array(sigmas, dtype=np.float64)[:, None, None]
-    p = (1j * step - weights * log_step).reshape(-1, _ROUTE_DEGREE + 1)
-    rho = np.empty_like(p)
-    rho[:, 0] = np.exp(p[:, 0])
-    p *= _DEGREES
-    for k in range(1, _ROUTE_DEGREE + 1):
-        rho[:, k] = (p[:, k:0:-1] * rho[:, :k]).sum(axis=1) / k
+    rho = _exp_series((1j * step - weights * log_step).reshape(-1, _ROUTE_DEGREE + 1))
     system = np.empty(rho.shape + rho.shape[1:], dtype=np.complex128)
     system[:, :, 0] = rho
     for k in range(1, _ROUTE_DEGREE + 1):  # rho (1 + y)**k = rho (1 + y)**(k-1) (1 + y)

@@ -8,8 +8,10 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from zetasum import doublesums, phases
+from zetasum import doublesums, phases, suites
 from zetasum.config import PREFIX_BUDGET, STREAM_CHUNK
 from zetasum.doublesums import (Strategy, _window_sum, f_sum, g_sum, grid_double_sum,
                                 lemma32_identity_residual, m_set_contains,
@@ -317,6 +319,121 @@ class TestS5Sums:
             assert abs(fast.total - slow.total) <= 1e-9 * max(abs(slow.total), 1.0)
 
 
+# --- s5_2_sum's near-diagonal part, lag by lag --------------------------------
+
+def _s5_2_params(t, delta):
+    """(m_lo, [t], tau) as s5_2_sum forms them."""
+    return int(t ** (1.0 - delta)), int(t), t ** (delta - 1.0)
+
+
+def _window_sa(sigma, t, delta):
+    """s5_2_sum's sa on the window route."""
+    m_lo, big_t, tau = _s5_2_params(t, delta)
+    return _window_sum(complex(sigma, -t), m_lo, big_t,
+                       lambda m: (m, np.minimum((m * (1.0 + tau)).astype(np.int64), big_t)))
+
+
+def _thm_53_grid():
+    d = suites.load_manifest()["thm-5.3"]["defaults"]
+    return [(d["sigma_list"][0], t, d["delta"]) for t in suites._t_grid(d)]
+
+
+def _assert_lags_cover_rows(m_lo, big_t, tau):
+    """Lag d covers m in [a_d, [t] - d], and the lags are 1, 2, ..., so row m
+    holds the lags d <= [t] - m with a_d <= m.  That must be its row,
+    n in (m, min(h(m), [t])], for every m, and the pair counts must agree."""
+    d, a = doublesums._lag_starts(m_lo, big_t, tau)
+    assert (d == np.arange(1, d.size + 1)).all() and (np.diff(a) >= 0).all()
+    rows = 0
+    for first in range(m_lo, big_t + 1, 2**20):
+        m = _ar(first, min(first + 2**20 - 1, big_t))
+        width = np.minimum((m * (1.0 + tau)).astype(np.int64), big_t) - m
+        covered = np.minimum(np.searchsorted(a, m, side="right"), big_t - m)
+        assert (covered == width).all()
+        rows += int(width.sum())
+    assert int((big_t - d - a + 1).sum()) == rows
+    return d, a
+
+
+class TestLagRoute:
+    @pytest.mark.parametrize("sigma,t,delta", _thm_53_grid())
+    def test_lags_hold_the_index_set(self, sigma, t, delta):
+        _assert_lags_cover_rows(*_s5_2_params(t, delta))
+
+    def test_lags_emptied_by_the_cap(self):
+        # h([t]) - [t] = 49, but lag d needs m >= 20 d and m <= [t] - d:
+        # lag 47 holds the one m = 940, and lags 48 and 49 none
+        d, a = _assert_lags_cover_rows(100, 987, 0.05)
+        assert int(987 * 1.05) - 987 == 49 and d[-1] == 47 and a[-1] == 940
+
+    def test_lag_starting_below_the_outer_range(self):
+        # h(m) - m >= 1 from m = 100 on, so the first lags start at m_lo
+        m_lo, big_t, tau = 5000, 10_000, 0.01
+        d, a = _assert_lags_cover_rows(m_lo, big_t, tau)
+        assert a[0] == m_lo and int((m_lo - 1) * (1.0 + tau)) - (m_lo - 1) >= d[0]
+
+    def test_exact_integer_ends(self):
+        # tau = 2**-7 exactly: m (1 + tau) is an integer at every m = 128 k
+        t, delta = 2.0**14, 0.5
+        m_lo, big_t, tau = _s5_2_params(t, delta)
+        assert tau == 2.0**-7 and 128 * 77 * (1.0 + tau) == 128 * 77 + 77
+        _assert_lags_cover_rows(m_lo, big_t, tau)
+
+    @pytest.mark.parametrize("sigma,t,delta", _thm_53_grid())
+    def test_grid_matches_window_route(self, sigma, t, delta):
+        sa = s5_2_sum(sigma, t, delta).sa
+        assert sa == doublesums._lag_sum(sigma, t, *_s5_2_params(t, delta))
+        window = _window_sa(sigma, t, delta)
+        assert abs(sa - window) <= 1e-13 * abs(window)
+
+    @pytest.mark.parametrize("sigma,t,delta", _thm_53_grid())
+    def test_finer_quadrature_and_more_terms_agree(self, monkeypatch, sigma, t, delta):
+        sa = s5_2_sum(sigma, t, delta).sa
+        monkeypatch.setattr(doublesums, "_LAG_PANEL", 0.5)
+        monkeypatch.setattr(doublesums, "_LAG_NODES", 30)
+        monkeypatch.setattr(doublesums, "_LAG_ORDER", 8)
+        monkeypatch.setattr(doublesums, "_LAG_BLOCK", 333)
+        finer = doublesums._lag_sum(sigma, t, *_s5_2_params(t, delta))
+        assert finer is not None and abs(finer - sa) <= 1e-13 * abs(sa)
+
+    @pytest.mark.parametrize("sigma,t,delta", [
+        (0.5, 900.0, 0.3), (0.3, 1200.0, 0.32), (-0.5, 600.0, 0.3), (1.5, 800.0, 0.28)])
+    def test_stated_error_bound(self, sigma, t, delta):
+        # within 2**-52 (t**delta + 1) sum |g_d| of a 25-digit mpmath sum
+        m_lo, big_t, tau = _s5_2_params(t, delta)
+        d, a = doublesums._lag_starts(m_lo, big_t, tau)
+        size, ref = 0.0, mpmath.mpc(0)
+        with mpmath.workdps(25):
+            for dd, aa in zip(d.tolist(), a.tolist()):
+                for m in range(aa, big_t - dd + 1):
+                    amp = mpmath.mpf(m * (m + dd)) ** -sigma
+                    c, s = mpmath.cos_sin(t * mpmath.log1p(mpmath.mpf(dd) / m))
+                    ref += amp * mpmath.mpc(c, s)
+                    size += float(amp)
+        got = doublesums._lag_sum(sigma, t, m_lo, big_t, tau)
+        assert got is not None
+        assert abs(got - complex(ref)) <= 2.0**-52 * (t**delta + 1.0) * size
+
+    @given(st.floats(-0.5, 1.5), st.floats(100.0, 3e4), st.floats(0.1, 0.45))
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def test_as_close_to_brute_force_as_the_window_route(self, sigma, t, delta):
+        m_lo, big_t, tau = _s5_2_params(t, delta)
+        assume(m_lo >= 1 and doublesums._lag_sum(sigma, t, m_lo, big_t, tau) is not None)
+        sa = s5_2_sum(sigma, t, delta).sa
+        slow = s5_2_sum(sigma, t, delta, Strategy.BRUTE_FORCE).sa
+        window = _window_sa(sigma, t, delta)
+        assert abs(sa - slow) <= abs(window - slow) + 1e-13 * abs(slow)
+
+    @pytest.mark.parametrize("sigma,t,delta", [
+        (0.5, 1500.0, 0.45),  # v is about 0.49 at the first lag's start
+        (3.0, 50.0, 0.15),    # v is 0.27, from the amplitude; 20 nodes for 24 terms
+        (0.5, 3e4, 0.4),      # v is 0.13, but the route would take 37,820 nodes for 29,516 terms
+    ])
+    def test_rule_keeps_the_window_route(self, sigma, t, delta):
+        assert doublesums._lag_sum(sigma, t, *_s5_2_params(t, delta)) is None
+        assert s5_2_sum(sigma, t, delta).sa == _window_sa(sigma, t, delta)
+
+
 # --- brute-force references against a pair-by-pair loop ---------------------
 
 def _loop_cases(t):
@@ -471,6 +588,8 @@ class TestStreamSeams:
 
     def test_s5_parts_across_seams(self, monkeypatch):
         monkeypatch.setattr(doublesums, "STREAM_CHUNK", 5)
+        # s5_2's sa stays on the window route here: the lag route refuses it
+        assert doublesums._lag_sum(0.5, 1500.0, *_s5_2_params(1500.0, 0.45)) is None
         for fn, args in ((s5_1_sum, (0.5, 1500.0, 0.4)), (s5_2_sum, (0.5, 1500.0, 0.45))):
             fast, slow = fn(*args), fn(*args, Strategy.BRUTE_FORCE)
             assert abs(fast.sa - slow.sa) <= 1e-9 * max(abs(slow.sa), 1.0)
@@ -488,6 +607,8 @@ class TestStreamSeams:
         (lambda m: (m, 3 * m), None),
         (lambda m: (m - 1, 3 * m), 0.3 - 2j),    # one cursor kept over many blocks
         (lambda m: (2 * m, np.minimum(3 * m, 96)), 0.3 - 2j),  # empty past m = 48
+        # s5_2_sum's near-diagonal windows (m, min([m (1 + tau)], [t])), [t] = 64
+        (lambda m: (m, np.minimum((m * 1.3).astype(np.int64), 64)), None),
     ])
     def test_windows_on_seams(self, monkeypatch, bounds, outer):
         monkeypatch.setattr(doublesums, "STREAM_CHUNK", 8)
@@ -531,7 +652,7 @@ class TestStreamSeams:
         def work(*a, **k):
             raise AssertionError("work started before the budget check")
 
-        for name in ("PrefixCursor", "_grid_anchors", "nsum_power"):
+        for name in ("PrefixCursor", "_grid_anchors", "nsum_power", "_lag_sum"):
             monkeypatch.setattr(doublesums, name, work)
         with pytest.raises(ValueError, match="budget exceeded"):
             fn(*args)

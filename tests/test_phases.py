@@ -533,6 +533,17 @@ class TestEndpointRoute:
         ref = ref.conjugate() if conjugate else ref
         assert abs(got - ref) <= 1e-14 * _largest_term(sigma, c + 1, top)
 
+    def test_exp_series(self):
+        # rows: exp(0.3 + 2i y) and exp(-y + y**2), against mpmath's Taylor series
+        p = np.zeros((2, 9), dtype=np.complex128)
+        p[0, :2] = 0.3, 2j
+        p[1, 1:3] = -1.0, 1.0
+        got = phases._exp_series(p)
+        for row, f in zip(got, (lambda y: mpmath.exp(0.3 + 2j * y),
+                                lambda y: mpmath.exp(-y + y * y))):
+            ref = np.array(mpmath.taylor(f, 0, 8), dtype=np.complex128)
+            assert np.abs(row - ref).max() <= 1e-15 * np.abs(ref).max()
+
     def test_region_matches_the_plan(self):
         for kind in ("F1", "F2", "F3"):
             for t in (1e4, 123456.7, 1e7):

@@ -343,7 +343,7 @@ _ARTIFACT_SHA256 = {
     "lemma-5.2": "213c73abe10cb9605387b12bb5f925dc4b68144021580897f13513f029211f00",
     "relation-3.4": "286b6bd3086a96603e27e549ebd8cdd07dfaa06f3aea356b62d7372a0b7f316f",
     "thm-5.1": "0ba65e8dcf705f373d15604c8efd859f9461383753e342659a75dafcc6945c90",
-    "thm-5.3": "185d1d15f8a5e69dac834cec0dc77784c5d628bb87c53285f81fd320d1fca652",
+    "thm-5.3": "e677436c5808992970b6b5699aa6ab75ce54aa492679673cdd49eb53ebdfa0dd",
 }
 
 
