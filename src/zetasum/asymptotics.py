@@ -30,7 +30,6 @@ class EtaParams:
     alpha: complex
     beta: complex
     gamma_phase: float
-    near_resonance: bool = False  # eta within 1e-6 of 2*pi*Z
 
 
 @dataclass(frozen=True)
@@ -86,8 +85,7 @@ def eta_params(sigma: float, t: float, eta: float) -> EtaParams:
     alpha = 1.0 - cmath.exp(-1j * eta)
     beta = complex(t - eta * floor_ratio, -(sigma - 1.0))
     gamma_phase = t - eta - eta * floor_ratio
-    return EtaParams(alpha=alpha, beta=beta, gamma_phase=gamma_phase,
-                     near_resonance=_dist_to_2pi_grid(eta) <= 1e-6)
+    return EtaParams(alpha=alpha, beta=beta, gamma_phase=gamma_phase)
 
 
 def e_term(sigma: float, t: float, eta: float):

@@ -547,6 +547,9 @@ _LAG_ORDER = 6
 _LAG_PANEL = 1.0
 _LAG_NODES = 20
 _LAG_BLOCK = 1024  # panels per block of quadrature nodes
+_LAG_GL_NODES, _LAG_GL_WEIGHTS = np.polynomial.legendre.leggauss(_LAG_NODES)
+_LAG_BERNOULLI = np.array([_EM_BERNOULLI[k] * math.factorial(2 * k + 1)
+                           for k in range(_LAG_ORDER)])
 
 
 def _lag_starts(m_lo: int, big_t: int, tau: float):
@@ -600,18 +603,17 @@ def _lag_sum(sigma: float, t: float, m_lo: int, big_t: int, tau: float) -> Optio
     last, total = np.cumsum(count), int(count.sum())
     if (v.size and v.max() > _LAG_STEP) or _LAG_NODES * total > big_t - m_lo + 1:
         return None
-    nodes, weights = np.polynomial.legendre.leggauss(_LAG_NODES)
     partials = []
     for first in range(0, total, _LAG_BLOCK):
         panel = _ar(first, min(first + _LAG_BLOCK, total) - 1)
         lag = np.searchsorted(last, panel, side="right")
         half = 0.5 * (phi_a - phi_b)[lag] / count[lag]
         mid = phi_b[lag] + (2 * (panel - (last - count)[lag]) + 1) * half
-        phi = mid[:, None] + half[:, None] * nodes
+        phi = mid[:, None] + half[:, None] * _LAG_GL_NODES
         dl = dx[lag]
         y = dl / np.expm1(phi / t)
         g = (y * (y + dl)) ** (1.0 - sigma) / (t * dl) * np.exp(1j * phi)
-        partials.append(complex(np.sum((g * weights).sum(axis=1) * half)))
+        partials.append(complex(np.sum((g * _LAG_GL_WEIGHTS).sum(axis=1) * half)))
     j = np.arange(1, 2 * _LAG_ORDER)
     sign = np.where(j % 2 == 0, 1.0, -1.0) / j
     inv = x[..., None] ** -j
@@ -619,9 +621,7 @@ def _lag_sum(sigma: float, t: float, m_lo: int, big_t: int, tau: float) -> Optio
     p[..., 1:].real = sign * sigma * (inv + (x + dx)[..., None] ** -j)
     p[..., 1:].imag = -sign * t * inv * np.expm1(-j * step[..., None])
     e = _exp_series(p.reshape(-1, 2 * _LAG_ORDER)).reshape(p.shape)
-    bernoulli = np.array([_EM_BERNOULLI[k] * math.factorial(2 * k + 1)
-                          for k in range(_LAG_ORDER)])
-    corr = (e[..., 1::2] * bernoulli).sum(axis=-1)  # sum_k B_2k/(2k)! g^(2k-1) / g
+    corr = (e[..., 1::2] * _LAG_BERNOULLI).sum(axis=-1)  # sum_k B_2k/(2k)! g^(2k-1) / g
     g = (x * (x + dx)) ** -sigma * np.exp(1j * (t * step))
     partials.append(sum_array_deterministic(g[:, 0] * (0.5 - corr[:, 0])
                                             + g[:, 1] * (0.5 + corr[:, 1])))

@@ -13,11 +13,10 @@ import threading
 from dataclasses import replace
 
 import numpy as np
-from mpmath import bernoulli, libmp, workprec
+from mpmath import bernoulli, libmp, mp, workprec
 
 from .config import (ANCHOR_BLOCK_RATIO, ANCHOR_THRESHOLD, CHUNK_SIZE,
                      PREFIX_BUDGET, SINGLE_SUM_BUDGET, STREAM_CHUNK)
-from . import ddtables
 from .kernel import _two_prod, _two_sum, reduce_deterministic
 from .specs import PhaseKind, SumSpec
 
@@ -124,7 +123,22 @@ _ZIV_BOUND = 2.0**-58
 # Shorter batches go to _anchor one by one: the vectorized pass costs about
 # 150 us whatever its length, and 10 to 12 mpmath anchors about as much.
 _BATCH_MIN = 12
-_LN_HI, _LN_LO = np.array(ddtables.LN_TABLE).T.copy()
+
+
+def _dd(v) -> tuple:
+    """(hi, lo) for the mpf v: hi is the double nearest v and lo the double
+    nearest v - hi, so hi + lo is within about 2**-106 |v| of v."""
+    hi = float(v)
+    return hi, float(v - hi)
+
+
+# The double-double constants of _ln_dd and _anchors, from 200-bit values:
+# ln 2, 2 pi, 2/3 and ln(1 + j/_LN_STEPS) for j = 0, 1, ..., _LN_STEPS.
+_LN_STEPS = 256
+with workprec(200):
+    _LN2, _TWO_PI, _TWO_THIRDS = _dd(mp.log(2)), _dd(2 * mp.pi), _dd(mp.mpf(2) / 3)
+    _LN_HI, _LN_LO = np.array([_dd(mp.log(1 + mp.mpf(j) / _LN_STEPS))
+                               for j in range(_LN_STEPS + 1)]).T.copy()
 
 
 def _ln_dd(xh, xl):
@@ -138,8 +152,8 @@ def _ln_dd(xh, xl):
     mant, e = np.frexp(xh)
     y, yl = 2.0 * mant, np.ldexp(xl, 1 - e)
     e = e - 1.0
-    j = np.rint((y - 1.0) * ddtables.LN_STEPS)
-    c = 1.0 + j / ddtables.LN_STEPS
+    j = np.rint((y - 1.0) * _LN_STEPS)
+    c = 1.0 + j / _LN_STEPS
     nh, nl = _two_sum(y - c, yl)  # y - c is exact
     dh, dl = _two_sum(y, c)
     dl += yl
@@ -150,12 +164,12 @@ def _ln_dd(xh, xl):
     p, q = _two_prod(sh, sh)
     c3, d3 = _two_prod(p, sh)
     d3 += q * sh  # sh**3 = c3 + d3
-    g, h = _two_prod(c3, ddtables.TWO_THIRDS[0])
-    h += c3 * ddtables.TWO_THIRDS[1] + d3 * ddtables.TWO_THIRDS[0]
+    g, h = _two_prod(c3, _TWO_THIRDS[0])
+    h += c3 * _TWO_THIRDS[1] + d3 * _TWO_THIRDS[0]
     h += 2.0 * sl * (1.0 + s2) + sh * s2 * s2 * (0.4 + s2 * (2.0 / 7.0 + s2 * (2.0 / 9.0)))
     u, v = _two_sum(2.0 * sh, g)  # 2 atanh(s) = u + v + h
-    p, q = _two_prod(e, ddtables.LN2[0])
-    q += e * ddtables.LN2[1]
+    p, q = _two_prod(e, _LN2[0])
+    q += e * _LN2[1]
     j = j.astype(np.intp)
     p, r1 = _two_sum(p, _LN_HI[j])
     p, r2 = _two_sum(p, u)
@@ -192,9 +206,9 @@ def _anchors(kind: PhaseKind, t: float, runs) -> list:
     lh, ll = _ln_dd(xh, xl)
     fh, fl = _two_prod(t, lh)
     fl += t * ll
-    k = np.rint(fh / ddtables.TWO_PI[0])
-    ph, pl = _two_prod(k, ddtables.TWO_PI[0])
-    ch, cl = _two_prod(k, ddtables.TWO_PI[1])
+    k = np.rint(fh / _TWO_PI[0])
+    ph, pl = _two_prod(k, _TWO_PI[0])
+    ch, cl = _two_prod(k, _TWO_PI[1])
     b, bl = _two_sum(fl, -pl)
     u, v = _two_sum(fh - ph, b)  # fh - ph is exact
     rh, w = _two_sum(u, -ch)

@@ -76,10 +76,6 @@ class TestEtaParams:
             assert 0.0 < abs(p.beta) < eta + 1.0
             assert abs(p.gamma_phase) <= eta + 1e-9
 
-    def test_near_resonance_flag(self):
-        assert eta_params(0.5, 100.0, 2 * math.pi + 1e-9).near_resonance
-        assert not eta_params(0.5, 100.0, 3.0).near_resonance
-
 
 class TestETerm:
     def test_validity_window(self):

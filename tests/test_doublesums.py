@@ -389,10 +389,17 @@ class TestLagRoute:
     @pytest.mark.parametrize("sigma,t,delta", _thm_53_grid())
     def test_finer_quadrature_and_more_terms_agree(self, monkeypatch, sigma, t, delta):
         sa = s5_2_sum(sigma, t, delta).sa
+        nodes, order = 30, 8
         monkeypatch.setattr(doublesums, "_LAG_PANEL", 0.5)
-        monkeypatch.setattr(doublesums, "_LAG_NODES", 30)
-        monkeypatch.setattr(doublesums, "_LAG_ORDER", 8)
+        monkeypatch.setattr(doublesums, "_LAG_NODES", nodes)
+        monkeypatch.setattr(doublesums, "_LAG_ORDER", order)
         monkeypatch.setattr(doublesums, "_LAG_BLOCK", 333)
+        # the node and Bernoulli arrays are built from _LAG_NODES and _LAG_ORDER at import
+        gl_nodes, gl_weights = np.polynomial.legendre.leggauss(nodes)
+        monkeypatch.setattr(doublesums, "_LAG_GL_NODES", gl_nodes)
+        monkeypatch.setattr(doublesums, "_LAG_GL_WEIGHTS", gl_weights)
+        monkeypatch.setattr(doublesums, "_LAG_BERNOULLI", np.array(
+            [phases._EM_BERNOULLI[k] * math.factorial(2 * k + 1) for k in range(order)]))
         finer = doublesums._lag_sum(sigma, t, *_s5_2_params(t, delta))
         assert finer is not None and abs(finer - sa) <= 1e-13 * abs(sa)
 

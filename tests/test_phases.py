@@ -1,6 +1,7 @@
 """Phase evaluation, weighted single sums, and prefix tables."""
 
 import dataclasses
+import hashlib
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -11,7 +12,7 @@ import pytest
 
 from zetasum.config import CHUNK_SIZE, SINGLE_SUM_BUDGET
 from zetasum.kernel import oracle_recompute
-from zetasum import ddtables, kernel, phases
+from zetasum import kernel, phases
 from zetasum.phases import (PrefixCursor, _grid_anchors, _power_terms, nsum_power,
                             phase_eval, power_prefix, single_sum)
 from zetasum.specs import PhaseKind, SumSpec
@@ -273,18 +274,16 @@ class TestAnchors:
                     assert 0 < calls["anchor"] < len(runs) * (0.7 if t == 1e3 else 0.2)
                 calls["anchor"] = 0
 
-    def test_tables_regenerate(self):
-        def pair(v):
-            hi = float(v)
-            return hi, float(v - hi)
-
-        with mpmath.workprec(200):
-            assert ddtables.LN2 == pair(mpmath.log(2))
-            assert ddtables.TWO_PI == pair(2 * mpmath.pi)
-            assert ddtables.TWO_THIRDS == pair(mpmath.mpf(2) / 3)
-            steps = ddtables.LN_STEPS
-            assert ddtables.LN_TABLE == tuple(pair(mpmath.log(1 + mpmath.mpf(j) / steps))
-                                              for j in range(steps + 1))
+    def test_tables_match_pinned_digest(self):
+        # SHA-256 of the 260 pairs, one "hi.hex() lo.hex()" line each, so that any
+        # change in how phases builds them shows; rebuilding them here would only
+        # repeat phases' own expressions
+        pairs = [phases._LN2, phases._TWO_PI, phases._TWO_THIRDS,
+                 *zip(phases._LN_HI.tolist(), phases._LN_LO.tolist())]
+        assert len(pairs) == 3 + phases._LN_STEPS + 1 == 260
+        text = "\n".join(f"{hi.hex()} {lo.hex()}" for hi, lo in pairs)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "b444ff2738a9410a299ae005f7520fd6b33a71606707e08efb2a58bf47b6985f")
 
 
 class TestSingleSumBits:
