@@ -57,8 +57,9 @@ class RelationCheck:
 def _powers(exponent: complex, n) -> np.ndarray:
     """n**(-exponent) for an array of positive indices n, by a plain complex exp.
 
-    Only the brute-force references use it, so they stay independent of the
-    anchored kernel (phases._power_terms) that the fast paths use.
+    The brute-force references use it, so they stay independent of the
+    anchored kernel (phases._power_terms) that the fast paths use, and so do
+    the two plain power sums of lemma32_identity_residual.
     """
     return np.exp(-exponent * np.log(n))
 
@@ -111,28 +112,24 @@ def _separable(outer: complex, inner: complex) -> Callable:
 
 
 def _window_sum(exponent: complex, m_lo: int, m_hi: int, bounds: Callable,
-                outer: Optional[complex] = None) -> complex:
-    """sum_{m=m_lo}^{m_hi} w(m) [P(hi(m)) - P(lo(m))], P(k) = sum_{n<=k} n**(-exponent).
+                outer: complex) -> complex:
+    """sum_{m=m_lo}^{m_hi} m**(-outer) [P(hi(m)) - P(lo(m))], P(k) = sum_{n<=k} n**(-exponent).
 
     bounds(m) gives the ends (lo, hi), int64 arrays or constants nondecreasing
-    in m; a window with hi <= lo adds exactly 0.  w(m) = m**(-outer), or for
-    outer=None the conjugate of the inner term at n = lo(m) = m.  Each inner
-    term is generated once, over the n-range the windows touch, with prefixes
-    from its start.  If every lo-end precedes every hi-end each end reads its
-    own cursor and the stretch between enters as one carry times sum w;
-    otherwise one cursor serves both, its tape spanning the two ends.  A
-    constant lo-end with outer weights has no lo cursor: P(lo) is 0 there,
-    and so is the carry.  Each cursor, and the outer weights over
+    in m; a window with hi <= lo adds exactly 0.  Each end reads its own
+    cursor of inner terms, with prefixes from lo(m_lo) + 1; a constant lo-end
+    has none, since P(lo) is 0 there.  If every lo-end precedes every hi-end,
+    the hi cursor starts past the last lo-end instead and the stretch between
+    enters as one carry times sum w.  Each cursor, and the outer weights over
     [m_lo, m_hi], reduce their anchors once.
     """
     ends = np.array([m_lo, m_hi], dtype=np.int64)
     (lo_first, lo_last), (hi_first, hi_last) = np.broadcast_arrays(*bounds(ends), ends)[:2]
-    start = lo_first if outer is None else lo_first + 1
     split = lo_last <= hi_first
-    lo_cur = (None if split and start > lo_last
-              else PrefixCursor(exponent, start, lo_last if split else hi_last, STREAM_CHUNK))
-    hi_cur = PrefixCursor(exponent, lo_last + 1, hi_last, STREAM_CHUNK) if split else lo_cur
-    w_anchors = None if outer is None else _grid_anchors(outer, m_lo, m_hi)
+    lo_cur = (PrefixCursor(exponent, lo_first + 1, lo_last, STREAM_CHUNK)
+              if lo_last > lo_first else None)
+    hi_cur = PrefixCursor(exponent, (lo_last if split else lo_first) + 1, hi_last, STREAM_CHUNK)
+    w_anchors = _grid_anchors(outer, m_lo, m_hi)
     partials, weights = [], []
     for a in range(m_lo, m_hi + 1, STREAM_CHUNK):
         b = min(a + STREAM_CHUNK - 1, m_hi)
@@ -143,17 +140,13 @@ def _window_sum(exponent: complex, m_lo: int, m_hi: int, bounds: Callable,
             keep = slice(None)  # read the arrays themselves, not masked copies
         elif not keep.any():
             continue
-        lo_k, hi_k = lo[keep], hi[keep]
-        p_lo, x_lo = (0.0, None) if lo_cur is None else lo_cur.read(
-            lo_k, min(lo[-1], hi_k[0]), outer is None)
-        p_hi, _ = hi_cur.read(hi_k, hi[-1] if split else lo[-1])
-        w = np.conj(x_lo) if outer is None else _power_terms(outer, a, b, w_anchors)[keep]
-        partials.append(complex(np.sum(w * (p_hi - p_lo))))
+        w = _power_terms(outer, a, b, w_anchors)[keep]
+        p_lo = 0.0 if lo_cur is None else lo_cur.read(lo[keep])
+        partials.append(complex(np.sum(w * (hi_cur.read(hi[keep]) - p_lo))))
         if split and lo_cur is not None:  # the weights feed only the gap between the cursors
             weights.append(complex(w.sum()))
     if weights:
-        gap = lo_cur.read(np.array([lo_last]), lo_last)[0][0]
-        partials.append(gap * reduce_deterministic(weights))
+        partials.append(lo_cur.read(np.array([lo_last]))[0] * reduce_deterministic(weights))
     return reduce_deterministic(partials)
 
 
@@ -235,8 +228,8 @@ def relation_36_check(sigma: float, t: float) -> RelationCheck:
     if big_t < 1:
         raise ValueError("need t >= 1")
     check_prefix_budget(2 * big_t)
-    # m2**(-sbar) is the conjugate of the inner term at n = m2
-    shifted = _window_sum(complex(sigma, t), 1, big_t, lambda m: (m, m + big_t))
+    shifted = _window_sum(complex(sigma, t), 1, big_t, lambda m: (m, m + big_t),
+                          complex(sigma, -t))
     zsum = nsum_power(sigma, t, 1, big_t, minus_it=True)
     lhs = 2.0 * shifted.real - (zsum * zsum.conjugate()).real
     diag = float(np.sum(np.arange(1, big_t + 1, dtype=np.float64) ** (-2.0 * sigma)))
@@ -660,9 +653,9 @@ def s5_2_sum(sigma: float, t: float, delta: float,
     def hi_of(m):
         return (m * (1.0 + tau)).astype(np.int64)
     sa = _lag_sum(sigma, t, m_lo, big_t, tau)
-    if sa is None:  # m**(-s) is the conjugate of the inner term at n = m
+    if sa is None:
         sa = _window_sum(complex(sigma, -t), m_lo, big_t,
-                         lambda m: (m, np.minimum(hi_of(m), big_t)))
+                         lambda m: (m, np.minimum(hi_of(m), big_t)), s)
     # overhang windows are empty below m = ([t] + 1) / (1 + tau)
     sb = _window_sum(complex(sigma, -t), max(m_lo, int((big_t + 1) / (1.0 + tau)) - 1), big_t,
                      lambda m: (big_t, np.maximum(hi_of(m), big_t)), s)

@@ -621,115 +621,53 @@ def prefix_blocks(exponent: complex, start: int, stop: int, width: int):
         a = b + 1
 
 
-# A read spanning at most this many prefix blocks, from the least position it
-# or a later read needs to its last, grows the tape to cover all of it.
-_TAPE_BLOCKS = 4
-_ZERO = np.zeros(1, dtype=np.complex128)  # every cursor's first tape
+_ZERO = np.zeros(1, dtype=np.complex128)  # R(start - 1), every cursor's first block
 _ZERO.flags.writeable = False
 
 
 class PrefixCursor:
-    """Forward-only reader of R(k) = sum_{n=start}^{k} n**(-exponent), k <= stop.
+    """Forward reader of R(k) = sum_{n=start}^{k} n**(-exponent), start - 1 <= k <= stop.
 
-    Blocks of prefix_blocks are generated once, in order.  The cursor keeps
-    one tape: the prefixes, and the terms if its first read asked for them,
-    in one contiguous array from the least position still needed to the last
-    one generated.  A read of consecutive positions returns a slice of the
-    tape, any other read one gather.  A tape is replaced, never written, so
+    Blocks of prefix_blocks are generated once, in order.  A read forms the
+    prefixes carry + cumsum(terms) only of the blocks it lands in, and the
+    cursor keeps only the last block it formed, so its memory is O(width)
+    however sparse the reads.  Consecutive positions in a block are answered
+    by a slice, others by a gather.  A block is replaced, never written, so
     an array a read returned keeps its values through later reads.  Callers
-    must not write to what a read returns, which may be a view of the tape.
+    must not write to what a read returns, which may be a view of the block.
     """
 
     def __init__(self, exponent: complex, start: int, stop: int, width: int):
         self._blocks = prefix_blocks(exponent, start, stop, width)
-        self._span = _TAPE_BLOCKS * width
-        self._lo = self._end = start - 1  # the tape holds R(_lo), ..., R(_end)
-        self._p = _ZERO
-        self._x = None  # the terms' tape, kept from a first read with_terms
-        self._first = True
+        self._a, self._p = start - 1, _ZERO  # the kept block: R(_a), R(_a + 1), ...
 
-    def read(self, q: np.ndarray, keep_from: int, with_terms: bool = False):
-        """(R(q), terms at q or None) for sorted q >= start - 1, where R(start - 1) = 0
-        and so is the term there; keep_from is the least position read later.
-
-        The terms are gathered only with_terms, which needs the first read to
-        ask for them.
-        """
-        if self._first:
-            self._first = False
-            if with_terms:
-                self._x = _ZERO
-        elif with_terms and self._x is None:
-            raise ValueError("terms are kept only if the first read asks for them")
-        done, pieces = self._grow(q, int(keep_from), with_terms) if q[-1] > self._end else (0, [])
-        rest = q[done:]
-        lo = self._lo
-        i = int(rest[0]) - lo
-        if int(rest[-1]) - lo - i == rest.size - 1 and (rest[1:] != rest[:-1]).all():
-            at = slice(i, i + rest.size)  # consecutive
-        else:
-            at = rest - lo
-        p, x = self._p[at], self._x[at] if with_terms else None
-        if pieces:
-            p = np.concatenate([pp for pp, _ in pieces] + [p])
-            if with_terms:
-                x = np.concatenate([xx for _, xx in pieces] + [x])
-        return p, x
-
-    def _grow(self, q, keep_from: int, with_terms: bool):
-        """Generate blocks through q[-1] and replace the tape; return how many
-        of q were answered from parts before the new tape, and those answers
-        as (prefixes, terms or None) pieces.
-
-        The tape runs from the least position this read or a later one needs
-        if that spans at most _TAPE_BLOCKS blocks.  Otherwise it runs from
-        keep_from (at most q[-1]), and the reads before it are answered part
-        by part, forming the prefixes of only the blocks they land in.
-        """
-        last = int(q[-1])
-        need = min(int(q[0]), keep_from)
-        tape_from = need if last - need <= self._span else min(keep_from, last)
-        done, pieces = 0, []
-        run = []  # (a, prefixes or None, terms, carry): the parts of the new tape
-
-        def settle(a, p, x):  # answer the reads in [a, a + p.size) from one part
-            j = int(np.searchsorted(q, a + p.size))
-            at = q[done:j] - a
-            pieces.append((p[at], x[at] if with_terms else None))
-            return j
-
-        cut = max(need - self._lo, 0)
-        if cut < self._p.size:
-            x = None if self._x is None else self._x[cut:]
-            if self._end >= tape_from:
-                run.append((self._lo + cut, self._p[cut:], x, None))
-            elif q[0] <= self._end:
-                done = settle(self._lo + cut, self._p[cut:], x)
-        while self._end < last:
-            a, terms, carry = next(self._blocks)
-            self._end = a + terms.size - 1
-            if self._end >= tape_from:
-                run.append((a, None, terms, carry))
-            elif q[done] <= self._end:  # a read lands in the block
-                done = settle(a, carry + np.cumsum(terms), terms)
-        lo, p, x, carry = run[0]
-        self._lo = lo
-        if len(run) == 1:
-            self._p = carry + np.cumsum(x) if p is None else p
-        else:  # prefixes formed in place: carry + np.cumsum(terms), bit for bit
-            self._p = np.empty(self._end + 1 - lo, dtype=np.complex128)
-            for a, prefixes, terms, carry in run:
-                if prefixes is None:
-                    part = self._p[a - lo : a - lo + terms.size]
-                    np.cumsum(terms, out=part)
-                    part += carry
-                else:
-                    self._p[a - lo : a - lo + prefixes.size] = prefixes
-            if self._x is not None:
-                x = np.concatenate([terms for _, _, terms, _ in run])
-        if self._x is not None:
-            self._x = x
-        return done, pieces
+    def read(self, q: np.ndarray) -> np.ndarray:
+        """R(q) for sorted q, none before the kept block (R(start - 1) = 0)."""
+        if q[0] < self._a:
+            raise ValueError(f"read of {q[0]} goes back before the kept block at {self._a}")
+        out, i = None, 0
+        while True:
+            end = self._a + self._p.size
+            j = q.size if q[-1] < end else int(np.searchsorted(q, end))
+            if j > i:
+                at = q[i:j] - self._a
+                first = int(at[0])
+                if int(at[-1]) - first == at.size - 1 and (at[1:] != at[:-1]).all():
+                    at = slice(first, first + at.size)  # consecutive
+                if j - i == q.size:
+                    return self._p[at]
+                if out is None:  # copied, so that no view holds an old block
+                    out = np.empty(q.size, dtype=np.complex128)
+                out[i:j] = self._p[at]
+                i = j
+            if i == q.size:
+                return out
+            for a, terms, carry in self._blocks:  # the next block a read lands in
+                if a + terms.size > q[i]:
+                    break
+            else:
+                raise ValueError(f"read of {q[-1]} goes past the cursor's stop")
+            self._a, self._p = a, carry + np.cumsum(terms)
 
 
 def power_prefix(exponent: complex, upper: int) -> np.ndarray:

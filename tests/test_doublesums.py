@@ -330,7 +330,8 @@ def _window_sa(sigma, t, delta):
     """s5_2_sum's sa on the window route."""
     m_lo, big_t, tau = _s5_2_params(t, delta)
     return _window_sum(complex(sigma, -t), m_lo, big_t,
-                       lambda m: (m, np.minimum((m * (1.0 + tau)).astype(np.int64), big_t)))
+                       lambda m: (m, np.minimum((m * (1.0 + tau)).astype(np.int64), big_t)),
+                       complex(sigma, t))
 
 
 def _thm_53_grid():
@@ -610,9 +611,9 @@ class TestStreamSeams:
     @pytest.mark.parametrize("bounds,outer", [
         (lambda m: (0, m), 0.3 - 2j),            # every hi lands on each block end once
         (lambda m: (m, m + 8), 0.3 - 2j),        # width one chunk: lo and hi share seams
-        (lambda m: (m, m + 8), None),            # conjugate weights read at n = m
+        (lambda m: (m, m + 8), None),            # conjugate weights, as relation-3.4's
         (lambda m: (m, 3 * m), None),
-        (lambda m: (m - 1, 3 * m), 0.3 - 2j),    # one cursor kept over many blocks
+        (lambda m: (m - 1, 3 * m), 0.3 - 2j),    # lo-ends pass hi-ends: both cursors from 1
         (lambda m: (2 * m, np.minimum(3 * m, 96)), 0.3 - 2j),  # empty past m = 48
         # s5_2_sum's near-diagonal windows (m, min([m (1 + tau)], [t])), [t] = 64
         (lambda m: (m, np.minimum((m * 1.3).astype(np.int64), 64)), None),
@@ -620,16 +621,17 @@ class TestStreamSeams:
     def test_windows_on_seams(self, monkeypatch, bounds, outer):
         monkeypatch.setattr(doublesums, "STREAM_CHUNK", 8)
         e = complex(0.5, 40.0)
+        outer = e.conjugate() if outer is None else outer
         m = _ar(1, 64)
         lo, hi = (np.broadcast_to(x, m.shape).astype(np.int64) for x in bounds(m))
-        w = np.conj(_pw(e, m)) if outer is None else _pw(outer, m)
+        w = _pw(outer, m)
         ref = _prefix_reference(e, m, lo, hi, w)
         got = _window_sum(e, 1, 64, bounds, outer)
         assert abs(got - ref) <= 1e-13 * max(abs(ref), 1.0)
 
     def test_empty_windows_give_exact_zero(self):
         e = complex(0.5, 40.0)
-        assert _window_sum(e, 1, 10_000, lambda m: (m, m)) == 0j
+        assert _window_sum(e, 1, 10_000, lambda m: (m, m), 0.5 - 40j) == 0j
         assert _window_sum(e, 1, 10_000, lambda m: (m + 5, m), 0.2 + 1j) == 0j
         assert _window_sum(e, 3, 2, lambda m: (m, m + 9), 0.2 + 1j) == 0j
 
@@ -801,9 +803,9 @@ class TestConstantLoEnd:
                 self.range = (int(start), int(stop))
                 made.append(self.range)
 
-            def read(self, q, keep_from, with_terms=False):
+            def read(self, q):
                 reads.append(self.range)
-                return super().read(q, keep_from, with_terms)
+                return super().read(q)
 
         monkeypatch.setattr(doublesums, "PrefixCursor", Counted)
         return fn(), made, reads

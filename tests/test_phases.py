@@ -4,13 +4,14 @@ import dataclasses
 import hashlib
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
 import pytest
 
-from zetasum.config import CHUNK_SIZE, SINGLE_SUM_BUDGET
+from zetasum.config import CHUNK_SIZE, SINGLE_SUM_BUDGET, STREAM_CHUNK
 from zetasum.kernel import oracle_recompute
 from zetasum import kernel, phases
 from zetasum.phases import (PrefixCursor, _grid_anchors, _power_terms, nsum_power,
@@ -714,6 +715,19 @@ class TestPowerTerms:
             assert (_power_terms(e, lo, hi, anchors).tobytes()
                     == _power_terms(e, lo, hi).tobytes())
 
+    # window sums take the weights m**(-s) from _power_terms(s) where the
+    # inner terms are n**(-sbar): they must be each other's conjugates
+    @pytest.mark.parametrize("sigma,t,lo,hi", [
+        (0.5, 1e4, 1, 70_000),             # cut chunks below _NARROW, then whole ones
+        (0.0, 2000.0, 1, 5000),            # sigma = 0 has its own weighting
+        (-1.5, 3e5, 60_000, 270_000),      # across _NARROW and _WIDE
+        (0.5, 1e7, 1, 100_000),
+        (1.25, 1e7, 9_700_000, 10_000_000),
+    ])
+    def test_conjugate_exponent_gives_conjugate_terms(self, sigma, t, lo, hi):
+        got = _power_terms(complex(sigma, t), lo, hi)
+        assert got.tobytes() == np.conj(_power_terms(complex(sigma, -t), lo, hi)).tobytes()
+
     def test_real_exponent_is_real(self):
         got = _power_terms(complex(0.5, 0.0), 1, 5000)
         assert not got.imag.any()
@@ -787,19 +801,6 @@ class TestPrefix:
         direct = nsum_power(0.3, 55.0, 2, 90, minus_it=False)
         assert abs(cum[90] - cum[1] - direct) <= 1e-12
 
-    def test_cursor_gathers_terms_only_when_asked(self):
-        # reads with and without the terms give the same cumulative bits
-        e = complex(0.5, 40.0)
-        cum = power_prefix(e, 200)
-        plain, gathering = PrefixCursor(e, 1, 200, 16), PrefixCursor(e, 1, 200, 16)
-        for q in (np.array([0, 5, 16, 17]), np.array([17, 40, 41, 120]), np.array([150, 200])):
-            p, none = plain.read(q, q[0])
-            p_x, x = gathering.read(q, q[0], with_terms=True)
-            assert none is None and p.tobytes() == p_x.tobytes()
-            assert np.allclose(p, cum[q], rtol=0, atol=1e-13)
-            assert np.array_equal(x[q > 0], _power_terms(e, 1, 200)[q[q > 0] - 1])
-
-
     def test_cursor_reads_after_unread_blocks_match_power_prefix(self):
         # blocks no read lands in never form their prefixes; their totals
         # still carry into the blocks read after them
@@ -808,45 +809,68 @@ class TestPrefix:
         cursor = PrefixCursor(e, 1, 100_000, CHUNK_SIZE)
         for q in ([3], [50_000, 50_001], [73_727, 73_728, 73_729], [99_999, 100_000]):
             q = np.array(q)
-            got, _ = cursor.read(q, q[0])
-            assert got.tobytes() == full[q].tobytes()
+            assert cursor.read(q).tobytes() == full[q].tobytes()
 
     def test_read_returns_view_that_later_reads_keep(self):
-        # a window read on one cursor: lo = m, then hi = [m (1 + tau)], which
-        # grows the tape past the blocks the lo read returned a view of
+        # a read within one block returns a view of it; later reads replace
+        # the block, the first across a seam, and the view keeps its values
         e = complex(0.5, 1e4)
-        full, terms = power_prefix(e, 40_000), _power_terms(e, 1, 40_000)
+        full = power_prefix(e, 40_000)
         cursor = PrefixCursor(e, 1, 40_000, CHUNK_SIZE)
-        m = np.arange(5000, 9000)
-        hi = (m * 1.5).astype(np.int64)
-        p_lo, x_lo = cursor.read(m, hi[0], with_terms=True)
-        assert not p_lo.flags.owndata and not x_lo.flags.owndata
-        before = p_lo.tobytes(), x_lo.tobytes()
-        p_hi, _ = cursor.read(hi, m[-1])
-        assert (p_lo.tobytes(), x_lo.tobytes()) == before
-        assert before == (full[m].tobytes(), terms[m - 1].tobytes())
-        assert p_hi.tobytes() == full[hi].tobytes()
+        m = np.arange(5000, 8000)
+        p_lo = cursor.read(m)
+        assert not p_lo.flags.owndata
+        before = p_lo.tobytes()
+        for q in (np.arange(8000, 8500), np.arange(8300, 9000), np.array([40_000])):
+            assert cursor.read(q).tobytes() == full[q].tobytes()
+        assert p_lo.tobytes() == before == full[m].tobytes()
 
     def test_repeated_positions_and_start_minus_one(self):
         # [m (1 + tau)] repeats no position but skips some; constant and
         # repeated reads (one spanning as many positions as it holds), and
-        # reads of start - 1, where R and the term are 0
+        # reads of start - 1, where R is 0
         e = complex(0.5, 1e4)
-        full, terms = power_prefix(e, 30_000), _power_terms(e, 1, 30_000)
-        cursor = PrefixCursor(e, 1, 30_000, CHUNK_SIZE)
+        full = power_prefix(e, 30_000)
         m = np.arange(1, 20_000)
-        for q in (np.zeros(7, dtype=np.int64), np.concatenate([[0, 0, 1, 1], m // 3]),
-                  (m * 1.3).astype(np.int64), np.array([29_997, 29_997, 29_999]),
-                  np.array([29_999, 29_999, 30_000])):
-            got, x = cursor.read(q, q[0], with_terms=True)
-            assert got.tobytes() == full[q].tobytes()
-            assert x.tobytes() == np.where(q > 0, terms[q - 1], 0).tobytes()
+        for qs in ((np.zeros(7, dtype=np.int64), np.concatenate([[0, 0], m // 3])),
+                   ((m * 1.3).astype(np.int64), np.array([29_997, 29_997, 29_999]),
+                    np.array([29_999, 29_999, 30_000]))):
+            cursor = PrefixCursor(e, 1, 30_000, CHUNK_SIZE)
+            for q in qs:
+                assert cursor.read(q).tobytes() == full[q].tobytes()
 
-    def test_terms_only_from_a_first_read_that_asks(self):
+    @pytest.mark.parametrize("first,then", [
+        ([50_000, 50_001], [49_000, 49_100]),  # back into an earlier block
+        ([20_000], [15_000, 20_001]),          # a read that starts back and ends in the block
+        ([9000, 9001], [100, 8999]),           # back past the first block
+    ])
+    def test_backward_read_raises(self, first, then):
+        e = complex(0.5, 1e4)
+        full = power_prefix(e, 60_000)
+        cursor = PrefixCursor(e, 1, 60_000, 4096)
+        assert cursor.read(np.array(first)).tobytes() == full[first].tobytes()
+        with pytest.raises(ValueError, match="goes back"):
+            cursor.read(np.array(then))
+
+    def test_read_past_stop_raises(self):
         cursor = PrefixCursor(complex(0.5, 40.0), 1, 200, 16)
-        cursor.read(np.array([3]), 3)
-        with pytest.raises(ValueError, match="first read"):
-            cursor.read(np.array([5]), 5, with_terms=True)
+        with pytest.raises(ValueError, match="past the cursor's stop"):
+            cursor.read(np.array([150, 201]))
+
+    def test_sparse_reads_keep_one_block(self):
+        # thm-5.1's lower window ends: 25 positions over [1, 2e6] hold one
+        # STREAM_CHUNK block (256 KiB) at a time, never the prefixes between
+        e = complex(0.5, 1e6)
+        q = np.linspace(1, 2 * 10**6, 25).astype(np.int64)
+        cursor = PrefixCursor(e, 1, 2 * 10**6, STREAM_CHUNK)
+        tracemalloc.start()
+        try:
+            got = cursor.read(q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert abs(got[-1] - nsum_power(0.5, 1e6, 1, 2 * 10**6, minus_it=True)) <= 1e-10
 
     def test_sparse_read_forms_only_the_blocks_it_lands_in(self, monkeypatch):
         # about 50 blocks, 4 of them read: the others give only their totals
@@ -861,11 +885,10 @@ class TestPrefix:
         monkeypatch.setattr(np, "cumsum", counted)
         cursor = PrefixCursor(e, 1, 50 * CHUNK_SIZE, CHUNK_SIZE)
         q = np.array([10, 11, 50_000, 120_000, 50 * CHUNK_SIZE - 3, 50 * CHUNK_SIZE])
-        got, _ = cursor.read(q, q[-1])
+        assert cursor.read(q).tobytes() == full[q].tobytes()
         assert calls == [CHUNK_SIZE] * 4
-        assert got.tobytes() == full[q].tobytes()
         calls.clear()
-        assert cursor.read(q[-1:], q[-1])[0].tobytes() == full[q[-1:]].tobytes()
+        assert cursor.read(q[-1:]).tobytes() == full[q[-1:]].tobytes()
         assert calls == []
 
     def test_overflowing_weights_raise(self):
@@ -875,9 +898,9 @@ class TestPrefix:
             with pytest.raises(ValueError, match="non-finite input"):
                 power_prefix(e, 100)
             cursor = PrefixCursor(e, 1, 100, 4)
-            assert math.isfinite(abs(cursor.read(np.array([2]), 2)[0][0]))
+            assert math.isfinite(abs(cursor.read(np.array([2]))[0]))
             with pytest.raises(ValueError, match="non-finite input"):
-                cursor.read(np.array([50]), 50)
+                cursor.read(np.array([50]))
 
 
 if __name__ == "__main__":

@@ -341,7 +341,7 @@ _ARTIFACT_SHA256 = {
     "lemma-4.1": "567420bff0aec6d026c651e0f6a3ad4c35c7cb86559d588f3d2aa9cd64cd59be",
     "lemma-4.2": "df4515a3b33f40f178bd0a5546d094971022a74b19a69878810cbda1ec745f30",
     "lemma-5.2": "213c73abe10cb9605387b12bb5f925dc4b68144021580897f13513f029211f00",
-    "relation-3.4": "286b6bd3086a96603e27e549ebd8cdd07dfaa06f3aea356b62d7372a0b7f316f",
+    "relation-3.4": "e17101f0d7679e45389e5ce68f4d9c4e30f1804507c4f53a8bd73fc045a111e0",
     "thm-5.1": "0ba65e8dcf705f373d15604c8efd859f9461383753e342659a75dafcc6945c90",
     "thm-5.3": "e677436c5808992970b6b5699aa6ab75ce54aa492679673cdd49eb53ebdfa0dd",
 }
