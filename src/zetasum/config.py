@@ -30,8 +30,8 @@ ETA_DIST_EPS = 0.1
 SIGMA_WINDOW = 2.0
 
 # One budget per evaluation route: the kernel terms of a single sum, the terms
-# of an oracle sum, the largest index a coupled sum streams, the side of a
-# brute-force grid.
+# of an oracle sum, the furthest index a coupled sum's windows (lo, hi] reach
+# (doublesums._window_sum and s4_b_sum check it), a brute-force grid's side.
 SINGLE_SUM_BUDGET = 10**8
 ORACLE_BUDGET = 10**7
 PREFIX_BUDGET = 2 * 10**7 + 64

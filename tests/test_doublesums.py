@@ -629,6 +629,33 @@ class TestStreamSeams:
         got = _window_sum(e, 1, 64, bounds, outer)
         assert abs(got - ref) <= 1e-13 * max(abs(ref), 1.0)
 
+    @given(st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_coupled_routes_agree_on_random_sets(self, data):
+        # random nondecreasing ends over m <= 200, empty rows and hi < lo
+        # included: the pairs lo(m) < n <= hi(m) BruteForce enumerates are the
+        # windows the fast route streams, across seams of 3..8-wide chunks
+        m_lo = data.draw(st.integers(1, 200))
+        m_hi = data.draw(st.integers(m_lo, 200))
+        rows = m_hi - m_lo + 1
+        lo, hi = (np.cumsum([data.draw(st.integers(0, 300))]
+                            + data.draw(st.lists(st.integers(0, step), min_size=rows - 1,
+                                                 max_size=rows - 1))).astype(np.int64)
+                  for step in (3, 4))
+        t = data.draw(st.floats(1.0, 60.0))
+        outer = complex(data.draw(st.floats(0.0, 1.0)), -t)
+        inner = complex(data.draw(st.floats(0.3, 1.2)), t)
+
+        def bounds(m):
+            return lo[m - m_lo], hi[m - m_lo]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(doublesums, "STREAM_CHUNK", data.draw(st.integers(3, 8)))
+            ref = doublesums._coupled(t, outer, inner, m_lo, m_hi, bounds, Strategy.BRUTE_FORCE)
+            got = doublesums._coupled(t, outer, inner, m_lo, m_hi, bounds,
+                                      Strategy.PREFIX_FACTORIZED)
+        assert abs(got - ref) <= 1e-12 * max(abs(ref), 1.0)
+
     def test_empty_windows_give_exact_zero(self):
         e = complex(0.5, 40.0)
         assert _window_sum(e, 1, 10_000, lambda m: (m, m), 0.5 - 40j) == 0j
@@ -818,10 +845,11 @@ class TestConstantLoEnd:
                                                         "0x1.abb161beec2ecp-4")
 
     def test_s5_1_overhang(self, monkeypatch):
-        # sa reads its lo cursor over [1585, 9509] twice (window and carry) and
-        # its hi cursor once; the overhang sb only its hi cursor over [10001, 10006]
+        # the overhang sb, summed first, reads only its hi cursor over
+        # [10001, 10006]; sa reads its lo cursor over [1585, 9509] twice
+        # (window and carry) and its hi cursor once
         res, made, reads = self._cursors(monkeypatch, lambda: s5_1_sum(0.5, 1e4, 0.2))
-        assert made == [(1585, 9509), (9510, 10000), (10001, 10006)]
+        assert made == [(10001, 10006), (1585, 9509), (9510, 10000)]
         assert sorted(reads) == [(1585, 9509)] * 2 + [(9510, 10000), (10001, 10006)]
         got = [(z.real.hex(), z.imag.hex()) for z in (res.total, res.sa, res.sb)]
         assert got == [("0x1.4a6cd46ac0b71p-1", "-0x1.d92a27ac3f21ep-6"),
