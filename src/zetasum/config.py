@@ -29,10 +29,11 @@ ETA_DIST_EPS = 0.1
 # m**(-sigma) risk overflow without any consumer needing them.
 SIGMA_WINDOW = 2.0
 
-# One budget per evaluation route: the kernel terms of a single sum, the terms
-# of an oracle sum, the furthest index a coupled sum's windows (lo, hi] reach
-# (doublesums._window_sum and s4_b_sum check it), a brute-force grid's side.
-SINGLE_SUM_BUDGET = 10**8
+# WORK_BUDGET caps the values a fast path forms, counted before it forms any
+# (phases.check_work): kernel and cursor terms, outer weights, lag nodes, FFT
+# points, prefixes.  An oracle term costs about 1000 times as much, and a
+# brute-force grid's work grows as its side squared, so ORACLE_BUDGET counts
+# oracle terms and BRUTE_FORCE_BUDGET caps a grid's side.
+WORK_BUDGET = 10**8
 ORACLE_BUDGET = 10**7
-PREFIX_BUDGET = 2 * 10**7 + 64
 BRUTE_FORCE_BUDGET = 3 * 10**4

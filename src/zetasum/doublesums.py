@@ -4,12 +4,12 @@ Each separable sum states its index set once, to _coupled, as the windows
 lo(m) < n <= hi(m) of its inner index.  BruteForce enumerates those pairs
 through one budget-capped enumerator, _pair_sum, in 2-D blocks of plain-exp
 powers; the fast route streams the inner sums as prefix windows through
-_window_sum, which checks PREFIX_BUDGET against the furthest index its
-stream reaches.  Where a third factor couples the indices (s4_b_sum), the
-fast route convolves blockwise by FFT with spectra of 64 bytes per unit of
-t.  s5_2_sum's near-diagonal part sums lag by lag instead (_lag_sum):
-Gauss-Legendre integrals plus Euler-Maclaurin end terms, where its rule
-admits it.  All must agree; tests enforce it.
+_window_sum.  Every fast stream checks the values it will form against one
+work budget, phases.check_work, before it forms any.  Where a third factor
+couples the indices (s4_b_sum), the fast route convolves blockwise by FFT
+with spectra of 64 bytes per unit of t.  s5_2_sum's near-diagonal part sums
+lag by lag instead (_lag_sum): Gauss-Legendre integrals plus Euler-Maclaurin
+end terms, where its rule admits it.  All must agree; tests enforce it.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from .config import BRUTE_FORCE_BUDGET, STREAM_CHUNK
 from .kernel import reduce_deterministic, sum_array_deterministic
 from .phases import (_EM_BERNOULLI, PrefixCursor, _exp_series, _grid_anchors, _power_terms,
-                     check_prefix_budget, nsum_power)
+                     check_work, nsum_power)
 
 
 class Strategy(enum.Enum):
@@ -117,17 +117,19 @@ def _window_sum(exponent: complex, m_lo: int, m_hi: int, bounds: Callable,
     cursor of inner terms, with prefixes from lo(m_lo) + 1; a constant lo-end
     has none, since P(lo) is 0 there.  If every lo-end precedes every hi-end,
     the hi cursor starts past the last lo-end instead and the stretch between
-    enters as one carry times sum w.  Each cursor, and the outer weights over
-    [m_lo, m_hi], reduce their anchors once, after the ends at m_hi, the
-    furthest, are checked against PREFIX_BUDGET.
+    enters as one carry times sum w.  The cursors' terms and the outer weights
+    over [m_lo, m_hi], counted from the ends at m_lo and m_hi, are checked
+    against the work budget before any cursor or anchor is made; each cursor,
+    and the weights, reduce their anchors once.
     """
     ends = np.array([m_lo, m_hi], dtype=np.int64)
     (lo_first, lo_last), (hi_first, hi_last) = np.broadcast_arrays(*bounds(ends), ends)[:2]
-    check_prefix_budget(int(max(lo_last, hi_last)))
     split = lo_last <= hi_first
+    hi_start = (lo_last if split else lo_first) + 1
+    check_work(int((lo_last - lo_first) + (hi_last - hi_start + 1) + (m_hi - m_lo + 1)))
     lo_cur = (PrefixCursor(exponent, lo_first + 1, lo_last, STREAM_CHUNK)
               if lo_last > lo_first else None)
-    hi_cur = PrefixCursor(exponent, (lo_last if split else lo_first) + 1, hi_last, STREAM_CHUNK)
+    hi_cur = PrefixCursor(exponent, hi_start, hi_last, STREAM_CHUNK)
     w_anchors = _grid_anchors(outer, m_lo, m_hi)
     partials, weights = [], []
     for a in range(m_lo, m_hi + 1, STREAM_CHUNK):
@@ -278,9 +280,9 @@ def s4_b_sum(sigma1: float, sigma2: float, sigma3: float, t: float,
         part2 = _pair_sum(t, 1, big_t, lambda m: m + 1, lambda m: big_t, term)
         return SplitSumResult(total=part1 + part2, part1=part1, part2=part2,
                               term_count=big_t * big_t, strategy=strategy)
-    check_prefix_budget(2 * big_t)
     width = max(4 * STREAM_CHUNK, -(-big_t // 16))
     count = -(-big_t // width)
+    check_work((4 * count - 1) * 2 * width + 2 * big_t - 1)  # 2 spectra, 2K - 1 products, c1
     a3_hat = _block_spectra(complex(sigma3, 0.0), big_t, width, count)  # m1**(-sigma3)
     b2_hat = _block_spectra(complex(sigma2, -t), big_t, width, count)   # m2**(-sigma2+it)
     e1 = complex(sigma1, t)
@@ -491,10 +493,9 @@ def s5_1_sum(sigma: float, t: float, delta: float,
     if m_max < 1:
         raise ValueError("empty outer range")
     s, sbar = complex(sigma, t), complex(sigma, -t)
-    # sb reaches furthest, so its stream checks the budget before any work
-    sb = _coupled(t, s, sbar, 1, m_max, lambda m: (big_t, big_t + m), strategy)
     sa = _coupled(t, s, sbar, 1, m_max,
                   lambda m: ((t ** (1.0 - delta) * m).astype(np.int64), big_t), strategy)
+    sb = _coupled(t, s, sbar, 1, m_max, lambda m: (big_t, big_t + m), strategy)
     return SmallSetSum(total=sa + sb, sa=sa, sb=sb)
 
 
@@ -583,6 +584,7 @@ def _lag_sum(sigma: float, t: float, m_lo: int, big_t: int, tau: float) -> Optio
     last, total = np.cumsum(count), int(count.sum())
     if (v.size and v.max() > _LAG_STEP) or _LAG_NODES * total > big_t - m_lo + 1:
         return None
+    check_work(_LAG_NODES * total)
     partials = []
     for first in range(0, total, _LAG_BLOCK):
         panel = _ar(first, min(first + _LAG_BLOCK, total) - 1)
@@ -630,11 +632,10 @@ def s5_2_sum(sigma: float, t: float, delta: float,
 
     def top(m):  # [m (1 + t^{d-1})]
         return (m * (1.0 + tau)).astype(np.int64)
-    # sb reaches furthest, so its stream checks the budget before any work;
-    # its windows are empty below m = ([t] + 1) / (1 + tau)
-    sb = _coupled(t, s, sbar, max(m_lo, int((big_t + 1) / (1.0 + tau)) - 1), big_t,
-                  lambda m: (big_t, np.maximum(top(m), big_t)), strategy)
     sa = None if strategy is Strategy.BRUTE_FORCE else _lag_sum(sigma, t, m_lo, big_t, tau)
     if sa is None:
         sa = _coupled(t, s, sbar, m_lo, big_t, lambda m: (m, np.minimum(top(m), big_t)), strategy)
+    # sb's windows are empty below m = ([t] + 1) / (1 + tau)
+    sb = _coupled(t, s, sbar, max(m_lo, int((big_t + 1) / (1.0 + tau)) - 1), big_t,
+                  lambda m: (big_t, np.maximum(top(m), big_t)), strategy)
     return SmallSetSum(total=sa + sb, sa=sa, sb=sb, l_of_t=l_of_t)

@@ -15,8 +15,8 @@ from dataclasses import replace
 import numpy as np
 from mpmath import bernoulli, libmp, mp, workprec
 
-from .config import (ANCHOR_BLOCK_RATIO, ANCHOR_THRESHOLD, CHUNK_SIZE,
-                     PREFIX_BUDGET, SINGLE_SUM_BUDGET, STREAM_CHUNK)
+from .config import (ANCHOR_BLOCK_RATIO, ANCHOR_THRESHOLD, CHUNK_SIZE, STREAM_CHUNK,
+                     WORK_BUDGET)
 from .kernel import _two_prod, _two_sum, reduce_deterministic
 from .specs import PhaseKind, SumSpec
 
@@ -500,16 +500,14 @@ def single_sum(spec: SumSpec, sigmas=None):
     list of those sums at each s of sigmas in place of spec.sigma, each bit
     for bit single_sum(replace(spec, sigma=s)): a pass forms its phases once
     and holds the terms of one sigma at a time, and the route shares its
-    phase series.  The budget, on the kernel terms the call forms, and every
+    phase series.  The work budget, on the kernel terms formed, and every
     sigma's window are checked before any work.  The kernel runs and every
     endpoint are reduced in one _anchors call.  Chunk partials and the
     endpoint values are combined by reduce_deterministic, which also rejects
     non-finite ones: a NaN or inf term always makes its partial non-finite.
     """
     kernel, route, tail = _plan(spec)
-    count = sum(b - a + 1 for a, b in kernel)
-    if count > SINGLE_SUM_BUDGET:
-        raise ValueError(f"budget exceeded: {count} kernel terms")
+    check_work(sum(b - a + 1 for a, b in kernel))
     batch = [spec.sigma] if sigmas is None else [replace(spec, sigma=s).sigma for s in sigmas]
     if not batch:
         return []
@@ -583,11 +581,10 @@ def nsum_power(sigma: float, t: float, lo: int, hi: int, minus_it: bool) -> comp
     return single_sum(SumSpec(PhaseKind.F3, sigma, t, lo, hi, conjugate=minus_it))
 
 
-def check_prefix_budget(upper: int) -> None:
-    if upper > PREFIX_BUDGET:
-        raise ValueError(
-            f"prefix budget exceeded: need {upper} entries, cap {PREFIX_BUDGET}"
-        )
+def check_work(count: int) -> None:
+    """Refuse a fast path that would form count > WORK_BUDGET values."""
+    if count > WORK_BUDGET:
+        raise ValueError(f"budget exceeded: {count} values, cap {WORK_BUDGET}")
 
 
 def prefix_blocks(exponent: complex, start: int, stop: int, width: int):
@@ -672,7 +669,7 @@ class PrefixCursor:
 
 def power_prefix(exponent: complex, upper: int) -> np.ndarray:
     """cumulative[k] = sum_{n=1}^{k} n**(-exponent), compensated in index order."""
-    check_prefix_budget(upper)
+    check_work(2 * upper)  # its terms and its prefixes
     cum = np.zeros(upper + 1, dtype=np.complex128)
     for a, terms, carry in prefix_blocks(exponent, 1, upper, CHUNK_SIZE):
         cum[a : a + terms.size] = carry + np.cumsum(terms)

@@ -143,7 +143,7 @@ class TestLeftIdentity:
             fl_identity_residual(0.5, 1000.0, 2.0 * math.pi * 500.0)
 
     def test_range_past_the_single_sum_budget(self):
-        # (t, 4.5t] at t = 1e9 holds 3.5e9 terms, past SINGLE_SUM_BUDGET, all
+        # (t, 4.5t] at t = 1e9 holds 3.5e9 terms, past WORK_BUDGET, all
         # above the cut ceil(t/pi): the left sum is one Euler-Maclaurin value.
         # Reference: the same expansion, zeta(s, lo) - zeta(s, hi + 1), at 30
         # digits with 20 Bernoulli terms (t/(2 pi m) < 0.16 at both ends).

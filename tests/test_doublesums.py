@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zetasum import doublesums, phases, suites
-from zetasum.config import PREFIX_BUDGET, STREAM_CHUNK
+from zetasum.config import STREAM_CHUNK
 from zetasum.doublesums import (Strategy, _window_sum, f_sum, g_sum, grid_double_sum,
                                 lemma32_identity_residual, m_set_contains,
                                 relation_36_check, s4_a_sum, s4_b_sum,
@@ -432,6 +432,18 @@ class TestLagRoute:
         window = _window_sa(sigma, t, delta)
         assert abs(sa - slow) <= abs(window - slow) + 1e-13 * abs(slow)
 
+    def test_past_the_window_route_reach(self):
+        # the work budget admits the lag route's 2,515,020 nodes at t = 1e9,
+        # where the window route would form 3e9 values.  At 1e8, sa lies
+        # within the route's stated bound of a window-route value (taken with
+        # the budget lifted, in 8 s); sum |g| <= t**delta at sigma = 1/2
+        assert cmath.isfinite(s5_2_sum(0.5, 1e9, 0.3).total)
+        t, delta = 1e8, 0.3
+        window = complex(float.fromhex("-0x1.8994441d591cdp-1"),
+                         float.fromhex("-0x1.613e99a0b4af3p-1"))
+        sa = s5_2_sum(0.5, t, delta).sa
+        assert abs(sa - window) <= 2.0**-52 * (t**delta + 1.0) * t**delta
+
     @pytest.mark.parametrize("sigma,t,delta", [
         (0.5, 1500.0, 0.45),  # v is about 0.49 at the first lag's start
         (3.0, 50.0, 0.15),    # v is 0.27, from the amplitude; 20 nodes for 24 terms
@@ -663,35 +675,102 @@ class TestStreamSeams:
         assert _window_sum(e, 3, 2, lambda m: (m, m + 9), 0.2 + 1j) == 0j
 
     def test_budget_errors_unchanged(self):
-        for fn, args in ((f_sum, (U, V, 10**7 + 33)), (g_sum, (U, V, 10**7 + 33)),
-                         (tail_double_sum, (0.5, 1e7 + 33)),
-                         (s4_a_sum, (-0.5, 1.5, 1e7 + 33)),
-                         (s4_b_sum, (-0.7, 0.3, 1.0, 1e7 + 33)),
-                         (s5_1_sum, (0.5, 2e7, 0.5)),
-                         (s5_2_sum, (0.5, 2e7, 0.6))):
-            with pytest.raises(ValueError, match="budget exceeded"):
+        # each message gives the values the refused call would form, counted
+        # from its plan: 3N - 1 for f (lo cursor N - 1, hi cursor N, N
+        # weights), 2N for g, (4K - 1) 2W + 2[t] - 1 for s4_b (K = 16, W =
+        # 632,912), [t] for s5_1's sa at delta = 1/2, 3 ([t] - [t^0.4]) + 1 for
+        # s5_2's sa on the window route
+        for fn, args, count in ((f_sum, (U, V, 33_333_334), 100_000_001),
+                                (g_sum, (U, V, 50_000_001), 100_000_002),
+                                (tail_double_sum, (0.5, 50_000_001.0), 100_000_002),
+                                (s4_a_sum, (-0.5, 1.5, 33_333_334.0), 100_000_001),
+                                (s4_b_sum, (-0.7, 0.3, 1.0, 10_126_577.0), 100_000_065),
+                                (s5_1_sum, (0.5, 1e8 + 1, 0.5), 100_000_001),
+                                (s5_2_sum, (0.5, 3.4e7, 0.6), 101_996_914)):
+            with pytest.raises(ValueError, match=f"budget exceeded: {count} values, cap 100000000$"):
                 fn(*args)
 
-    # each call's largest streamed index is PREFIX_BUDGET + 1 or + 2: 2[t] at
-    # [t] = PREFIX_BUDGET / 2 + 1, [t] + [t^(1/2)] and [t (1 + t^(-0.4))]
+    # (last input admitted, first refused): the admitted one reaches the work,
+    # which raises _Sentinel here, and the refused one raises before any work
     @pytest.mark.parametrize("fn,args", [
-        (f_sum, (U, V, PREFIX_BUDGET // 2 + 1)),
-        (g_sum, (U, V, PREFIX_BUDGET // 2 + 1)),
-        (tail_double_sum, (0.5, PREFIX_BUDGET / 2 + 1)),
-        (relation_36_check, (0.5, PREFIX_BUDGET / 2 + 1)),
-        (s4_a_sum, (-0.5, 1.5, PREFIX_BUDGET / 2 + 1)),
-        (s4_b_sum, (-0.7, 0.3, 1.0, PREFIX_BUDGET / 2 + 1)),
-        (s5_1_sum, (0.5, 19_995_594.0, 0.5)),
-        (s5_2_sum, (0.5, 19_976_060.0, 0.6)),
+        (f_sum, ((U, V, 33_333_333), (U, V, 33_333_334))),
+        (g_sum, ((U, V, 50_000_000), (U, V, 50_000_001))),
+        (tail_double_sum, ((0.5, 5e7), (0.5, 5e7 + 1))),
+        (relation_36_check, ((0.5, 33_333_333.0), (0.5, 33_333_334.0))),
+        (s4_a_sum, ((-0.5, 1.5, 33_333_333.0), (-0.5, 1.5, 33_333_334.0))),
+        (s4_b_sum, ((-0.7, 0.3, 1.0, 10_126_576.0), (-0.7, 0.3, 1.0, 10_126_577.0))),
+        (s5_1_sum, ((0.5, 1e8, 0.5), (0.5, 1e8 + 1, 0.5))),
+        # sa on the window fallback: the lag rule refuses delta = 0.6
+        (s5_2_sum, ((0.5, 3.3e7, 0.6), (0.5, 3.4e7, 0.6))),
     ])
     def test_stream_budget_checked_before_any_work(self, monkeypatch, fn, args):
-        def work(*a, **k):
-            raise AssertionError("work started before the budget check")
-
-        for name in ("PrefixCursor", "_grid_anchors", "nsum_power", "_lag_sum"):
-            monkeypatch.setattr(doublesums, name, work)
+        _refuse_work(monkeypatch)
+        admitted, refused = args
+        with pytest.raises(_Sentinel):
+            fn(*admitted)
         with pytest.raises(ValueError, match="budget exceeded"):
-            fn(*args)
+            fn(*refused)
+
+    def test_lag_nodes_checked_before_any_node(self, monkeypatch):
+        # the lag plan is O(t^delta): 3,233 lags, 5,227,761 panels of 20 nodes
+        _refuse_work(monkeypatch)
+        monkeypatch.setattr(doublesums, "_exp_series", _Sentinel)
+        with pytest.raises(ValueError, match="budget exceeded: 104555220 values"):
+            s5_2_sum(0.5, 5e11, 0.3)
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """The counts passed to check_work, and the size of every _power_terms array."""
+        counts, formed = [], []
+        power_terms, check = phases._power_terms, phases.check_work
+
+        def counted(*args):
+            out = power_terms(*args)
+            formed.append(out.size)
+            return out
+
+        for module in (phases, doublesums):
+            monkeypatch.setattr(module, "_power_terms", counted)
+        monkeypatch.setattr(doublesums, "check_work", lambda n: (counts.append(n), check(n)))
+        return counts, formed
+
+    # inputs with no empty window, so every counted value is formed
+    @pytest.mark.parametrize("fn,args,count", [
+        (f_sum, (U, V, 3000), 8_999),
+        (s4_a_sum, (-0.5, 1.5, 3000.0), 8_999),
+        (g_sum, (U, V, 3000), 6_000),
+        (tail_double_sum, (0.5, 3000.0), 6_000),
+        (s5_1_sum, (0.5, 3e4, 0.2), 26_205),   # sa and sb
+        (s5_2_sum, (0.5, 3e4, 0.45), 89_339),  # sa on the window route, and sb
+    ])
+    def test_checked_counts_are_the_values_formed(self, monkeypatch, fn, args, count):
+        counts, formed = self._spy(monkeypatch)
+        fn(*args)
+        assert sum(counts) == sum(formed) == count
+
+    def test_s4_b_count_is_its_fft_points_and_c1(self, monkeypatch):
+        # 16 blocks of W = 44 at t = 700: two spectra of 16 rows and 31
+        # product rows, 88 points each, hold the two factors' 700 terms; the
+        # count's rest is c1, n**(-sigma1-it) for n in [2, 1400]
+        monkeypatch.setattr(doublesums, "STREAM_CHUNK", 7)
+        counts, formed = self._spy(monkeypatch)
+        s4_b_sum(-0.7, 0.3, 1.0, 700.0)
+        fft_points = (2 * 16 + 31) * 88
+        assert counts == [fft_points + 1399]
+        assert counts[0] - fft_points == sum(formed) - 2 * 700 == 1399
+
+
+class _Sentinel(Exception):
+    pass
+
+
+def _refuse_work(monkeypatch):
+    """Make every stream's first piece of work raise _Sentinel."""
+    def work(*args, **kwargs):
+        raise _Sentinel
+
+    for name in ("PrefixCursor", "_grid_anchors", "nsum_power", "_block_spectra"):
+        monkeypatch.setattr(doublesums, name, work)
 
 
 def _s4_b_convolve(sigma1, sigma2, sigma3, t):
@@ -845,11 +924,11 @@ class TestConstantLoEnd:
                                                         "0x1.abb161beec2ecp-4")
 
     def test_s5_1_overhang(self, monkeypatch):
-        # the overhang sb, summed first, reads only its hi cursor over
-        # [10001, 10006]; sa reads its lo cursor over [1585, 9509] twice
-        # (window and carry) and its hi cursor once
+        # sa reads its lo cursor over [1585, 9509] twice (window and carry)
+        # and its hi cursor once; the overhang sb, summed after it, reads
+        # only its hi cursor over [10001, 10006]
         res, made, reads = self._cursors(monkeypatch, lambda: s5_1_sum(0.5, 1e4, 0.2))
-        assert made == [(10001, 10006), (1585, 9509), (9510, 10000)]
+        assert made == [(1585, 9509), (9510, 10000), (10001, 10006)]
         assert sorted(reads) == [(1585, 9509)] * 2 + [(9510, 10000), (10001, 10006)]
         got = [(z.real.hex(), z.imag.hex()) for z in (res.total, res.sa, res.sb)]
         assert got == [("0x1.4a6cd46ac0b71p-1", "-0x1.d92a27ac3f21ep-6"),

@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from zetasum.config import CHUNK_SIZE, SINGLE_SUM_BUDGET, STREAM_CHUNK
+from zetasum.config import CHUNK_SIZE, STREAM_CHUNK, WORK_BUDGET
 from zetasum.kernel import oracle_recompute
 from zetasum import kernel, phases
 from zetasum.phases import (PrefixCursor, _grid_anchors, _power_terms, nsum_power,
@@ -160,7 +160,7 @@ class TestAnchoredEdges:
         assert got == 0j and type(got) is complex
 
     def test_budget_exceeded(self):
-        spec = SumSpec(PhaseKind.F3, 0.0, 1.0, 1, SINGLE_SUM_BUDGET + 1)
+        spec = SumSpec(PhaseKind.F3, 0.0, 1.0, 1, WORK_BUDGET + 1)
         with pytest.raises(ValueError, match="budget exceeded"):
             single_sum(spec)
 
@@ -324,7 +324,7 @@ class TestBatchedSigmas:
     @pytest.mark.parametrize("spec,sigmas,match", [
         (SumSpec(PhaseKind.F1, 0.5, 1e5, 1, 1000), [0.5, 2.5], "exponent window"),
         # the budget counts kernel terms: at t = 1e9 the cut lies past 3e8
-        (SumSpec(PhaseKind.F3, 0.5, 1e9, 1, SINGLE_SUM_BUDGET + 1), [0.5], "budget exceeded"),
+        (SumSpec(PhaseKind.F3, 0.5, 1e9, 1, WORK_BUDGET + 1), [0.5], "budget exceeded"),
     ])
     def test_refused_before_any_work(self, monkeypatch, spec, sigmas, match):
         def no_work(*args):
@@ -439,7 +439,7 @@ class TestEulerMaclaurinRoute:
 
     def test_budget_counts_kernel_terms(self):
         # [1, 1e8 + 1] at t = 1e5 forms 31,831 kernel terms; the rest is the route
-        t, hi = 1e5, SINGLE_SUM_BUDGET + 1
+        t, hi = 1e5, WORK_BUDGET + 1
         c = self.cut(t)
         whole = single_sum(SumSpec(PhaseKind.F3, 0.5, t, 1, hi))
         split = (single_sum(SumSpec(PhaseKind.F3, 0.5, t, 1, c))
@@ -664,7 +664,7 @@ class TestEndpointRoute:
                  + single_sum(SumSpec(PhaseKind.F1, 0.5, t, 600_000_000, 1_000_000_000)))
         assert abs(whole - split) <= 1e-14 * _largest_term(0.5, 200_000_000, 1_000_000_000)
         # from 1, the kernel keeps [1, c]: the budget counts those terms
-        with pytest.raises(ValueError, match=f"budget exceeded: {c} kernel terms"):
+        with pytest.raises(ValueError, match=f"budget exceeded: {c} values, cap {WORK_BUDGET}$"):
             single_sum(SumSpec(PhaseKind.F1, 0.5, t, 1, 1_000_000_000))
 
 
