@@ -40,37 +40,23 @@ def _csv_row(r: ClaimRecord) -> str:
 
 
 def records_to_csv(records: List[ClaimRecord]) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    lines.extend(_csv_row(r) for r in records)
-    return "\n".join(lines) + "\n"
-
-
-def _record_to_json(r: ClaimRecord) -> dict:
-    d = asdict(r)
-    d["value"] = {"re": r.value.real, "im": r.value.imag}
-    return d
+    return "\n".join([",".join(CSV_COLUMNS), *map(_csv_row, records)]) + "\n"
 
 
 def records_to_json(records: List[ClaimRecord]) -> str:
-    return json.dumps([_record_to_json(r) for r in records], indent=2) + "\n"
+    rows = [{**asdict(r), "value": {"re": r.value.real, "im": r.value.imag}} for r in records]
+    return json.dumps(rows, indent=2) + "\n"
 
 
 def records_from_json(text: str) -> List[ClaimRecord]:
-    out = []
-    for d in json.loads(text):
-        d = dict(d)
-        d["value"] = complex(d["value"]["re"], d["value"]["im"])
-        out.append(ClaimRecord(**d))
-    return out
+    return [ClaimRecord(**{**d, "value": complex(d["value"]["re"], d["value"]["im"])})
+            for d in json.loads(text)]
 
 
 def emit(records: List[ClaimRecord], out_format: str, path: Optional[str]) -> str:
-    if out_format == "csv":
-        text = records_to_csv(records)
-    elif out_format == "json":
-        text = records_to_json(records)
-    else:
+    if out_format not in ("csv", "json"):
         raise ValueError(f"unknown format {out_format!r}")
+    text = (records_to_csv if out_format == "csv" else records_to_json)(records)
     if path:
         try:
             with open(path, "w") as fh:

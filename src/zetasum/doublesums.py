@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .config import BRUTE_FORCE_BUDGET, STREAM_CHUNK
+from .config import BRUTE_FORCE_BUDGET, STREAM_CHUNK, WORK_BUDGET
 from .kernel import reduce_deterministic, sum_array_deterministic
 from .phases import (_EM_BERNOULLI, PrefixCursor, _exp_series, _grid_anchors, _power_terms,
                      check_work, nsum_power)
@@ -68,6 +68,14 @@ def _powers(exponent: complex, n) -> np.ndarray:
 
 def _ar(lo: int, hi: int) -> np.ndarray:
     return np.arange(lo, hi + 1, dtype=np.int64)
+
+
+def _blocked_sum(term: Callable, n_max: int) -> complex:
+    """sum_{n=1}^{N} term(n), term mapping an int64 array of n to its values,
+    in blocks of STREAM_CHUNK indices, on the work budget."""
+    check_work(n_max)
+    return reduce_deterministic([term(_ar(a, min(a + STREAM_CHUNK - 1, n_max))).sum()
+                                 for a in range(1, n_max + 1, STREAM_CHUNK)])
 
 
 # pairs per block of the brute-force enumerator
@@ -204,9 +212,9 @@ def lemma32_identity_residual(u: complex, v: complex, n_max: int) -> RelationChe
     P = (sum m**-u)(sum n**-v) of the two power sums.
     """
     lhs = f_sum(u, v, n_max) + f_sum(v, u, n_max)
-    m = _ar(1, n_max)
-    lhs += complex(_powers(u + v, m).sum())
-    product = complex(_powers(u, m).sum()) * complex(_powers(v, m).sum())
+    lhs += _blocked_sum(lambda m: _powers(u + v, m), n_max)
+    product = (_blocked_sum(lambda m: _powers(u, m), n_max)
+               * _blocked_sum(lambda m: _powers(v, m), n_max))
     rhs = product + (g_sum(u, v, n_max) + g_sum(v, u, n_max))
     resid = lhs - rhs
     return RelationCheck(lhs=lhs, rhs=rhs, residual=resid,
@@ -234,7 +242,7 @@ def relation_36_check(sigma: float, t: float) -> RelationCheck:
                        lambda m: (m, m + big_t), Strategy.PREFIX_FACTORIZED)
     zsum = nsum_power(sigma, t, 1, big_t, minus_it=True)
     lhs = 2.0 * shifted.real - (zsum * zsum.conjugate()).real
-    diag = float(np.sum(np.arange(1, big_t + 1, dtype=np.float64) ** (-2.0 * sigma)))
+    diag = _blocked_sum(lambda m: m.astype(np.float64) ** (-2.0 * sigma), big_t).real
     rhs = -diag + 2.0 * tail_double_sum(sigma, t).real
     resid = lhs - rhs
     scale = max(abs(lhs), abs(rhs), 1.0)
@@ -573,6 +581,13 @@ def _lag_sum(sigma: float, t: float, m_lo: int, big_t: int, tau: float) -> Optio
     -t x**-j expm1(-j log1p(d/x)), so that it does not cancel.  No term of
     the pair sum is formed, and no prefix table.
     """
+    # Lag d is nonempty iff d <= [t] - m_lo and h([t] - d) - ([t] - d) >= d, so
+    # the lags are 1..D, each with a panel or more.  Lag k is probed before the
+    # O(D) plan is made: if it is nonempty, the nodes pass [t] - m_lo + 1 or
+    # WORK_BUDGET, and past WORK_BUDGET the window route refuses too.
+    k = min(big_t - m_lo + 1, WORK_BUDGET) // _LAG_NODES + 1
+    if k <= big_t - m_lo and int((big_t - k) * (1.0 + tau)) - (big_t - k) >= k:
+        return None
     d, a = _lag_starts(m_lo, big_t, tau)
     x = np.stack([a, big_t - d], axis=1).astype(np.float64)  # (lag, end): a_d, [t] - d
     dx = d.astype(np.float64)[:, None]

@@ -712,11 +712,42 @@ class TestStreamSeams:
             fn(*refused)
 
     def test_lag_nodes_checked_before_any_node(self, monkeypatch):
-        # the lag plan is O(t^delta): 3,233 lags, 5,227,761 panels of 20 nodes
+        # the lag plan is O(t^delta): 3,233 lags, 5,227,761 panels of 20 nodes;
+        # the panel loop's first step raises if the count is not checked first
         _refuse_work(monkeypatch)
-        monkeypatch.setattr(doublesums, "_exp_series", _Sentinel)
+        monkeypatch.setattr(np, "searchsorted", _raise_sentinel)
         with pytest.raises(ValueError, match="budget exceeded: 104555220 values"):
             s5_2_sum(0.5, 5e11, 0.3)
+
+    @pytest.mark.parametrize("args", [(0.5, 1e9, 0.9), (0.5, 1e12, 0.7), (0.5, 3.4e7, 0.95)])
+    def test_lag_plan_bounded_before_it_is_made(self, monkeypatch, args):
+        # these plans would hold about 1.1e8, 2.5e8 and 1.0e7 lags, each
+        # forming _LAG_NODES nodes or more: the lag route declines before
+        # making one, and the window route refuses its 3.0e9, 3.0e12 and
+        # 1.02e8 values
+        _refuse_work(monkeypatch)
+        monkeypatch.setattr(doublesums, "_lag_starts", _raise_sentinel)
+        with pytest.raises(ValueError, match="budget exceeded"):
+            s5_2_sum(*args)
+
+    def test_lag_plan_probe_counts_the_lags(self, monkeypatch):
+        # the plan is made where WORK_BUDGET holds _LAG_NODES nodes for each of
+        # its D lags, and not with one node less; (1/2, 1e6, 0.9) has about
+        # 2.0e5 lags, more than [t] / _LAG_NODES, and goes to the window route
+        # with no plan made
+        m_lo, big_t, tau = _s5_2_params(1e4, 0.3)
+        lags = doublesums._lag_starts(m_lo, big_t, tau)[0].size
+        assert lags == 15
+        monkeypatch.setattr(doublesums, "WORK_BUDGET", doublesums._LAG_NODES * lags)
+        assert doublesums._lag_sum(0.5, 1e4, m_lo, big_t, tau) is not None
+        monkeypatch.setattr(doublesums, "WORK_BUDGET", doublesums._LAG_NODES * lags - 1)
+        monkeypatch.setattr(doublesums, "_lag_starts", _raise_sentinel)
+        assert doublesums._lag_sum(0.5, 1e4, m_lo, big_t, tau) is None
+        monkeypatch.undo()
+        _refuse_work(monkeypatch)
+        monkeypatch.setattr(doublesums, "_lag_starts", lambda *a: pytest.fail("plan made"))
+        with pytest.raises(_Sentinel):  # the window route's first cursor
+            s5_2_sum(0.5, 1e6, 0.9)
 
     @staticmethod
     def _spy(monkeypatch):
@@ -764,13 +795,14 @@ class _Sentinel(Exception):
     pass
 
 
+def _raise_sentinel(*args, **kwargs):
+    raise _Sentinel
+
+
 def _refuse_work(monkeypatch):
     """Make every stream's first piece of work raise _Sentinel."""
-    def work(*args, **kwargs):
-        raise _Sentinel
-
     for name in ("PrefixCursor", "_grid_anchors", "nsum_power", "_block_spectra"):
-        monkeypatch.setattr(doublesums, name, work)
+        monkeypatch.setattr(doublesums, name, _raise_sentinel)
 
 
 def _s4_b_convolve(sigma1, sigma2, sigma3, t):
@@ -852,6 +884,15 @@ class TestStreamMemory:
         # an O(t) prefix table alone would take 16-32 MB at these t
         peak = _traced_peak(call)
         assert peak <= 24 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+    @pytest.mark.parametrize("call", [
+        lambda: relation_36_check(0.5, 1e6),
+        lambda: lemma32_identity_residual(0.8 + 7j, -1.1 - 2j, 500_000),
+    ], ids=["relation_36", "lemma32"])
+    def test_identity_power_sums_are_blocked(self, call):
+        # their plain power sums over the whole range peaked at 15 and 19 MB
+        peak = _traced_peak(call)
+        assert peak <= 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
     def test_brute_force_block_peak(self):
         # 4M pairs in blocks of 2^16: about 1 MiB per block and its two factors;
