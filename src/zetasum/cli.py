@@ -11,7 +11,7 @@ import errno
 import json
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields
 from typing import List, Optional, Sequence
 
 import mpmath as mp
@@ -44,7 +44,8 @@ def records_to_csv(records: List[ClaimRecord]) -> str:
 
 
 def records_to_json(records: List[ClaimRecord]) -> str:
-    rows = [{**asdict(r), "value": {"re": r.value.real, "im": r.value.imag}} for r in records]
+    rows = [{**{f.name: getattr(r, f.name) for f in fields(ClaimRecord)},
+             "value": {"re": r.value.real, "im": r.value.imag}} for r in records]
     return json.dumps(rows, indent=2) + "\n"
 
 

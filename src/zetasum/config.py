@@ -1,8 +1,9 @@
 """Frozen numeric configuration shared across modules."""
 
-# Terms per chunk for deterministic chunked summation.  Large enough to
-# amortize reduction overhead, small enough that per-chunk error is
-# negligible next to the compensated cross-chunk accumulation.
+# Terms per chunk for deterministic chunked summation: the chunk partials
+# fix the bits, since their exact cross-chunk sum (math.fsum) is rounded
+# once.  Large enough to amortize reduction overhead, small enough that
+# numpy's pairwise error within a chunk stays at a few ulp.
 CHUNK_SIZE = 4096
 
 # Every phase is f(m0) + (f(m) - f(m0)) in a block [m0, m0 + w) of the grid

@@ -581,23 +581,36 @@ def _lag_sum(sigma: float, t: float, m_lo: int, big_t: int, tau: float) -> Optio
     -t x**-j expm1(-j log1p(d/x)), so that it does not cancel.  No term of
     the pair sum is formed, and no prefix table.
     """
+    def nonempty(d):
+        return d <= big_t - m_lo and int((big_t - d) * (1.0 + tau)) - (big_t - d) >= d
+
+    def slope(d, a):  # v at lag d, which falls as a_d = a grows (see above)
+        return t * d / (a * (a + d)) + abs(sigma) * (1.0 / a + 1.0 / (a + d))
+
     # Lag d is nonempty iff d <= [t] - m_lo and h([t] - d) - ([t] - d) >= d, so
-    # the lags are 1..D, each with a panel or more.  Lag k is probed before the
-    # O(D) plan is made: if it is nonempty, the nodes pass [t] - m_lo + 1 or
-    # WORK_BUDGET, and past WORK_BUDGET the window route refuses too.
+    # the lags are 1..D, each with a panel or more.  Two probes come before the
+    # O(D) plan is made.  If lag k is nonempty, the nodes pass [t] - m_lo + 1
+    # or WORK_BUDGET, and past WORK_BUDGET the window route refuses too.  If
+    # lag 1 is nonempty, a_1 <= max(m_lo, m) for any m with h(m) - m >= 1,
+    # and v falls as a_d grows, so lag 1's v at that bound is at most v.max().
     k = min(big_t - m_lo + 1, WORK_BUDGET) // _LAG_NODES + 1
-    if k <= big_t - m_lo and int((big_t - k) * (1.0 + tau)) - (big_t - k) >= k:
+    if nonempty(k):
         return None
+    if nonempty(1):
+        m = max(int(1.0 / tau), 1)
+        while int(m * (1.0 + tau)) - m < 1:
+            m += 1
+        if slope(1.0, float(max(m, m_lo))) > _LAG_STEP:
+            return None
     d, a = _lag_starts(m_lo, big_t, tau)
     x = np.stack([a, big_t - d], axis=1).astype(np.float64)  # (lag, end): a_d, [t] - d
     dx = d.astype(np.float64)[:, None]
     step = np.log1p(dx / x)
-    xa, df = x[:, 0], dx[:, 0]
-    v = t * df / (xa * (xa + df)) + abs(sigma) * (1.0 / xa + 1.0 / (xa + df))
+    v = slope(dx[:, 0], x[:, 0])
     phi_a, phi_b = (t * step).T
     count = np.maximum(np.ceil((phi_a - phi_b) / _LAG_PANEL), 1.0).astype(np.int64)
     last, total = np.cumsum(count), int(count.sum())
-    if (v.size and v.max() > _LAG_STEP) or _LAG_NODES * total > big_t - m_lo + 1:
+    if (v > _LAG_STEP).any() or _LAG_NODES * total > big_t - m_lo + 1:
         return None
     check_work(_LAG_NODES * total)
     partials = []

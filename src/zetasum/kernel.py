@@ -1,8 +1,9 @@
 """Precision-controlled summation, complex log-gamma, and the extended oracle.
 
-Everything here is pure and reentrant.  The deterministic-reduction contract
-(fixed chunking, fixed association order) makes every output independent of
-scheduling, so callers may parallelize across chunks or grid points freely.
+Everything here is pure and reentrant.  The deterministic-reduction contract:
+chunk partials are formed at fixed CHUNK_SIZE boundaries, and combined exactly
+(math.fsum, Shewchuk, Discrete Comput. Geom. 18, 1997) and rounded once, so
+any order and any number of workers give the same bits.
 """
 
 from __future__ import annotations
@@ -42,40 +43,19 @@ def _two_prod(a, b):
 
 
 def reduce_deterministic(chunks: Sequence) -> complex:
-    """Combine ordered chunk partial sums by a fixed binary-tree reduction.
-
-    Adjacent pairs are combined level by level with compensated addition
-    (odd leftovers promoted unchanged), so the result is a pure function of
-    the chunk list: bit-identical however many workers produced the chunks.
-    """
-    nodes = []
-    for z in chunks:
-        z = complex(z)
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise ValueError("non-finite input")
-        nodes.append((z.real, 0.0, z.imag, 0.0))
-    if not nodes:
-        return 0j
-    while len(nodes) > 1:
-        nxt = []
-        for i in range(0, len(nodes) - 1, 2):
-            ar, ae, br, be = nodes[i]
-            cr, ce, dr, de = nodes[i + 1]
-            s_re, e_re = _two_sum(ar, cr)
-            s_im, e_im = _two_sum(br, dr)
-            nxt.append((s_re, ae + ce + e_re, s_im, be + de + e_im))
-        if len(nodes) % 2:
-            nxt.append(nodes[-1])
-        nodes = nxt
-    s_re, e_re, s_im, e_im = nodes[0]
-    return complex(s_re + e_re, s_im + e_im)
+    """Exact sum of chunk partial sums, rounded once: math.fsum of the real
+    parts and of the imaginary parts (Shewchuk's exact expansions)."""
+    zs = [complex(z) for z in chunks]
+    if not all(map(cmath.isfinite, zs)):
+        raise ValueError("non-finite input")
+    return complex(math.fsum(z.real for z in zs), math.fsum(z.imag for z in zs))
 
 
 def sum_array_deterministic(values: np.ndarray) -> complex:
-    """Deterministic compensated sum of a 1-D array of complex terms.
+    """Deterministic sum of a 1-D array of complex terms.
 
     Within a chunk numpy's pairwise summation keeps the error at
-    O(log n) ulp; chunk partials are then combined by the fixed tree.
+    O(log n) ulp; chunk partials are then combined by reduce_deterministic.
     """
     values = np.asarray(values)
     if values.size == 0:

@@ -1,8 +1,8 @@
 """Weighted single exponential sums and prefix tables.
 
-The fast paths are numpy-vectorized in fixed chunks and combined with the
-deterministic compensated reduction from :mod:`zetasum.kernel`, so a given
-sum description always yields bit-identical output.
+The fast paths are numpy-vectorized in fixed chunks whose partials are
+summed exactly and rounded once by :mod:`zetasum.kernel`'s reduction, so a
+given sum description always yields bit-identical output.
 """
 
 from __future__ import annotations
@@ -358,11 +358,12 @@ def _em_tail(s: complex, m: int, phase: float) -> complex:
 #       _em_tail takes over.
 # One rule decides: a part goes on the route if it holds at least _ROUTE_MIN
 # terms, and a shorter part keeps every kernel term's bits.  A route call
-# costs 0.4 to 0.8 ms, as much as some 3e4 kernel terms; the minimum lies
-# below that so that F3 at t = 1e4 (1291 terms in its region) takes the more
-# accurate route.  Since (c, top] holds at most 0.84 t terms (F1), t - 200
-# (F2) or 0.13 |t| + 1 (F3), the rule admits F1 and F2 from t = 1224 on and
-# F3 from |t| = 7929.4 (just above 2524 pi) on.
+# costs 0.4 to 0.8 ms at degree 24 (60% of that at 14, below), as much as
+# some 2e4 to 3e4 kernel terms; the minimum lies below that so that F3 at
+# t = 1e4 (1291 terms in its region) takes the more accurate route.  Since
+# (c, top] holds at most 0.84 t terms (F1), t - 200 (F2) or 0.13 |t| + 1
+# (F3), the rule admits F1 and F2 from t = 1224 on and F3 from |t| = 7929.4
+# (just above 2524 pi) on.
 # The route errs most at the least admitted t, at its endpoint c + 1 nearest
 # the resonance |f'| = 2 pi, and less as t grows: against 30-digit mpmath
 # sums over (c, top], at those t and at t = 1e4 to 1e7, it lies within 1e-15
@@ -370,15 +371,16 @@ def _em_tail(s: complex, m: int, phase: float) -> complex:
 _F1_CUT = (math.sqrt(1.0 + 4.0 / (2.0 * math.pi - 1.0)) - 1.0) / 2.0
 _F2_HEAD = 200
 _ROUTE_MIN = 1024
-# R's Taylor series in y = m - x is cut after y**_ROUTE_DEGREE.  The cut
+# R's Taylor series in y = m - x is cut after y**_route_degree(t).  The cut
 # costs most where the route errs most: F1 over (c, t] at t = 1224 misses by
 # at most 7e-16 of the largest endpoint term at degree 24 (sigma from -2 to
 # 2), 1.1e-14 at degree 20 and 2.9e-12 at degree 14.  The miss falls about
-# as t**-11 (degree 14: 1.3e-14 at t = 2000, 2.2e-16 at 3000), and F2 and F3
-# miss by under 1e-15 at their least admitted t at any of those degrees.
-_ROUTE_DEGREE = 24
-_DEGREES = np.arange(_ROUTE_DEGREE + 1)
-_SERIES_SIGNS = np.where(_DEGREES[1:] % 2 == 1, 1.0, -1.0) / _DEGREES[1:]
+# as t**-11 (degree 14: 1.3e-14 at t = 2000, 2.2e-16 at 3000), so degree 14
+# serves from |t| = 3000 on, and F2 and F3 miss by under 1e-15 at their
+# least admitted t at any of those degrees.  A route call at degree 14
+# takes about 60% of its time at 24.
+def _route_degree(t: float) -> int:
+    return 14 if abs(t) >= 3000.0 else 24
 
 
 def _plan(spec: SumSpec):
@@ -413,14 +415,15 @@ def _route_region(kind: PhaseKind, t: float):
     return math.ceil(abs(t) / (2.0 * math.pi - 1.0)), math.ceil(abs(t) / math.pi)
 
 
-def _step_series(u):
+def _step_series(u, degree: int):
     """Taylor coefficients in y of log1p(1/(u + y)) = ln(u + y + 1) - ln(u + y)
-    to degree _ROUTE_DEGREE, one row per u: log1p(1/u), then
+    to y**degree, one row per u: log1p(1/u), then
     (-1)**(k+1)/k ((u + 1)**-k - u**-k), the difference formed as
     u**-k expm1(-k log1p(1/u)) so that it does not cancel."""
     step = np.log1p(1.0 / u)[:, None]
-    k = _DEGREES[1:]
-    return np.concatenate([step, _SERIES_SIGNS * u[:, None] ** -k * np.expm1(-k * step)], axis=1)
+    k = np.arange(1, degree + 1)
+    terms = np.where(k % 2 == 1, 1.0, -1.0) / k * u[:, None] ** -k * np.expm1(-k * step)
+    return np.concatenate([step, terms], axis=1)
 
 
 def _exp_series(p: np.ndarray) -> np.ndarray:
@@ -443,7 +446,7 @@ def _route_ends(kind: PhaseKind, t: float, ends, anchors, sigmas) -> np.ndarray:
     T(m + 1) - T(m) = m**-sigma e^{i f(m)} if rho(x) R(x + 1) - R(x) = 1, where
     rho(x) = e^{i (f(x+1) - f(x))} (1 + 1/x)**-sigma.  Away from resonance R
     is smooth, and its Taylor series in y = m - x about each endpoint x solves
-    rho(y) R(y + 1) - R(y) = 1 to degree _ROUTE_DEGREE: a linear system whose
+    rho(y) R(y + 1) - R(y) = 1 to degree _route_degree(t): a linear system whose
     column k holds the series of rho(y) (1 + y)**k, less the unit vector, and
     whose right side is the unit vector e_0.
     ln rho is sum_k (i h_k - sigma l_k) y**k from _step_series, with
@@ -455,22 +458,23 @@ def _route_ends(kind: PhaseKind, t: float, ends, anchors, sigmas) -> np.ndarray:
     a row's bits do not depend on the others.
     """
     x = np.array(ends, dtype=np.float64)
-    log_step = _step_series(x)
+    degree = _route_degree(t)
+    log_step = _step_series(x, degree)
     if kind is PhaseKind.F3:
         step = t * log_step
     else:
-        step = t * _step_series(t + x)
+        step = t * _step_series(t + x, degree)
         if kind is PhaseKind.F1:
             step -= t * log_step
             step[:, 0] = t * np.log1p(-t / ((x + t) * (x + 1.0)))
     weights = np.array(sigmas, dtype=np.float64)[:, None, None]
-    rho = _exp_series((1j * step - weights * log_step).reshape(-1, _ROUTE_DEGREE + 1))
+    rho = _exp_series((1j * step - weights * log_step).reshape(-1, degree + 1))
     system = np.empty(rho.shape + rho.shape[1:], dtype=np.complex128)
     system[:, :, 0] = rho
-    for k in range(1, _ROUTE_DEGREE + 1):  # rho (1 + y)**k = rho (1 + y)**(k-1) (1 + y)
+    for k in range(1, degree + 1):  # rho (1 + y)**k = rho (1 + y)**(k-1) (1 + y)
         system[:, 0, k] = rho[:, 0]
         np.add(system[:, 1:, k - 1], system[:, :-1, k - 1], out=system[:, 1:, k])
-    system[:, _DEGREES, _DEGREES] -= 1.0
+    system -= np.eye(degree + 1)
     # R(x) = r_0 = 1/s_00, s_00 the system's entry once the columns from the
     # last to the second are eliminated upward.  The entries above the diagonal
     # (C(k, j) rho_0 and the like) are large, but the r_k they multiply fall
@@ -478,7 +482,7 @@ def _route_ends(kind: PhaseKind, t: float, ends, anchors, sigmas) -> np.ndarray:
     # needed: r_0 lies within 7e-16 of numpy.linalg.solve's pivoted one on
     # 400 random systems of the regions.  Elementwise steps keep each row's
     # bits independent of the others, and touch no LAPACK code.
-    for k in range(_ROUTE_DEGREE, 0, -1):
+    for k in range(degree, 0, -1):
         column = system[:, :k, k]
         column /= system[:, k, k, None]
         system[:, :k, :k] -= column[:, :, None] * system[:, None, k, :k]
@@ -488,7 +492,7 @@ def _route_ends(kind: PhaseKind, t: float, ends, anchors, sigmas) -> np.ndarray:
 
 
 def single_sum(spec: SumSpec, sigmas=None):
-    """sum_{m=lo}^{hi} m**(-sigma) e^{±i f(m)}, block-anchored and compensated.
+    """sum_{m=lo}^{hi} m**(-sigma) e^{±i f(m)}, block-anchored, reduced exactly.
 
     _plan splits [lo, hi] into kernel ranges, a route part and an F3 tail:
     the route part [a, b] is T(b + 1) - T(a) (_route_ends), and the F3 part

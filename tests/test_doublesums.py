@@ -894,6 +894,17 @@ class TestStreamMemory:
         peak = _traced_peak(call)
         assert peak <= 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
+    def test_lag_route_declined_before_its_plan(self):
+        # v at lag 1 is about 1.9e5: the lag route declines with no plan made
+        # (the plan of about 4.2e6 lags peaked at 423 MB), and the window
+        # route refuses its 3.0e8 values before forming any
+        def refused():
+            with pytest.raises(ValueError, match="budget exceeded: 299999935 values"):
+                s5_2_sum(0.5, 1e8, 0.83)
+
+        peak = _traced_peak(refused)
+        assert peak < 50e6, f"peak {peak / 2**20:.1f} MB"
+
     def test_brute_force_block_peak(self):
         # 4M pairs in blocks of 2^16: about 1 MiB per block and its two factors;
         # blocks of 2^20 pairs peaked at 32 MiB here

@@ -1,6 +1,8 @@
 """Compensated summation, deterministic reduction, log-gamma, and the oracle."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetasum.kernel import (log_gamma_complex, oracle_recompute,
+from zetasum.kernel import (_two_sum, log_gamma_complex, oracle_recompute,
                             reduce_deterministic, sum_array_deterministic)
 from zetasum.specs import PhaseKind, SumSpec
 
@@ -67,6 +69,64 @@ class TestReduceDeterministic:
         values = rng.normal(size=8192) + 1j * rng.normal(size=8192)
         exact = complex(np.sum(values.astype(np.complex256)))
         assert abs(sum_array_deterministic(values) - exact) <= 1e-12
+
+
+def _rounded_exact(xs):
+    """The exact rational sum of the doubles xs, rounded once to a double."""
+    return float(sum(map(Fraction, xs), Fraction(0)))
+
+
+_WIDE = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e300, max_value=1e300)
+
+
+class TestExactReduction:
+    """reduce_deterministic is the exact sum of its partials, rounded once."""
+
+    @pytest.mark.parametrize("xs", [
+        [1e16, 1.0, -1e16],
+        [1.0, 1e-16, 1e-16],            # each 1e-16 alone is lost to 1.0
+        [1e300, 1e-300, -1e300],
+        [0.1] * 10,
+        [2.0**53, 1.0, -(2.0**53), 5e-324],
+        [1e200, -1e183, 3.0, -1e200, 1e183],
+    ])
+    def test_correctly_rounded_on_cancelling_and_wide_ranges(self, xs):
+        got = reduce_deterministic([complex(x, -x) for x in xs])
+        assert got == complex(_rounded_exact(xs), -_rounded_exact(xs))
+
+    @given(st.lists(st.tuples(_WIDE, _WIDE), max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_correctly_rounded(self, pairs):
+        got = reduce_deterministic([complex(re, im) for re, im in pairs])
+        assert got.real == _rounded_exact([re for re, _ in pairs])
+        assert got.imag == _rounded_exact([im for _, im in pairs])
+
+    def test_every_order_gives_the_same_bits(self):
+        parts = [complex(1e16, 3.0), complex(1.0, -1e-17), complex(-1e16, 1e20),
+                 complex(0.1, 0.7), complex(-3e-5, -1e20), complex(2.0**-60, 2.0),
+                 complex(7.5, 1e-3)]
+        first = reduce_deterministic(parts)
+        assert first == complex(_rounded_exact([z.real for z in parts]),
+                                _rounded_exact([z.imag for z in parts]))
+        for order in itertools.permutations(parts):
+            assert reduce_deterministic(order) == first
+
+    def test_every_regrouping_gives_the_same_bits(self):
+        # partials merged or split in any way that keeps their exact sum, as
+        # partials from other chunkings or other workers would, change nothing:
+        # a pair (a, b) becomes (s, e) with s + e == a + b exactly
+        rng = np.random.default_rng(3)
+        parts = list(rng.normal(size=40) * 10.0 ** rng.integers(-20, 20, size=40)
+                     + 1j * rng.normal(size=40) * 10.0 ** rng.integers(-20, 20, size=40))
+        first = reduce_deterministic(parts)
+        for i in range(len(parts) - 1):
+            a, b = parts[i], parts[i + 1]
+            (s_re, e_re), (s_im, e_im) = _two_sum(a.real, b.real), _two_sum(a.imag, b.imag)
+            merged = parts[:i] + [complex(s_re, s_im), complex(e_re, e_im)] + parts[i + 2:]
+            assert reduce_deterministic(merged) == first
+            assert reduce_deterministic(merged[i:] + merged[:i]) == first
+        halves = [z / 2 for z in parts for _ in range(2)]  # exact: no partial is subnormal
+        assert reduce_deterministic(halves) == first
 
 
 class TestLogGamma:

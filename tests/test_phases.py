@@ -469,6 +469,9 @@ ROUTE_REFERENCES = {
     ('F1', 1224.0, -0.5): ('0x1.cb911d0494fb3p+0', '0x1.c5a0329b44066p+5'),
     ('F1', 1224.0, 0.0): ('-0x1.6898f196e4115p-4', '0x1.099e451e6e730p+0'),
     ('F1', 1224.0, 0.5): ('-0x1.9588f54dec0f7p-7', '-0x1.787c7a5f8dacep-7'),
+    ('F1', 3000.0, -2.0): ('0x1.18d1fd51f0995p+23', '0x1.d887ef07d3222p+23'),
+    ('F1', 3000.0, 0.5): ('-0x1.9b2621a5af408p-6', '0x1.16edae045d4b9p-6'),
+    ('F1', 3000.0, 2.0): ('-0x1.0a301f2256d2ap-18', '-0x1.324cd08a52bfcp-20'),
     ('F1', 10000.0, 0.0): ('-0x1.38c951e2ba55bp+1', '0x1.d37918b19af4dp+0'),
     ('F1', 10000.0, 0.5): ('-0x1.35499cc40dc48p-5', '0x1.a926b34c7611fp-6'),
     ('F1', 100000.0, 0.0): ('0x1.820d8f40a9e45p+1', '0x1.649a475b03274p-3'),
@@ -532,6 +535,17 @@ class TestEndpointRoute:
         ref = complex(*map(float.fromhex, ROUTE_REFERENCES[kind, t, sigma]))
         ref = ref.conjugate() if conjugate else ref
         assert abs(got - ref) <= 1e-14 * _largest_term(sigma, c + 1, top)
+
+    @pytest.mark.parametrize("sigma", [-2.0, 0.5, 2.0])
+    def test_least_t_at_degree_14(self, sigma):
+        # from |t| = 3000 the series is cut after y**14; F1, the phase whose
+        # cut misses most, stays within 1e-15 of its largest endpoint term there
+        assert phases._route_degree(3000.0) == 14
+        assert phases._route_degree(math.nextafter(3000.0, 0.0)) == 24
+        c, top = _route_region("F1", 3000.0)
+        got = single_sum(SumSpec(PhaseKind.F1, sigma, 3000.0, c + 1, top))
+        ref = complex(*map(float.fromhex, ROUTE_REFERENCES["F1", 3000.0, sigma]))
+        assert abs(got - ref) <= 1e-15 * _largest_term(sigma, c + 1, top)
 
     def test_exp_series(self):
         # rows: exp(0.3 + 2i y) and exp(-y + y**2), against mpmath's Taylor series
